@@ -66,7 +66,6 @@ from .symbols import (
 
 __all__ = [
     "UsageError",
-    "ToleranceError",
     "parse_symbol_expr",
     "parse_nonlinearity",
     "main",
@@ -75,10 +74,6 @@ __all__ = [
 
 class UsageError(ValueError):
     """Bad flags, bad grammar, or an inconsistent configuration."""
-
-
-class ToleranceError(RuntimeError):
-    """Computation finished but a requested tolerance was not met."""
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +277,6 @@ def _write_csv(path: Path, header: Sequence[str], rows) -> None:
 def _parse_fraction(text: str) -> Fraction:
     text = text.strip()
     try:
-        if "/" in text:
-            return Fraction(text)
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {text!r}") from exc
@@ -676,9 +669,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ToleranceError as exc:
-        print(f"tolerance: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         # config-level inconsistencies from the library (eps vs grid etc.)
         print(f"error: {exc}", file=sys.stderr)

@@ -20,9 +20,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Philox
@@ -42,7 +42,6 @@ __all__ = [
     "mollifier_transform",
     "radial_fourier",
     "kernel_slice_transforms",
-    "stochastic_convolution",
     "heat_convolution",
     "kernel_convolution",
     "slow_channel_convolution",
@@ -108,13 +107,27 @@ class Lattice:
     def times(self) -> np.ndarray:
         return self.dt * np.arange(self.n_time)
 
-    def k_magnitudes(self) -> np.ndarray:
-        """|k| on the rfftn frequency lattice (integer wavenumbers)."""
+    def _k_mesh(self) -> list[np.ndarray]:
+        """Per-axis integer wavenumbers on the rfftn frequency lattice."""
         axes = [np.fft.fftfreq(self.n_space, d=self.dx)
                 for _ in range(self.d - 1)]
         axes.append(np.fft.rfftfreq(self.n_space, d=self.dx))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.sqrt(sum(np.square(a) for a in mesh))
+        return np.meshgrid(*axes, indexing="ij")
+
+    def k_magnitudes(self) -> np.ndarray:
+        """|k| on the rfftn frequency lattice (integer wavenumbers)."""
+        return np.sqrt(sum(np.square(a) for a in self._k_mesh()))
+
+    def _heat_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """One exact heat step per mode: decay e^{-lam dt}, gain
+        (1 - e^{-lam dt}) / lam, with rates lam = (2 pi |k|)^2."""
+        lam = (2.0 * math.pi) ** 2 * sum(np.square(a)
+                                         for a in self._k_mesh())
+        decay = np.exp(-lam * self.dt)
+        with np.errstate(invalid="ignore"):
+            gain = np.where(lam > 0, -np.expm1(-lam * self.dt) / np.where(
+                lam > 0, lam, 1.0), self.dt)
+        return decay, gain
 
 
 @dataclass(frozen=True)
@@ -283,11 +296,7 @@ def heat_convolution(forcing: Union[Field, NoiseField]) -> Field:
     """
     lat = forcing.lattice
     ax = tuple(range(1, lat.d + 1))
-    lam = (2.0 * math.pi * lat.k_magnitudes()) ** 2
-    decay = np.exp(-lam * lat.dt)
-    with np.errstate(invalid="ignore"):
-        gain = np.where(lam > 0, -np.expm1(-lam * lat.dt) / np.where(
-            lam > 0, lam, 1.0), lat.dt)
+    decay, gain = lat._heat_weights()
     f_hat = np.fft.rfftn(forcing.values, axes=ax)
     out = np.empty(lat.shape)
     acc = np.zeros_like(f_hat[0])
@@ -366,20 +375,6 @@ def kernel_convolution(xi: Union[Field, NoiseField],
     return out
 
 
-def stochastic_convolution(xi: Union[Field, NoiseField],
-                           kernel="heat",
-                           out_slices: Optional[Sequence[int]] = None):
-    """Dispatch: "heat" for the semigroup recursion, a kernel object for
-    direct space-time convolution (requires ``out_slices``)."""
-    if isinstance(kernel, str):
-        if kernel != "heat":
-            raise ValueError("unknown convolution kind: %r" % kernel)
-        return heat_convolution(xi)
-    if out_slices is None:
-        raise ValueError("kernel convolution needs explicit output slices")
-    return kernel_convolution(xi, kernel, out_slices)
-
-
 def slow_channel_convolution(chi: Field, Q: Callable) -> Field:
     """chi^Q(t) = int_0^t Q(t-s) chi(s) ds along the time axis (Q causal).
 
@@ -426,12 +421,8 @@ def lattice_covariance(kernel: MollifiedKernel, lattice: Lattice,
     if space_lag is None:
         phase = np.ones(hats.shape[1:])
     else:
-        axes = [np.fft.fftfreq(lat.n_space, d=lat.dx)
-                for _ in range(lat.d - 1)]
-        axes.append(np.fft.rfftfreq(lat.n_space, d=lat.dx))
-        mesh = np.meshgrid(*axes, indexing="ij")
         ang = sum(2.0 * math.pi * m * (l * lat.dx)
-                  for m, l in zip(mesh, space_lag))
+                  for m, l in zip(lat._k_mesh(), space_lag))
         phase = np.cos(ang)
     total = 0.0
     n = len(taus)

@@ -9,10 +9,12 @@ invertibility of A.  A stochastic-convolution channel chi is co-integrated
 with the same mode weights, so u = chi + phi holds to rounding and remainder
 norms come for free.
 
-Sweeps over the mollification scale share one white-noise realisation; each
-scale applies its own separable mollifier as a spectral FIR filter, and all
-runs advance in lockstep so cross-scale differences can be recorded at
-matching times without storing trajectories.
+One engine advances every integration.  Members share one white-noise
+realisation; each mollification scale applies its own separable mollifier as
+a spectral FIR filter on that realisation's spatial transform, and all
+members advance in lockstep.  `run` is the one-member case; `epsilon_sweep`
+runs every scale and its half side by side, so cross-scale differences are
+recorded at matching times without storing trajectories.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .noise import (
     Lattice,
     counter_gaussians,
     mollifier_transform,
-    mollify_noise,
     sample_white_noise,
     _temporal_weights,
 )
@@ -182,10 +183,7 @@ def phi_series(dt: float, A: np.ndarray, tol: float = 1e-16) -> np.ndarray:
 
 def spectral_sigma(d: int, n_space: int, exponent: float) -> np.ndarray:
     """(1+|k|)^{exponent/2} on the rfftn frequency lattice."""
-    axes = [np.fft.fftfreq(n_space, d=1.0 / n_space) for _ in range(d - 1)]
-    axes.append(np.fft.rfftfreq(n_space, d=1.0 / n_space))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    mag = np.sqrt(sum(np.square(a) for a in mesh))
+    mag = Lattice(d=d, n_space=n_space, n_time=1, t_end=1.0).k_magnitudes()
     return (1.0 + mag) ** (exponent / 2.0)
 
 
@@ -236,19 +234,10 @@ class Stepper:
         self.spec = spec
         self.n_space = n_space
         self.dt = dt
-        d = spec.d
-        axes = [np.fft.fftfreq(n_space, d=1.0 / n_space)
-                for _ in range(d - 1)]
-        axes.append(np.fft.rfftfreq(n_space, d=1.0 / n_space))
-        mesh = np.meshgrid(*axes, indexing="ij")
-        lam = (2.0 * math.pi) ** 2 * sum(np.square(a) for a in mesh)
-        self.decay = np.exp(-lam * dt)
-        with np.errstate(invalid="ignore"):
-            self.gain = np.where(
-                lam > 0, -np.expm1(-lam * dt) / np.where(lam > 0, lam, 1.0),
-                dt)
-        self.dealias = np.ones_like(lam)
-        for a in mesh:
+        lat = Lattice(d=spec.d, n_space=n_space, n_time=1, t_end=dt)
+        self.decay, self.gain = lat._heat_weights()
+        self.dealias = np.ones_like(self.decay)
+        for a in lat._k_mesh():
             self.dealias *= (np.abs(a) <= n_space / 3.0)
         self.expA = expm(dt * np.asarray(spec.Q.A2, dtype=float))
         self.phiA1 = phi_series(dt, np.asarray(spec.Q.A2, dtype=float)) \
@@ -293,81 +282,155 @@ def _norm_pair(x: np.ndarray) -> tuple[float, float]:
     return float(np.max(np.abs(x))), float(math.sqrt(np.mean(np.square(x))))
 
 
+# ---------------------------------------------------------------------------
+# lockstep engine
+# ---------------------------------------------------------------------------
+
+class _FIRMollifier:
+    """Per-scale spectral mollification of a shared raw noise stream."""
+
+    def __init__(self, lat: Lattice, eps: float, spec: MollifierSpec):
+        self.wt = _temporal_weights(spec, eps, lat.dt)
+        self.half = (len(self.wt) - 1) // 2
+        self.rho_hat = mollifier_transform(spec, eps, lat.k_magnitudes())
+
+    def slice_hat(self, raw_hat: np.ndarray, i: int) -> np.ndarray:
+        lo = max(0, i - self.half)
+        hi = min(raw_hat.shape[0], i + self.half + 1)
+        w = self.wt[self.half - (i - lo): self.half + (hi - i)]
+        acc = np.tensordot(w, raw_hat[lo:hi], axes=(0, 0))
+        return acc * self.rho_hat
+
+
+def _noise_forcing(d: int, config: RunConfig, steps: int,
+                   scales: Sequence[float]
+                   ) -> tuple[Optional[str], Optional[Callable]]:
+    """One white-noise realisation, mollified per scale as a spectral FIR.
+
+    Returns the noise checksum and forcing(i), mapping each scale to the
+    amplitude-scaled spectral forcing of step i; (None, None) without noise.
+    """
+    if config.noise_amplitude == 0.0:
+        return None, None
+    mspec = MollifierSpec(d)
+    # run past the last step by the widest temporal filter's half-width
+    pad = int(math.ceil(mspec.t_halfwidth * max(scales) ** 2 / config.dt)) + 2
+    lat = Lattice(d=d, n_space=config.n_space, n_time=steps + pad,
+                  t_end=(steps + pad) * config.dt)
+    xi = sample_white_noise(lat, config.seed)
+    checksum = xi.checksum()
+    raw_hat = np.fft.rfftn(xi.values, axes=tuple(range(1, d + 1)))
+    firs = {e: _FIRMollifier(lat, e, mspec) for e in scales}
+    amp = config.noise_amplitude
+
+    def forcing(i: int) -> dict:
+        return {e: amp * fir.slice_hat(raw_hat, i) for e, fir in firs.items()}
+
+    return checksum, forcing
+
+
+class _Member:
+    """One integration of the lockstep engine: its stepper and its state.
+
+    w_hat evolves u (direct formulation) or phi = u - chi (remainder);
+    chi_hat co-integrates chi with the same mode weights in both.  State
+    arrays are replaced at every step, never written in place.
+    """
+
+    def __init__(self, st: Stepper, eps: float, u0: np.ndarray,
+                 v0: np.ndarray):
+        self.st, self.eps = st, eps
+        self.remainder = st.spec.formulation == "remainder"
+        self.u, self.v = u0.copy(), v0.copy()
+        self.w_hat = np.fft.rfftn(u0, axes=st.ax)
+        self.chi_hat = np.zeros_like(self.w_hat)
+        self._chi = None
+
+    def chi(self) -> np.ndarray:
+        """chi in real space, transformed at most once per step."""
+        if self._chi is None:
+            self._chi = self.st.to_real(self.chi_hat)
+        return self._chi
+
+    def failure(self, cutoff: float) -> Optional[str]:
+        if not np.all(np.isfinite(self.u)):
+            return "nonfinite"
+        return "cutoff-hit" if float(np.max(np.abs(self.u))) > cutoff \
+            else None
+
+    def step(self, f_hat: Optional[np.ndarray]) -> None:
+        st = self.st
+        nonlin = st.nonlinearity(self.u, self.v)
+        self.w_hat = st.step_u(self.w_hat, nonlin,
+                               None if self.remainder else f_hat)
+        if f_hat is not None:
+            self.chi_hat = st.decay * self.chi_hat + st.gain * f_hat
+        self.v = st.step_v(self.v, self.u)
+        self._chi = None
+        w = st.to_real(self.w_hat)
+        self.u = self.chi() + w if self.remainder else w
+
+
+def _lockstep(members: dict, steps: int, cutoff: float,
+              forcing: Optional[Callable], observe: Callable
+              ) -> Optional[tuple]:
+    """Advance all members through ``steps`` steps on common forcing.
+
+    ``observe(i)`` sees step i once every member has passed the finiteness
+    and cutoff check; returns (key, i, reason) for the first that fails.
+    """
+    for i in range(steps + 1):
+        for key, m in members.items():
+            reason = m.failure(cutoff)
+            if reason:
+                return key, i, reason
+        observe(i)
+        if i == steps:
+            return None
+        f_hats = forcing(i) if forcing else {}
+        for m in members.values():
+            m.step(f_hats.get(m.eps))
+
+
 def run(config: RunConfig, spec: SystemSpec) -> RunResult:
     """Integrate to t_end or termination; returns norms, snapshots, manifest.
 
-    chi (the mollified stochastic convolution with zero initial data) is
-    co-integrated spectrally, so phi = u - chi is available in both
-    formulations and the decomposition is exact by construction.
+    The one-member case of the lockstep engine: chi (the mollified
+    stochastic convolution with zero initial data) is co-integrated
+    spectrally, so phi = u - chi is available in both formulations and the
+    decomposition is exact by construction.
     """
     config.validate(spec.d)
     steps = int(round(config.t_end / config.dt))
-    have_noise = config.noise_amplitude != 0.0
-    xi = xi_eps = None
-    if have_noise:
-        pad = int(math.ceil(0.25 * config.eps ** 2 / config.dt)) + 2
-        lat = Lattice(d=spec.d, n_space=config.n_space, n_time=steps + pad,
-                      t_end=(steps + pad) * config.dt)
-        xi = sample_white_noise(lat, config.seed)
-        xi_eps = mollify_noise(xi, config.eps)
-    st = Stepper(spec, config.n_space, config.dt)
-    u, v = initial_data(spec.d, config.n_space, config.seed + 1,
-                        eta=config.eta, gamma=config.gamma, n_v=spec.Q.n,
-                        u0=config.u0, v0=config.v0)
-    u_hat = np.fft.rfftn(u, axes=st.ax)
-    chi_hat = np.zeros_like(u_hat)
-    remainder = spec.formulation == "remainder"
-    phi = u.copy() if remainder else None
-    phi_hat = u_hat.copy() if remainder else None
+    checksum, forcing = _noise_forcing(spec.d, config, steps, (config.eps,))
+    u0, v0 = initial_data(spec.d, config.n_space, config.seed + 1,
+                          eta=config.eta, gamma=config.gamma, n_v=spec.Q.n,
+                          u0=config.u0, v0=config.v0)
+    m = _Member(Stepper(spec, config.n_space, config.dt), config.eps, u0, v0)
 
     snap_idx = {int(round(t / config.dt)): t for t in config.snapshot_times}
-    times, series = [], {k: [] for k in
-                         ("sup_u", "l2_u", "sup_v", "l2_v", "sup_phi",
-                          "l2_phi")}
-    snapshots = {}
-    termination, t_star = "completed", None
+    times, snapshots = [], {}
+    series = {k: [] for k in ("sup_u", "l2_u", "sup_v", "l2_v", "sup_phi",
+                              "l2_phi")}
 
-    for i in range(steps + 1):
-        t = i * config.dt
-        chi = st.to_real(chi_hat)
-        if remainder:
-            u = chi + phi
-        if not np.all(np.isfinite(u)):
-            termination, t_star = "nonfinite", t
-            break
-        if float(np.max(np.abs(u))) > config.cutoff:
-            termination, t_star = "cutoff-hit", t
-            break
-        if i % config.record_every == 0 or i == steps or i in snap_idx:
-            su, l2u = _norm_pair(u)
-            sv, l2v = _norm_pair(v)
-            sp, l2p = _norm_pair(u - chi)
-            times.append(t)
-            for k, val in zip(series, (su, l2u, sv, l2v, sp, l2p)):
-                series[k].append(val)
+    def observe(i: int) -> None:
+        if i % config.record_every and i != steps and i not in snap_idx:
+            return
+        chi = m.chi()
+        phi = m.u - chi
+        times.append(i * config.dt)
+        vals = _norm_pair(m.u) + _norm_pair(m.v) + _norm_pair(phi)
+        for k, val in zip(series, vals):
+            series[k].append(val)
         if i in snap_idx:
-            snapshots[snap_idx[i]] = {
-                "u": u.copy(), "v": v.copy(), "phi": (u - chi).copy(),
-                "chi": chi.copy()}
-        if i == steps:
-            break
-        nonlin = st.nonlinearity(u, v)
-        if have_noise:
-            f_hat = config.noise_amplitude \
-                * np.fft.rfftn(xi_eps.values[i], axes=st.ax)
-            chi_hat = st.decay * chi_hat + st.gain * f_hat
-        else:
-            f_hat = None
-            chi_hat = st.decay * chi_hat
-        if remainder:
-            phi_hat = st.step_u(phi_hat, nonlin, None)
-        else:
-            u_hat = st.step_u(u_hat, nonlin, f_hat)
-        v = st.step_v(v, u)
-        if remainder:
-            phi = st.to_real(phi_hat)
-        else:
-            u = st.to_real(u_hat)
+            snapshots[snap_idx[i]] = {"u": m.u, "v": m.v, "phi": phi,
+                                      "chi": chi}
+
+    failed = _lockstep({0: m}, steps, config.cutoff, forcing, observe)
+    termination, t_star = "completed", None
+    if failed:
+        _, i, termination = failed
+        t_star = i * config.dt
 
     manifest = {
         "d": spec.d, "formulation": spec.formulation,
@@ -381,7 +444,7 @@ def run(config: RunConfig, spec: SystemSpec) -> RunResult:
         "eps": config.eps, "seed": config.seed, "cutoff": config.cutoff,
         "eta": config.eta, "gamma": config.gamma,
         "noise_amplitude": config.noise_amplitude,
-        "noise_checksum": xi.checksum() if xi is not None else None,
+        "noise_checksum": checksum,
     }
     return RunResult(times=np.asarray(times),
                      norms={k: np.asarray(val) for k, val in series.items()},
@@ -427,25 +490,9 @@ class SweepReport:
     t_star: float
     D: dict
     contraction: dict
-    noise_checksum: str
+    noise_checksum: Optional[str]
     constants: dict
     manifest: dict
-
-
-class _FIRMollifier:
-    """Per-scale spectral mollification of a shared raw noise stream."""
-
-    def __init__(self, lat: Lattice, eps: float, spec: MollifierSpec):
-        self.wt = _temporal_weights(spec, eps, lat.dt)
-        self.half = (len(self.wt) - 1) // 2
-        self.rho_hat = mollifier_transform(spec, eps, lat.k_magnitudes())
-
-    def slice_hat(self, raw_hat: np.ndarray, i: int) -> np.ndarray:
-        lo = max(0, i - self.half)
-        hi = min(raw_hat.shape[0], i + self.half + 1)
-        w = self.wt[self.half - (i - lo): self.half + (hi - i)]
-        acc = np.tensordot(w, raw_hat[lo:hi], axes=(0, 0))
-        return acc * self.rho_hat
 
 
 def epsilon_sweep(spec: SystemSpec, config: RunConfig,
@@ -468,79 +515,45 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
         raise ValueError("finest scale %g below the resolution guard %g"
                          % (min(scales), 2.0 / config.n_space))
     steps = int(round(t_star / config.dt))
-    i_star = steps
-    pad = int(math.ceil(0.25 * max(scales) ** 2 / config.dt)) + 2
-    lat = Lattice(d=d, n_space=config.n_space, n_time=steps + pad,
-                  t_end=(steps + pad) * config.dt)
-    xi = sample_white_noise(lat, config.seed)
-    ax = tuple(range(1, d + 1))
-    raw_hat = np.fft.rfftn(xi.values, axes=ax)
-    mspec = MollifierSpec(d)
-    firs = {e: _FIRMollifier(lat, e, mspec) for e in scales}
+    checksum, forcing = _noise_forcing(d, config, steps, scales)
 
     K = build_truncated_kernel(d)
-    constants = {}
-    steppers = {}
-    for mode in modes:
-        for e in scales:
-            if mode == "renormalised":
-                if e not in constants:
-                    constants[e] = counterterms_for(spec.F, d, e, kernel=K)
-                sysspec = replace(spec, renorm=constants[e],
-                                  formulation="direct")
-            else:
-                sysspec = replace(spec, renorm=None, formulation="direct")
-            steppers[(mode, e)] = Stepper(sysspec, config.n_space, config.dt)
-
+    constants = {e: counterterms_for(spec.F, d, e, kernel=K)
+                 for e in scales if "renormalised" in modes}
     u0, v0 = initial_data(d, config.n_space, config.seed + 1, eta=config.eta,
                           gamma=config.gamma, n_v=spec.Q.n,
                           u0=config.u0, v0=config.v0)
-    u0_hat = np.fft.rfftn(u0, axes=tuple(range(0, d)))
-    state = {}
-    for key, st in steppers.items():
-        state[key] = {"u": u0.copy(), "u_hat": u0_hat.copy(),
-                      "v": v0.copy(), "chi_hat": np.zeros_like(u0_hat)}
+    members = {}
+    for mode in modes:
+        for e in scales:
+            renorm = constants[e] if mode == "renormalised" else None
+            st = Stepper(replace(spec, renorm=renorm, formulation="direct"),
+                         config.n_space, config.dt)
+            members[(mode, e)] = _Member(st, e, u0, v0)
 
     # pairwise difference tracking at matching record times
     pairs = [(e, e / 2) for e in eps_list]
     track = {mode: {p: {"du": [], "dv": [], "dphi": [], "t": []}
                     for p in pairs} for mode in modes}
 
-    for i in range(steps + 1):
-        record = (i % config.record_every == 0) or i == i_star
+    def observe(i: int) -> None:
+        if i % config.record_every and i != steps:
+            return
         for mode in modes:
-            if record:
-                for (ea, eb) in pairs:
-                    sa, sb = state[(mode, ea)], state[(mode, eb)]
-                    rec = track[mode][(ea, eb)]
-                    rec["t"].append(i * config.dt)
-                    rec["du"].append(_norm_pair(sa["u"] - sb["u"]))
-                    rec["dv"].append(_norm_pair(sa["v"] - sb["v"]))
-                    chi_a = np.fft.irfftn(sa["chi_hat"],
-                                          s=(config.n_space,) * d,
-                                          axes=tuple(range(d)))
-                    chi_b = np.fft.irfftn(sb["chi_hat"],
-                                          s=(config.n_space,) * d,
-                                          axes=tuple(range(d)))
-                    rec["dphi"].append(_norm_pair(
-                        (sa["u"] - chi_a) - (sb["u"] - chi_b)))
-        if i == steps:
-            break
-        f_hats = {e: firs[e].slice_hat(raw_hat, i) for e in scales}
-        for mode in modes:
-            for e in scales:
-                st = steppers[(mode, e)]
-                s = state[(mode, e)]
-                if not np.all(np.isfinite(s["u"])) or \
-                        float(np.max(np.abs(s["u"]))) > config.cutoff:
-                    raise RuntimeError(
-                        "sweep run (%s, eps=%g) left the stable regime at "
-                        "t=%g" % (mode, e, i * config.dt))
-                nonlin = st.nonlinearity(s["u"], s["v"])
-                s["u_hat"] = st.step_u(s["u_hat"], nonlin, f_hats[e])
-                s["chi_hat"] = st.decay * s["chi_hat"] + st.gain * f_hats[e]
-                s["v"] = st.step_v(s["v"], s["u"])
-                s["u"] = st.to_real(s["u_hat"])
+            for (ea, eb) in pairs:
+                sa, sb = members[(mode, ea)], members[(mode, eb)]
+                rec = track[mode][(ea, eb)]
+                rec["t"].append(i * config.dt)
+                rec["du"].append(_norm_pair(sa.u - sb.u))
+                rec["dv"].append(_norm_pair(sa.v - sb.v))
+                rec["dphi"].append(_norm_pair(
+                    (sa.u - sa.chi()) - (sb.u - sb.chi())))
+
+    failed = _lockstep(members, steps, config.cutoff, forcing, observe)
+    if failed:
+        (mode, e), i, _ = failed
+        raise RuntimeError("sweep run (%s, eps=%g) left the stable regime at "
+                           "t=%g" % (mode, e, i * config.dt))
 
     q_l1 = spec.Q.l1_norm()
     D = {mode: {"u": [], "v": [], "phi": []} for mode in modes}
@@ -573,7 +586,7 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     }
     return SweepReport(eps=eps_list, t_star=t_star, D=D,
                        contraction=contraction,
-                       noise_checksum=xi.checksum(), constants=constants,
+                       noise_checksum=checksum, constants=constants,
                        manifest=manifest)
 
 

@@ -35,7 +35,6 @@ from fhnspde.noise import (
     sample_white_noise,
     save_field,
     slow_channel_convolution,
-    stochastic_convolution,
     wick_cube,
     wick_square,
 )
@@ -188,7 +187,7 @@ def test_mollified_mean_centred():
 def test_heat_convolution_zero_in_zero_out():
     lat = Lattice(d=2, n_space=8, n_time=12, t_end=0.1)
     zero = Field(lattice=lat, values=np.zeros(lat.shape))
-    out = stochastic_convolution(zero, "heat")
+    out = heat_convolution(zero)
     assert float(np.max(np.abs(out.values))) == 0.0
 
 
@@ -207,16 +206,6 @@ def test_heat_convolution_single_mode_ou_variance():
     est = float(np.mean(acc))
     se = float(np.std(acc, ddof=1)) / math.sqrt(len(acc))
     assert abs(est - 1 / (2 * lam)) < 3 * se + 0.01 / (2 * lam)
-
-
-def test_heat_convolution_unknown_kind():
-    lat = Lattice(d=2, n_space=8, n_time=4, t_end=0.1)
-    xi = sample_white_noise(lat, 2)
-    with pytest.raises(ValueError):
-        stochastic_convolution(xi, "wave")
-    with pytest.raises(ValueError):
-        stochastic_convolution(xi, mollify_kernel(build_truncated_kernel(2),
-                                                  0.25))
 
 
 def test_kernel_convolution_matches_exact_lattice_covariance():

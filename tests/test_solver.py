@@ -247,6 +247,38 @@ def test_run_is_bitwise_deterministic():
     assert a.manifest["noise_checksum"] == b.manifest["noise_checksum"]
 
 
+def test_run_matches_hand_stepped_full_field_reference():
+    # the full-field mollifier and the bare Stepper methods, stepped by hand
+    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    cfg = RunConfig(n_space=16, dt=1e-3, t_end=0.02, eps=0.25, seed=13,
+                    noise_amplitude=0.7, snapshot_times=(0.02,))
+    steps = 20
+    pad = math.ceil(0.25 * cfg.eps ** 2 / cfg.dt) + 2
+    lat = Lattice(d=2, n_space=16, n_time=steps + pad,
+                  t_end=(steps + pad) * cfg.dt)
+    xi = sample_white_noise(lat, cfg.seed)
+    xi_eps = mollify_noise(xi, cfg.eps)
+    st = Stepper(spec, 16, cfg.dt)
+    u, v = initial_data(2, 16, cfg.seed + 1)
+    u_hat = np.fft.rfftn(u)
+    chi_hat = np.zeros_like(u_hat)
+    for i in range(steps):
+        f_hat = cfg.noise_amplitude * np.fft.rfftn(xi_eps.values[i])
+        nonlin = st.nonlinearity(u, v)
+        u_hat = st.step_u(u_hat, nonlin, f_hat)
+        chi_hat = st.decay * chi_hat + st.gain * f_hat
+        v = st.step_v(v, u)
+        u = st.to_real(u_hat)
+    chi = st.to_real(chi_hat)
+    assert np.max(np.abs(chi)) > 0.1
+
+    res = run(cfg, spec)
+    assert res.manifest["noise_checksum"] == xi.checksum()
+    snap = res.snapshots[0.02]
+    for name, ref in (("u", u), ("v", v), ("chi", chi), ("phi", u - chi)):
+        assert np.max(np.abs(snap[name] - ref)) < 1e-10, name
+
+
 def test_norm_series_and_manifest_contents():
     F = CubicPolynomial.standard_fhn()
     consts = counterterms_for(F, 2, 0.25)
@@ -332,3 +364,13 @@ def test_epsilon_sweep_guards_fine_scales():
     with pytest.raises(ValueError):
         # pair partner 2^-5 falls below 2 dx = 2^-4
         epsilon_sweep(spec, cfg, [2 ** -4], t_star=0.01)
+
+
+def test_epsilon_sweep_honours_noise_amplitude():
+    # without noise chi vanishes, so the remainder gap is the u gap
+    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=31,
+                    noise_amplitude=0.0, record_every=8)
+    rep = epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.01)
+    for mode in ("renormalised", "unrenormalised"):
+        assert rep.D[mode]["phi"] == rep.D[mode]["u"]
