@@ -530,11 +530,11 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec, config, extra = load_config(args.config)
+    config.validate(spec.d)
     if extra["renorm_on"]:
         ct = counterterms_for(spec.F, spec.d, config.eps)
         spec = SystemSpec(d=spec.d, F=spec.F, Q=spec.Q, renorm=ct,
                           formulation=spec.formulation)
-    config.validate(spec.d)
     rd = RunDir("simulate", seed=config.seed)
     res = run(config, spec)
     rd.manifest["config"] = res.manifest

@@ -38,7 +38,6 @@ __all__ = [
     "panel_grid",
     "geometric_edges",
     "radial_integral",
-    "RadialProfile",
     "radial_convolve",
     "MollifierSpec",
     "TruncatedKernel",
@@ -387,78 +386,60 @@ def build_truncated_kernel(d: int, zeta: int = 2, inner: float = 0.5,
 # Radial convolution
 # ---------------------------------------------------------------------------
 
-class RadialProfile:
-    """Radial function samples with cached splines for convolution reuse."""
-
-    def __init__(self, d: int, nodes: np.ndarray, vals: np.ndarray):
-        self.d = d
-        self.nodes = np.asarray(nodes, dtype=float)
-        self.vals = np.asarray(vals, dtype=float)
-        self.top = float(self.nodes[-1])
-        u = np.concatenate([[0.0], self.nodes])
-        self._value = CubicSpline(u, np.concatenate([[self.vals[0]],
-                                                     self.vals]))
-        if d == 3:
-            self._cum = CubicSpline(
-                u, np.concatenate([[0.0], self.nodes * self.vals])
-            ).antiderivative()
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        return np.where(x <= self.top, self._value(np.clip(x, 0.0, self.top)),
-                        0.0)
-
-    def cumulative(self, x: np.ndarray) -> np.ndarray:
-        return self._cum(np.clip(x, 0.0, self.top))
-
-
-def _radial_convolve_d3(f: RadialProfile, s_grid: Grid1D, g_vals: np.ndarray,
-                        rho: np.ndarray) -> np.ndarray:
-    """(f * g)(rho) in R^3: shell identity with the cumulative of u f(u).
-
-    int f(|x-y|) g(|y|) dy
-        = (2 pi / rho) int s g(s) [F(s + rho) - F(|s - rho|)] ds,
-    F(R) = int_0^R u f(u) du; at rho = 0 it degenerates to 4 pi int s^2 f g.
-    """
-    s = s_grid.nodes
-    out = np.empty_like(rho)
-    pos = rho > 0
-    rp = rho[pos]
-    val = (f.cumulative(s[None, :] + rp[:, None])
-           - f.cumulative(np.abs(s[None, :] - rp[:, None])))
-    out[pos] = (2.0 * math.pi / rp) * ((s_grid.weights * s * g_vals) @ val.T)
-    if np.any(~pos):
-        out[~pos] = 4.0 * math.pi * float(
-            np.sum(s_grid.weights * s ** 2 * g_vals * f.value(s)))
-    return out
-
-
-def _radial_convolve_d2(f: RadialProfile, s_grid: Grid1D, g_vals: np.ndarray,
-                        rho: np.ndarray, n_theta: int = 24) -> np.ndarray:
-    """(f * g)(rho) in R^2 by Gauss-Legendre in the polar angle."""
-    xt, wt = leggauss(n_theta)
-    theta = 0.5 * math.pi * (xt + 1.0)
-    wth = 0.5 * math.pi * wt  # half circle; integrand is even in theta
-    s = s_grid.nodes
-    dist = np.sqrt(np.maximum(
-        rho[:, None, None] ** 2 + s[None, :, None] ** 2
-        - 2.0 * rho[:, None, None] * s[None, :, None]
-        * np.cos(theta)[None, None, :], 0.0))
-    ang = 2.0 * (f.value(dist) @ wth)   # full-circle angular integral
-    return (s_grid.weights * s * g_vals) @ ang.T
-
-
 def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
                     rho, n_theta: int = 24) -> np.ndarray:
-    """Radial convolution (f * g)(|x|) in R^d, d in {2, 3}."""
+    """Radial convolution (f * g)(|x|) in R^d, d in {2, 3}.
+
+    f is sampled at ``f_nodes`` (spline-interpolated, zero beyond the last
+    node); g is sampled on ``s_grid``, either one profile of shape (Ns,)
+    giving a result of shape (Nrho,), or a stack of shape (m, Ns) giving one
+    result row per profile, (m, Nrho).  The f-side work is done once per
+    call and shared by every row of the stack.
+
+    d = 3 uses the shell identity with the cumulative of u f(u):
+        int f(|x-y|) g(|y|) dy
+            = (2 pi / rho) int s g(s) [F(s + rho) - F(|s - rho|)] ds,
+    F(R) = int_0^R u f(u) du; at rho = 0 it degenerates to
+    4 pi int s^2 f g.  d = 2 uses Gauss-Legendre in the polar angle.
+    """
+    if d not in (2, 3):
+        raise ValueError("spatial dimension must be 2 or 3")
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    f = f_nodes if isinstance(f_nodes, RadialProfile) \
-        else RadialProfile(d, f_nodes, f_vals)
-    if d == 3:
-        return _radial_convolve_d3(f, s_grid, np.asarray(g_vals), rho)
+    f_nodes = np.asarray(f_nodes, dtype=float)
+    f_vals = np.asarray(f_vals, dtype=float)
+    g_vals = np.asarray(g_vals)
+    s = s_grid.nodes
+    top = float(f_nodes[-1])
+    u = np.concatenate([[0.0], f_nodes])
+    spline = CubicSpline(u, np.concatenate([[f_vals[0]], f_vals]))
+
+    def f_value(x):
+        return np.where(x <= top, spline(np.clip(x, 0.0, top)), 0.0)
+
+    ws_g = s_grid.weights * s * g_vals
     if d == 2:
-        return _radial_convolve_d2(f, s_grid, np.asarray(g_vals), rho,
-                                   n_theta)
-    raise ValueError("spatial dimension must be 2 or 3")
+        xt, wt = leggauss(n_theta)
+        theta = 0.5 * math.pi * (xt + 1.0)
+        wth = 0.5 * math.pi * wt  # half circle; integrand is even in theta
+        dist = np.sqrt(np.maximum(
+            rho[:, None, None] ** 2 + s[None, :, None] ** 2
+            - 2.0 * rho[:, None, None] * s[None, :, None]
+            * np.cos(theta)[None, None, :], 0.0))
+        ang = 2.0 * (f_value(dist) @ wth)   # full-circle angular integral
+        return ws_g @ ang.T
+
+    cum = CubicSpline(u, np.concatenate([[0.0], f_nodes * f_vals])
+                      ).antiderivative()
+    pos = rho > 0
+    rp = rho[pos]
+    shell = (cum(np.clip(s[None, :] + rp[:, None], 0.0, top))
+             - cum(np.clip(np.abs(s[None, :] - rp[:, None]), 0.0, top)))
+    out = np.empty(g_vals.shape[:-1] + rho.shape)
+    out[..., pos] = (2.0 * math.pi / rp) * (ws_g @ shell.T)
+    if np.any(~pos):
+        out[..., ~pos] = 4.0 * math.pi * np.sum(
+            s_grid.weights * s ** 2 * g_vals * f_value(s), axis=-1)[..., None]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +455,6 @@ class Resolution:
     t_frac: float = 0.125     # smallest t panel, in units of eps^2
     r_frac: float = 0.125     # smallest r panel, in units of eps
     conv_nodes: int = 24      # quadrature nodes across the mollifier support
-    theta_nodes: int = 24     # angular nodes (d = 2)
 
     def coarser(self) -> "Resolution":
         return replace(self, order=max(4, self.order - 3),
@@ -508,11 +488,15 @@ class MollifiedKernel:
                 & (r <= self.r_support))
         return np.where(mask, out, 0.0)
 
-    def profile(self, t: float) -> np.ndarray:
-        """Radial slice on the native r nodes (zero outside the t support)."""
-        if not self.t_support[0] <= t <= self.t_support[1]:
-            return np.zeros_like(self.r_grid.nodes)
-        return self._spline(t, self.r_grid.nodes, grid=False)
+    def profile(self, t) -> np.ndarray:
+        """Radial slices on the native r nodes, one row per time in ``t``
+        (rows outside the t support are zero)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        out = np.zeros((t.size, self.r_grid.nodes.size))
+        inside = (t >= self.t_support[0]) & (t <= self.t_support[1])
+        out[inside] = self._spline(t[inside, None], self.r_grid.nodes[None, :],
+                                   grid=False)
+        return out
 
     def squared_integral(self) -> float:
         shell = (sphere_area(self.d)
@@ -534,6 +518,36 @@ def _mollifier_s_grid(eps: float, rho: MollifierSpec,
                       res.order)
 
 
+def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
+             res: Resolution, t_hi: float, r_hi: float
+             ) -> tuple[Grid1D, Grid1D, np.ndarray]:
+    """fn * rho_eps on graded grids over [-t_half, t_hi] x [0, r_hi].
+
+    A t pass (1-d convolution against the temporal factor on every radial
+    node), then a radial pass (convolution against the spatial factor, row
+    by row).  Returns the t grid, the r grid and the (Nt, Nr) values.
+    """
+    t_grid = panel_grid(
+        _two_sided_edges(-rho.t_halfwidth * eps ** 2, t_hi,
+                         res.t_frac * eps ** 2, res.ratio), res.order)
+    r_grid = panel_grid(
+        geometric_edges(0.0, r_hi, res.r_frac * eps, res.ratio), res.order)
+
+    tau = _mollifier_t_grid(eps, rho, res)
+    rho_t = rho.scaled_t(tau.nodes, eps)
+    ft = np.zeros((t_grid.nodes.size, r_grid.nodes.size))
+    for tq, wq, pq in zip(tau.nodes, tau.weights, rho_t):
+        ft += wq * pq * fn(t_grid.nodes[:, None] - tq, r_grid.nodes[None, :])
+
+    sg = _mollifier_s_grid(eps, rho, res)
+    gs = rho.scaled_x(sg.nodes, eps)
+    vals = np.empty_like(ft)
+    for i in range(t_grid.nodes.size):
+        vals[i] = radial_convolve(d, r_grid.nodes, ft[i], sg, gs,
+                                  r_grid.nodes)
+    return t_grid, r_grid, vals
+
+
 def mollify_kernel(kernel: TruncatedKernel, eps: float,
                    rho: Optional[MollifierSpec] = None,
                    res: Resolution = Resolution()) -> MollifiedKernel:
@@ -542,33 +556,11 @@ def mollify_kernel(kernel: TruncatedKernel, eps: float,
     if rho is None:
         rho = MollifierSpec(d)
     t_half = rho.t_halfwidth * eps ** 2
-    x_rad = rho.x_radius * eps
-    t_lo, t_hi = -t_half, kernel.outer + t_half
-    r_hi = math.sqrt(kernel.outer) + x_rad
-
-    t_grid = panel_grid(
-        _two_sided_edges(t_lo, t_hi, res.t_frac * eps ** 2, res.ratio),
-        res.order)
-    r_grid = panel_grid(
-        geometric_edges(0.0, r_hi, res.r_frac * eps, res.ratio), res.order)
-
-    # pass 1: temporal convolution on every radial node
-    tau = _mollifier_t_grid(eps, rho, res)
-    rho_t = rho.scaled_t(tau.nodes, eps)
-    kt = np.zeros((t_grid.nodes.size, r_grid.nodes.size))
-    for tq, wq, pq in zip(tau.nodes, tau.weights, rho_t):
-        kt += wq * pq * kernel(t_grid.nodes[:, None] - tq,
-                               r_grid.nodes[None, :])
-
-    # pass 2: radial convolution against the spatial factor, row by row
-    sg = _mollifier_s_grid(eps, rho, res)
-    gs = rho.scaled_x(sg.nodes, eps)
-    vals = np.empty_like(kt)
-    for i in range(t_grid.nodes.size):
-        vals[i] = radial_convolve(d, r_grid.nodes, kt[i], sg, gs,
-                                  r_grid.nodes, res.theta_nodes)
+    t_hi = kernel.outer + t_half
+    r_hi = math.sqrt(kernel.outer) + rho.x_radius * eps
+    t_grid, r_grid, vals = _mollify(kernel, d, eps, rho, res, t_hi, r_hi)
     return MollifiedKernel(d=d, t_grid=t_grid, r_grid=r_grid, vals=vals,
-                           t_support=(t_lo, t_hi), r_support=r_hi)
+                           t_support=(-t_half, t_hi), r_support=r_hi)
 
 
 def g_eps_squared(d: int, eps: float, rho: Optional[MollifierSpec] = None,
@@ -582,30 +574,11 @@ def g_eps_squared(d: int, eps: float, rho: Optional[MollifierSpec] = None,
     """
     if rho is None:
         rho = MollifierSpec(d)
-    t_half = rho.t_halfwidth * eps ** 2
-    x_rad = rho.x_radius * eps
-    r_hi = 6.0 * math.sqrt(t_window) + x_rad
-    t_grid = panel_grid(
-        _two_sided_edges(-t_half, t_window, res.t_frac * eps ** 2, res.ratio),
-        res.order)
-    r_grid = panel_grid(
-        geometric_edges(0.0, r_hi, res.r_frac * eps, res.ratio), res.order)
-
-    tau = _mollifier_t_grid(eps, rho, res)
-    rho_t = rho.scaled_t(tau.nodes, eps)
-    gt = np.zeros((t_grid.nodes.size, r_grid.nodes.size))
-    for tq, wq, pq in zip(tau.nodes, tau.weights, rho_t):
-        gt += wq * pq * heat_kernel(t_grid.nodes[:, None] - tq,
-                                    r_grid.nodes[None, :], d)
-    sg = _mollifier_s_grid(eps, rho, res)
-    gs = rho.scaled_x(sg.nodes, eps)
-    shell = (sphere_area(d) * r_grid.weights * r_grid.nodes ** (d - 1))
-    total = 0.0
-    for i, wt in enumerate(t_grid.weights):
-        row = radial_convolve(d, r_grid.nodes, gt[i], sg, gs, r_grid.nodes,
-                              res.theta_nodes)
-        total += wt * float(shell @ row ** 2)
-    return total
+    r_hi = 6.0 * math.sqrt(t_window) + rho.x_radius * eps
+    t_grid, r_grid, vals = _mollify(lambda t, r: heat_kernel(t, r, d), d,
+                                    eps, rho, res, t_window, r_hi)
+    shell = sphere_area(d) * r_grid.weights * r_grid.nodes ** (d - 1)
+    return float(t_grid.weights @ (vals ** 2 @ shell))
 
 
 # ---------------------------------------------------------------------------
@@ -728,25 +701,22 @@ def correlate(A: MollifiedKernel, B: MollifiedKernel,
               t_out: np.ndarray, rho_out: np.ndarray) -> np.ndarray:
     """(A star B)(t, x) = int A(z1) B(z1 - z) dz1 on an output (t, r) grid.
 
-    Radial in x; the t1 integral runs over A's native grid, the spatial
-    cross-correlation uses the shell identity with A's radial samples as the
-    cumulative factor and B's slice as the compact factor.
+    Radial in x; the t1 integral runs over A's native grid.  Each row of A
+    takes one :func:`radial_convolve` call: A's radial samples are the
+    spline (f) factor, and the B slices at t1 - t for every output time t
+    inside B's t support form the stacked compact (g) factor on B's r grid,
+    so the f-side work is done once per row of A.
     """
-    d = A.d
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     rho_out = np.atleast_1d(np.asarray(rho_out, dtype=float))
-    sg = Grid1D(B.r_grid.nodes, B.r_grid.weights)
     out = np.zeros((t_out.size, rho_out.size))
     for t1, w1, a_row in zip(A.t_grid.nodes, A.t_grid.weights, A.vals):
         ts = t1 - t_out
         inside = (ts >= B.t_support[0]) & (ts <= B.t_support[1])
-        if not np.any(inside):
-            continue
-        prof = RadialProfile(d, A.r_grid.nodes, a_row)
-        for j in np.nonzero(inside)[0]:
-            b_slice = B.profile(ts[j])
-            out[j] += w1 * radial_convolve(d, prof, None, sg, b_slice,
-                                           rho_out)
+        if np.any(inside):
+            out[inside] += w1 * radial_convolve(
+                A.d, A.r_grid.nodes, a_row, B.r_grid, B.profile(ts[inside]),
+                rho_out)
     return out
 
 

@@ -199,6 +199,27 @@ def sample_white_noise(lattice: Lattice, seed: int) -> NoiseField:
 # radial Fourier transforms
 # ---------------------------------------------------------------------------
 
+def _fourier_bessel(k: np.ndarray, r_max: float, d: int, n_panels: int,
+                    order: int) -> tuple:
+    """Quadrature for radial transforms on [0, r_max] at magnitudes ``k``.
+
+    int f(|x|) e^{-2 pi i k.x} dx ~= sum_s basis[k, s] * jac[s] * f(s) * w[s]
+    with basis j0(2 pi k s) in d = 2, sinc(2 k s) in d = 3, cos(2 pi k s)
+    in d = 1, and radial Jacobian jac = |S^{d-1}| s^{d-1}.  The panel count
+    resolves the fastest oscillation present.  Returns (s, w, basis, jac).
+    """
+    need = max(n_panels, int(6 * float(np.max(k)) * r_max) + 8)
+    g = panel_grid(list(np.linspace(0.0, r_max, need + 1)), order)
+    s = g.nodes
+    if d == 2:
+        return s, g.weights, j0(2.0 * math.pi * np.outer(k, s)), \
+            2.0 * math.pi * s
+    if d == 3:
+        return s, g.weights, np.sinc(2.0 * np.outer(k, s)), \
+            4.0 * math.pi * s ** 2
+    return s, g.weights, np.cos(2.0 * math.pi * np.outer(k, s)), 2.0
+
+
 def radial_fourier(fn: Callable, r_max: float, k: np.ndarray, d: int,
                    n_panels: int = 64, order: int = 8) -> np.ndarray:
     """Transform int f(|x|) e^{-2 pi i k.x} dx of a radial function.
@@ -207,19 +228,8 @@ def radial_fourier(fn: Callable, r_max: float, k: np.ndarray, d: int,
     fastest oscillation present.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    k_top = float(np.max(k))
-    need = max(n_panels, int(6 * k_top * r_max) + 8)
-    g = panel_grid(list(np.linspace(0.0, r_max, need + 1)), order)
-    s, w = g.nodes, g.weights
-    f = fn(s)
-    arg = 2.0 * math.pi * np.outer(k, s)
-    if d == 2:
-        mat = j0(arg) * (2.0 * math.pi * s * f * w)
-    elif d == 3:
-        mat = np.sinc(2.0 * np.outer(k, s)) * (4.0 * math.pi * s ** 2 * f * w)
-    else:
-        mat = np.cos(arg) * (2.0 * f * w)
-    return mat.sum(axis=1)
+    s, w, basis, jac = _fourier_bessel(k, r_max, d, n_panels, order)
+    return (basis * (jac * fn(s) * w)).sum(axis=1)
 
 
 def _unique_eval(fn: Callable, mags: np.ndarray) -> np.ndarray:
@@ -328,18 +338,9 @@ def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice,
     mags = lattice.k_magnitudes()
     flat = np.round(mags.ravel(), 9)
     uniq, inverse = np.unique(flat, return_inverse=True)
-    r_top = kernel.r_support
-    k_top = float(uniq[-1])
-    need = max(48, int(6 * k_top * r_top) + 8)
-    g = panel_grid(list(np.linspace(0.0, r_top, need + 1)), order)
-    s, w = g.nodes, g.weights
-    d = lattice.d
-    if d == 2:
-        mat = j0(2.0 * math.pi * np.outer(uniq, s)) * (2.0 * math.pi * s * w)
-    elif d == 3:
-        mat = np.sinc(2.0 * np.outer(uniq, s)) * (4.0 * math.pi * s ** 2 * w)
-    else:
-        mat = np.cos(2.0 * math.pi * np.outer(uniq, s)) * (2.0 * w)
+    s, w, basis, jac = _fourier_bessel(uniq, kernel.r_support, lattice.d,
+                                       48, order)
+    mat = basis * (jac * w)
     hats = np.zeros((len(taus),) + mags.shape)
     for j, tau in enumerate(taus):
         vals = kernel(tau, s)

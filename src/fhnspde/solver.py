@@ -201,11 +201,10 @@ def initial_data(d: int, n_space: int, seed: int, eta: float = -0.6,
                  u0: Optional[Callable] = None,
                  v0: Optional[Callable] = None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial fields: prescribed-decay random Fourier series or explicit."""
-    if eta <= -2.0 / 3.0:
-        raise ValueError("initial-data regularity eta must exceed -2/3")
-    if gamma <= 1.0:
-        raise ValueError("slow-channel regularity gamma must exceed 1")
+    """Initial fields: prescribed-decay random Fourier series or explicit.
+
+    ``RunConfig.validate`` checks eta > -2/3 and gamma > 1 beforehand.
+    """
     xs = np.arange(n_space) / n_space
     mesh = np.meshgrid(*([xs] * d), indexing="ij")
     if u0 is not None:
@@ -511,9 +510,7 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     scales = sorted({e for e in eps_list} | {e / 2 for e in eps_list},
                     reverse=True)
     d = spec.d
-    if min(scales) < 2.0 / config.n_space:
-        raise ValueError("finest scale %g below the resolution guard %g"
-                         % (min(scales), 2.0 / config.n_space))
+    replace(config, eps=min(scales)).validate(d)
     steps = int(round(t_star / config.dt))
     checksum, forcing = _noise_forcing(d, config, steps, scales)
 

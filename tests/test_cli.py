@@ -304,7 +304,10 @@ def test_converge_outputs(outdir, config_file, capsys):
 
 
 def test_converge_grid_guard(outdir, tmp_path):
-    # partner scale eps/2 would fall below two grid spacings
+    # partner scale eps/2 would fall below two grid spacings; a negative
+    # cutoff must fail validation before any counterterm is computed
     p = tmp_path / "bad.cfg"
-    p.write_text(CFG.replace("eps_list = 2^-2", "eps_list = 2^-3"))
-    assert main(["converge", "--config", str(p)]) == 1
+    for old, new in (("eps_list = 2^-2", "eps_list = 2^-3"),
+                     ("dim = 2", "dim = 2\ncutoff = -1")):
+        p.write_text(CFG.replace(old, new))
+        assert main(["converge", "--config", str(p)]) == 1

@@ -91,6 +91,16 @@ def test_radial_convolution_semigroup(d):
                           heat_kernel(s, sg.nodes, d), rho, n_theta=32)
     want = heat_kernel(t + s, rho, d)
     assert np.max(np.abs(got - want) / want) < 5e-6
+    # a stack of g profiles gives one row per profile
+    ss = np.array([s, 0.04])
+    stack = radial_convolve(d, fg.nodes, heat_kernel(t, fg.nodes, d), sg,
+                            heat_kernel(ss[:, None], sg.nodes[None, :], d),
+                            rho, n_theta=32)
+    assert stack.shape == (2, rho.size)
+    np.testing.assert_allclose(stack[0], got, rtol=1e-13)
+    for row, si in zip(stack, ss):
+        want = heat_kernel(t + si, rho, d)
+        assert np.max(np.abs(row - want) / want) < 5e-6
 
 
 def test_radial_convolution_gaussian_variance():
@@ -264,6 +274,9 @@ def test_correlate_windowed_heat_oracle(d):
     t_out = np.array([-0.05, 0.0, 0.04])
     rho = np.array([0.1, 0.5, 1.2])
     got = correlate(A, B, t_out, rho)
+    # slices outside B's t support are zero rows
+    outside = B.profile(np.array([0.2, 0.5, -0.1]))
+    assert np.any(outside[0]) and not np.any(outside[1:])
     want = np.array([[exact(t, r, 0.05, 0.3, 0.01, 0.45) for r in rho]
                      for t in t_out])
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-4

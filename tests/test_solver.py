@@ -101,13 +101,6 @@ def test_config_validation():
 # initial data
 # ---------------------------------------------------------------------------
 
-def test_initial_data_rejects_rough_exponents():
-    with pytest.raises(ValueError):
-        initial_data(2, 32, 0, eta=-2.0 / 3.0)
-    with pytest.raises(ValueError):
-        initial_data(2, 32, 0, gamma=1.0)
-
-
 def test_initial_data_deterministic_and_shaped():
     u1, v1 = initial_data(2, 32, 123, n_v=2)
     u2, v2 = initial_data(2, 32, 123, n_v=2)
@@ -364,6 +357,17 @@ def test_epsilon_sweep_guards_fine_scales():
     with pytest.raises(ValueError):
         # pair partner 2^-5 falls below 2 dx = 2^-4
         epsilon_sweep(spec, cfg, [2 ** -4], t_star=0.01)
+
+
+def test_epsilon_sweep_rejects_rough_exponents():
+    # the initial-data exponents are checked by RunConfig.validate, which the
+    # sweep runs before any counterterm or noise work
+    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    for bad in ({"eta": -2.0 / 3.0}, {"gamma": 1.0}):
+        cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=1,
+                        **bad)
+        with pytest.raises(ValueError):
+            epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.01)
 
 
 def test_epsilon_sweep_honours_noise_amplitude():
