@@ -288,13 +288,13 @@ def _parse_eps_list(text: str) -> list[float]:
         if not piece:
             continue
         m = re.fullmatch(r"2\^(-?\d+)", piece)
-        if m:
-            out.append(2.0 ** int(m.group(1)))
-        else:
-            try:
-                out.append(float(piece))
-            except ValueError as exc:
-                raise UsageError(f"bad scale {piece!r}") from exc
+        try:
+            val = 2.0 ** int(m.group(1)) if m else float(piece)
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(f"bad scale {piece!r}") from exc
+        if not (math.isfinite(val) and val > 0):
+            raise UsageError(f"scale {piece!r} must be finite and positive")
+        out.append(val)
     if not out:
         raise UsageError("empty scale list")
     return out

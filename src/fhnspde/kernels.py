@@ -21,6 +21,7 @@ C2(eps) = 2 int K * Q0^2, and the kernel integrals Iij = int K * Qi * Qj.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional, Sequence
@@ -108,6 +109,9 @@ def geometric_edges(lo: float, hi: float, h_min: float,
     """Panel edges on [lo, hi] refined geometrically toward lo."""
     if hi <= lo:
         raise ValueError("empty interval")
+    if not (math.isfinite(h_min) and h_min > 0):
+        raise ValueError(f"smallest panel {h_min!r} must be finite and "
+                         "positive")
     edges = [lo]
     h = min(h_min, hi - lo)
     x = lo
@@ -119,16 +123,24 @@ def geometric_edges(lo: float, hi: float, h_min: float,
     return np.array(edges)
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only."""
+    xg, wg = leggauss(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
+
+
 def panel_grid(edges: Sequence[float], order: int = 8) -> Grid1D:
     """Composite Gauss-Legendre rule over consecutive panels."""
-    xg, wg = leggauss(order)
-    nodes, weights = [], []
+    xg, wg = _leggauss(order)
     edges = np.asarray(edges, dtype=float)
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return Grid1D(np.concatenate(nodes), np.concatenate(weights))
+    if edges.size < 2:
+        raise ValueError("need at least one panel")
+    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    return Grid1D((mid + half * xg).ravel(), (half * wg).ravel())
 
 
 def _two_sided_edges(lo: float, hi: float, h_min: float,
@@ -386,15 +398,25 @@ def build_truncated_kernel(d: int, zeta: int = 2, inner: float = 0.5,
 # Radial convolution
 # ---------------------------------------------------------------------------
 
+# f-side block budget of radial_convolve: (f row, rho node, s node) triples
+_F_BLOCK = 2 ** 13
+
+
 def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
                     rho, n_theta: int = 24) -> np.ndarray:
     """Radial convolution (f * g)(|x|) in R^d, d in {2, 3}.
 
     f is sampled at ``f_nodes`` (spline-interpolated, zero beyond the last
-    node); g is sampled on ``s_grid``, either one profile of shape (Ns,)
-    giving a result of shape (Nrho,), or a stack of shape (m, Ns) giving one
-    result row per profile, (m, Nrho).  The f-side work is done once per
-    call and shared by every row of the stack.
+    node), as one profile of shape (Nf,) or a stack of shape (m, Nf); g is
+    sampled on ``s_grid``, as one profile (Ns,) or a stack (m, Ns).  Leading
+    stack shapes broadcast, and the result has one row of shape (Nrho,) per
+    broadcast row: (Nrho,) for two single profiles, (m, Nrho) when either is
+    a stack.  The f splines are built once per call, one multi-column spline
+    for a stack, and shared by every row of g.  They are evaluated over
+    blocks of rho nodes of at most ``_F_BLOCK`` (f row, rho, s) triples
+    (times ``n_theta`` in d = 2): a single f over the output grids of
+    ``correlate`` (up to eps = 2^-7) is one block, and a tall f stack goes
+    a few rho nodes at a time.
 
     d = 3 uses the shell identity with the cumulative of u f(u):
         int f(|x-y|) g(|y|) dy
@@ -411,33 +433,49 @@ def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
     s = s_grid.nodes
     top = float(f_nodes[-1])
     u = np.concatenate([[0.0], f_nodes])
-    spline = CubicSpline(u, np.concatenate([[f_vals[0]], f_vals]))
+    # the value spline serves the d = 2 rule and the d = 3 origin only
+    spline = CubicSpline(u, np.concatenate([f_vals[..., :1], f_vals], axis=-1),
+                         axis=-1) if d == 2 or np.any(rho <= 0) else None
 
     def f_value(x):
         return np.where(x <= top, spline(np.clip(x, 0.0, top)), 0.0)
 
     ws_g = s_grid.weights * s * g_vals
-    if d == 2:
-        xt, wt = leggauss(n_theta)
-        theta = 0.5 * math.pi * (xt + 1.0)
-        wth = 0.5 * math.pi * wt  # half circle; integrand is even in theta
-        dist = np.sqrt(np.maximum(
-            rho[:, None, None] ** 2 + s[None, :, None] ** 2
-            - 2.0 * rho[:, None, None] * s[None, :, None]
-            * np.cos(theta)[None, None, :], 0.0))
-        ang = 2.0 * (f_value(dist) @ wth)   # full-circle angular integral
-        return ws_g @ ang.T
 
-    cum = CubicSpline(u, np.concatenate([[0.0], f_nodes * f_vals])
-                      ).antiderivative()
-    pos = rho > 0
-    rp = rho[pos]
-    shell = (cum(np.clip(s[None, :] + rp[:, None], 0.0, top))
-             - cum(np.clip(np.abs(s[None, :] - rp[:, None]), 0.0, top)))
-    out = np.empty(g_vals.shape[:-1] + rho.shape)
-    out[..., pos] = (2.0 * math.pi / rp) * (ws_g @ shell.T)
-    if np.any(~pos):
-        out[..., ~pos] = 4.0 * math.pi * np.sum(
+    def g_contract(mat):
+        # (..., b, Ns) f-side values against g: (..., b)
+        if mat.ndim == 2:
+            return ws_g @ mat.T
+        return (mat @ ws_g[..., None])[..., 0]
+
+    out = np.empty(np.broadcast_shapes(f_vals.shape[:-1], g_vals.shape[:-1])
+                   + rho.shape)
+    step = max(1, _F_BLOCK // (math.prod(f_vals.shape[:-1]) * s.size))
+    if d == 2:
+        xt, wt = _leggauss(n_theta)
+        cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
+        wth = 0.5 * math.pi * wt  # half circle; integrand is even in theta
+        for lo in range(0, rho.size, step):
+            r = rho[lo:lo + step, None, None]
+            dist = np.sqrt(np.maximum(
+                r ** 2 + s[None, :, None] ** 2
+                - 2.0 * r * s[None, :, None] * cos_theta[None, None, :], 0.0))
+            # full-circle angular integral
+            out[..., lo:lo + step] = g_contract(2.0 * (f_value(dist) @ wth))
+        return out
+
+    cum = CubicSpline(u, np.concatenate([np.zeros_like(f_vals[..., :1]),
+                                         f_nodes * f_vals], axis=-1),
+                      axis=-1).antiderivative()
+    pos = np.flatnonzero(rho > 0)
+    for lo in range(0, pos.size, step):
+        idx = pos[lo:lo + step]
+        rp = rho[idx]
+        shell = (cum(np.clip(s[None, :] + rp[:, None], 0.0, top))
+                 - cum(np.clip(np.abs(s[None, :] - rp[:, None]), 0.0, top)))
+        out[..., idx] = (2.0 * math.pi / rp) * g_contract(shell)
+    if pos.size < rho.size:
+        out[..., rho <= 0] = 4.0 * math.pi * np.sum(
             s_grid.weights * s ** 2 * g_vals * f_value(s), axis=-1)[..., None]
     return out
 
@@ -524,8 +562,9 @@ def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
     """fn * rho_eps on graded grids over [-t_half, t_hi] x [0, r_hi].
 
     A t pass (1-d convolution against the temporal factor on every radial
-    node), then a radial pass (convolution against the spatial factor, row
-    by row).  Returns the t grid, the r grid and the (Nt, Nr) values.
+    node), then a radial pass (convolution against the spatial factor, one
+    stacked call for all t rows).  Returns the t grid, the r grid and the
+    (Nt, Nr) values.
     """
     t_grid = panel_grid(
         _two_sided_edges(-rho.t_halfwidth * eps ** 2, t_hi,
@@ -541,10 +580,7 @@ def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
 
     sg = _mollifier_s_grid(eps, rho, res)
     gs = rho.scaled_x(sg.nodes, eps)
-    vals = np.empty_like(ft)
-    for i in range(t_grid.nodes.size):
-        vals[i] = radial_convolve(d, r_grid.nodes, ft[i], sg, gs,
-                                  r_grid.nodes)
+    vals = radial_convolve(d, r_grid.nodes, ft, sg, gs, r_grid.nodes)
     return t_grid, r_grid, vals
 
 

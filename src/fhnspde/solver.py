@@ -3,11 +3,14 @@
 The fast channel is advanced by a first-order exponential (ETD) integrator in
 Fourier space: the heat part is exact per mode, the nonlinearity enters
 through the phi1 weight, and cubic terms are evaluated pseudo-spectrally with
-2/3 dealiasing.  The slow channel is updated exactly per site for frozen u
-via the matrix series Phi(dt, A) = sum dt^{m+1} A^m / (m+1)!, which needs no
-invertibility of A.  A stochastic-convolution channel chi is co-integrated
-with the same mode weights, so u = chi + phi holds to rounding and remainder
-norms come for free.
+2/3 dealiasing.  F and its counterterms are read once into a table of float
+coefficients and evaluated in Horner form in u by array products only, so
+sympy stays out of the time loop.  The slow channel is updated exactly per
+site for frozen u via the matrix series
+Phi(dt, A) = sum dt^{m+1} A^m / (m+1)!, which needs no invertibility of A.
+A stochastic-convolution channel chi is co-integrated with the same mode
+weights, so u = chi + phi holds to rounding and remainder norms come for
+free.
 
 One engine advances every integration.  Members share one white-noise
 realisation; each mollification scale applies its own separable mollifier as
@@ -46,7 +49,7 @@ from .noise import (
     sample_white_noise,
     _temporal_weights,
 )
-from .renorm import CubicPolynomial
+from .renorm import U_SYM, CubicPolynomial
 
 __all__ = [
     "QSpec",
@@ -227,7 +230,13 @@ def initial_data(d: int, n_space: int, seed: int, eta: float = -0.6,
 # ---------------------------------------------------------------------------
 
 class Stepper:
-    """Precomputed weights for one (system, grid, dt) combination."""
+    """Precomputed weights for one (system, grid, dt) combination.
+
+    The renormalised drift F + c0 + c1 u + sum_i c2_i v_i is held as float
+    coefficients per power of u, read once from the polynomial terms of F
+    with the counterterms folded in (c0 and c2_i into the u^0 coefficient,
+    c1 into the u^1 one); ``nonlinearity`` evaluates it from that table.
+    """
 
     def __init__(self, spec: SystemSpec, n_space: int, dt: float):
         self.spec = spec
@@ -241,25 +250,37 @@ class Stepper:
         self.expA = expm(dt * np.asarray(spec.Q.A2, dtype=float))
         self.phiA1 = phi_series(dt, np.asarray(spec.Q.A2, dtype=float)) \
             @ np.asarray(spec.Q.A1, dtype=float)
-        u_sym = sympy.Symbol("u")
-        self._f = sympy.lambdify((u_sym, *spec.F.vs), spec.F.expr, "numpy")
+        # self._a[p] lists the nonzero terms (coefficient, v-channel
+        # factors) of the u^p coefficient, e.g. (2.0, (0, 0, 1)) = 2 v1^2 v2
+        a: list[dict] = [{} for _ in range(4)]
+        for (p, *q), c in sympy.Poly(spec.F.expr, U_SYM, *spec.F.vs).terms():
+            a[p][tuple(q)] = float(c)
         if spec.renorm is not None:
-            self.c0 = float(spec.renorm.C0)
-            self.c1 = float(spec.renorm.C1_sys)
-            self.c2 = tuple(float(c) for c in spec.renorm.C2_sys)
-        else:
-            self.c0 = self.c1 = 0.0
-            self.c2 = (0.0,) * spec.Q.n
+            zero = (0,) * spec.Q.n
+            a[0][zero] = a[0].get(zero, 0.0) + float(spec.renorm.C0)
+            a[1][zero] = a[1].get(zero, 0.0) + float(spec.renorm.C1_sys)
+            for i, c in enumerate(spec.renorm.C2_sys):
+                e = tuple(int(j == i) for j in range(spec.Q.n))
+                a[0][e] = a[0].get(e, 0.0) + float(c)
+        self._a = [[(c, sum(((i,) * k for i, k in enumerate(q)), ()))
+                    for q, c in ap.items() if c] for ap in a]
         self.ax = tuple(range(0, spec.d))
 
     def nonlinearity(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        out = self._f(u, *v) + 0.0 * u
-        if self.c0 or self.c1:
-            out = out + self.c0 + self.c1 * u
-        for c, vi in zip(self.c2, v):
-            if c:
-                out = out + c * vi
-        return out
+        """F(u, v) plus counterterms in Horner form in u, by products only:
+        ((a3 u + a2(v)) u + a1(v)) u + a0(v)."""
+        out = None
+        for ap in reversed(self._a):
+            if out is not None:
+                out = out * u
+            for c, factors in ap:
+                term = c
+                for i in factors:
+                    term = term * v[i]
+                out = term if out is None else out + term
+        if out is None:
+            return np.zeros_like(u)
+        return out if np.shape(out) == u.shape else np.full_like(u, out)
 
     def step_u(self, u_hat: np.ndarray, nonlin: np.ndarray,
                forcing_hat: Optional[np.ndarray]) -> np.ndarray:
@@ -514,9 +535,11 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     steps = int(round(t_star / config.dt))
     checksum, forcing = _noise_forcing(d, config, steps, scales)
 
-    K = build_truncated_kernel(d)
-    constants = {e: counterterms_for(spec.F, d, e, kernel=K)
-                 for e in scales if "renormalised" in modes}
+    constants = {}
+    if "renormalised" in modes:
+        K = build_truncated_kernel(d)
+        constants = {e: counterterms_for(spec.F, d, e, kernel=K)
+                     for e in scales}
     u0, v0 = initial_data(d, config.n_space, config.seed + 1, eta=config.eta,
                           gamma=config.gamma, n_v=spec.Q.n,
                           u0=config.u0, v0=config.v0)

@@ -10,6 +10,7 @@ import sympy
 
 from fhnspde.cli import (
     UsageError,
+    _parse_eps_list,
     load_config,
     main,
     parse_nonlinearity,
@@ -115,6 +116,24 @@ def test_parse_nonlinearity_coefficients():
 def test_parse_nonlinearity_rejects(bad, frag):
     with pytest.raises(UsageError, match=frag):
         parse_nonlinearity(bad, 1)
+
+
+def test_parse_eps_list():
+    assert _parse_eps_list("2^-2, 0.1 2^-3") == [0.25, 0.1, 0.125]
+
+
+@pytest.mark.parametrize("bad,frag", [
+    ("0", "finite and positive"),
+    ("-0.1", "finite and positive"),
+    ("nan", "finite and positive"),
+    ("inf", "finite and positive"),
+    ("2^-2, -1", "finite and positive"),
+    ("2^-5000", "finite and positive"),   # underflows to 0
+    ("2^5000", "bad scale"),              # overflows
+])
+def test_parse_eps_list_rejects_non_positive(bad, frag):
+    with pytest.raises(UsageError, match=frag):
+        _parse_eps_list(bad)
 
 
 # ---------------------------------------------------------------------------

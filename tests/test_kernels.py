@@ -63,6 +63,9 @@ def test_geometric_edges_shape():
     assert np.all(np.diff(e) > 0)
     with pytest.raises(ValueError):
         geometric_edges(1.0, 1.0, 0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            geometric_edges(0.0, 1.0, bad)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -100,6 +103,16 @@ def test_radial_convolution_semigroup(d):
     np.testing.assert_allclose(stack[0], got, rtol=1e-13)
     for row, si in zip(stack, ss):
         want = heat_kernel(t + si, rho, d)
+        assert np.max(np.abs(row - want) / want) < 5e-6
+    # a stack of f profiles against one g gives one row per profile
+    ts = np.array([t, 0.03])
+    fstack = radial_convolve(d, fg.nodes,
+                             heat_kernel(ts[:, None], fg.nodes[None, :], d),
+                             sg, heat_kernel(s, sg.nodes, d), rho, n_theta=32)
+    assert fstack.shape == (2, rho.size)
+    np.testing.assert_allclose(fstack[0], got, rtol=1e-13)
+    for row, ti in zip(fstack, ts):
+        want = heat_kernel(ti + s, rho, d)
         assert np.max(np.abs(row - want) / want) < 5e-6
 
 

@@ -1,15 +1,23 @@
 """Integrator invariants: exact linear parts, decomposition, determinism."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fhnspde.kernels import MollifierSpec, build_truncated_kernel, mollify_kernel
+from fhnspde.kernels import (
+    CounterTerms,
+    MollifierSpec,
+    build_truncated_kernel,
+    mollify_kernel,
+)
 from fhnspde.noise import Lattice, mollify_noise, sample_white_noise
-from fhnspde.renorm import CubicPolynomial
+from fhnspde.renorm import U_SYM, CubicPolynomial, v_symbols
 from fhnspde.solver import (
     QSpec,
     RunConfig,
@@ -312,6 +320,63 @@ def test_renormalised_drift_adds_linear_term():
     base = u - u ** 3
     got = st.nonlinearity(u, v)
     assert np.allclose(got, base + ct.C_eps * u, atol=1e-12)
+
+
+@st.composite
+def _cubic_cases(draw):
+    """A random admissible cubic, counterterms (or none) and a mixed-sign
+    field; the cubic is zero, a constant, or any degree-3 polynomial in
+    (u, v1..vn), so u^2 v, u v^2, v^3 and cross terms all occur."""
+    n = draw(st.integers(1, 2))
+    monos = [e for e in itertools.product(range(4), repeat=n + 1)
+             if sum(e) <= 3]
+    kind = draw(st.sampled_from(["zero", "constant", "cubic"]))
+    if kind == "zero":
+        coeffs = {}
+    elif kind == "constant":
+        coeffs = {(0,) * (n + 1): draw(st.integers(-24, 24))}
+    else:
+        coeffs = {e: draw(st.integers(-24, 24)) for e in monos
+                  if draw(st.booleans())}
+    # dyadic coefficients are exact in both evaluations
+    expr = sum((sympy.Rational(c, 8) * sympy.prod(
+        [g ** k for g, k in zip((U_SYM, *v_symbols(n)), e)])
+        for e, c in coeffs.items()), sympy.Integer(0))
+    floats = st.floats(-5.0, 5.0, allow_nan=False)
+    renorm = draw(st.one_of(st.none(), st.builds(
+        CounterTerms, floats, floats,
+        st.tuples(*[floats] * n), st.just(1.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    amp = draw(st.floats(0.1, 10.0))
+    u = amp * rng.uniform(-1.0, 1.0, (8, 8))
+    v = amp * rng.uniform(-1.0, 1.0, (n, 8, 8))
+    return CubicPolynomial(expr, n), renorm, u, v
+
+
+@given(_cubic_cases())
+@settings(max_examples=150, deadline=None)
+def test_nonlinearity_matches_lambdified_cubic(case):
+    F, renorm, u, v = case
+    n = F.n_channels
+    Q = QSpec(A1=(1.0,) * n,
+              A2=tuple(tuple(-float(i == j) for j in range(n))
+                       for i in range(n)))
+    st_ = Stepper(SystemSpec(d=2, F=F, Q=Q, renorm=renorm), 8, 1e-3)
+    got = st_.nonlinearity(u, v)
+    assert got.shape == u.shape
+    f = sympy.lambdify((U_SYM, *F.vs), F.expr, "numpy")
+    want = f(u, *v) + 0.0 * u
+    # size of the terms: |c| |u|^p |v|^q summed over the monomials
+    size = np.zeros_like(u)
+    for (p, *q), c in sympy.Poly(F.expr, U_SYM, *F.vs).terms():
+        size += abs(float(c)) * np.abs(u) ** p * np.prod(
+            [np.abs(vi) ** k for vi, k in zip(v, q)], axis=0)
+    if renorm is not None:
+        want = want + renorm.C0 + renorm.C1_sys * u + sum(
+            c * vi for c, vi in zip(renorm.C2_sys, v))
+        size += abs(renorm.C0) + abs(renorm.C1_sys) * np.abs(u) + sum(
+            abs(c) * np.abs(vi) for c, vi in zip(renorm.C2_sys, v))
+    assert np.all(np.abs(got - want) <= 1e-14 * size)
 
 
 # ---------------------------------------------------------------------------
