@@ -23,6 +23,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -532,9 +533,8 @@ def cmd_simulate(args) -> int:
     spec, config, extra = load_config(args.config)
     config.validate(spec.d)
     if extra["renorm_on"]:
-        ct = counterterms_for(spec.F, spec.d, config.eps)
-        spec = SystemSpec(d=spec.d, F=spec.F, Q=spec.Q, renorm=ct,
-                          formulation=spec.formulation)
+        spec = replace(spec, renorm=counterterms_for(spec.F, spec.d,
+                                                     config.eps))
     rd = RunDir("simulate", seed=config.seed)
     res = run(config, spec)
     rd.manifest["config"] = res.manifest
@@ -571,6 +571,8 @@ def cmd_converge(args) -> int:
     sweep = extra.get("sweep") or {}
     if not sweep.get("eps_list"):
         raise UsageError("converge needs a [sweep] section with eps_list")
+    # epsilon_sweep's check at its finest scale, before the run dir exists
+    replace(config, eps=min(sweep["eps_list"]) / 2).validate(spec.d)
     rd = RunDir("converge", seed=config.seed)
     rep = epsilon_sweep(spec, config, sweep["eps_list"],
                         t_star=sweep.get("t_star", 0.1))

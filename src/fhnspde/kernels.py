@@ -151,10 +151,14 @@ def _two_sided_edges(lo: float, hi: float, h_min: float,
     return np.concatenate([left[:-1], right])
 
 
+def _shell(grid: Grid1D, d: int) -> np.ndarray:
+    """Weights of the radial measure |S^(d-1)| r^(d-1) dr on the grid."""
+    return sphere_area(d) * grid.weights * grid.nodes ** (d - 1)
+
+
 def radial_integral(vals: np.ndarray, grid: Grid1D, d: int) -> float:
     """int f(|x|) dx over R^d for a radial profile sampled on the grid."""
-    return float(sphere_area(d)
-                 * np.sum(grid.weights * grid.nodes ** (d - 1) * vals))
+    return float(np.sum(_shell(grid, d) * vals))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +358,7 @@ def _kernel_moments(func: Callable, d: int, outer: float,
     for t, wt in zip(tg.nodes, tg.weights):
         breaks = [math.sqrt(v - t) for v in (inner, outer) if v > t]
         rg = _row_r_grid(t, r_top, order, n_core, breaks=breaks)
-        shell = sphere_area(d) * rg.weights * rg.nodes ** (d - 1)
+        shell = _shell(rg, d)
         vals = func(np.full_like(rg.nodes, t), rg.nodes)
         for j, m in enumerate(monos):
             out[j] += wt * float(shell @ (vals * m(t, rg.nodes)))
@@ -537,9 +541,8 @@ class MollifiedKernel:
         return out
 
     def squared_integral(self) -> float:
-        shell = (sphere_area(self.d)
-                 * self.r_grid.weights * self.r_grid.nodes ** (self.d - 1))
-        return float(self.t_grid.weights @ (self.vals ** 2 @ shell))
+        return float(self.t_grid.weights
+                     @ (self.vals ** 2 @ _shell(self.r_grid, self.d)))
 
 
 def _mollifier_t_grid(eps: float, rho: MollifierSpec,
@@ -557,18 +560,17 @@ def _mollifier_s_grid(eps: float, rho: MollifierSpec,
 
 
 def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
-             res: Resolution, t_hi: float, r_hi: float
-             ) -> tuple[Grid1D, Grid1D, np.ndarray]:
+             res: Resolution, t_hi: float, r_hi: float) -> MollifiedKernel:
     """fn * rho_eps on graded grids over [-t_half, t_hi] x [0, r_hi].
 
     A t pass (1-d convolution against the temporal factor on every radial
     node), then a radial pass (convolution against the spatial factor, one
-    stacked call for all t rows).  Returns the t grid, the r grid and the
-    (Nt, Nr) values.
+    stacked call for all t rows).
     """
+    t_half = rho.t_halfwidth * eps ** 2
     t_grid = panel_grid(
-        _two_sided_edges(-rho.t_halfwidth * eps ** 2, t_hi,
-                         res.t_frac * eps ** 2, res.ratio), res.order)
+        _two_sided_edges(-t_half, t_hi, res.t_frac * eps ** 2, res.ratio),
+        res.order)
     r_grid = panel_grid(
         geometric_edges(0.0, r_hi, res.r_frac * eps, res.ratio), res.order)
 
@@ -581,22 +583,19 @@ def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
     sg = _mollifier_s_grid(eps, rho, res)
     gs = rho.scaled_x(sg.nodes, eps)
     vals = radial_convolve(d, r_grid.nodes, ft, sg, gs, r_grid.nodes)
-    return t_grid, r_grid, vals
+    return MollifiedKernel(d=d, t_grid=t_grid, r_grid=r_grid, vals=vals,
+                           t_support=(-t_half, t_hi), r_support=r_hi)
 
 
 def mollify_kernel(kernel: TruncatedKernel, eps: float,
                    rho: Optional[MollifierSpec] = None,
                    res: Resolution = Resolution()) -> MollifiedKernel:
     """K_eps = K * rho_eps by a t pass then a radial x pass on graded grids."""
-    d = kernel.d
     if rho is None:
-        rho = MollifierSpec(d)
-    t_half = rho.t_halfwidth * eps ** 2
-    t_hi = kernel.outer + t_half
-    r_hi = math.sqrt(kernel.outer) + rho.x_radius * eps
-    t_grid, r_grid, vals = _mollify(kernel, d, eps, rho, res, t_hi, r_hi)
-    return MollifiedKernel(d=d, t_grid=t_grid, r_grid=r_grid, vals=vals,
-                           t_support=(-t_half, t_hi), r_support=r_hi)
+        rho = MollifierSpec(kernel.d)
+    return _mollify(kernel, kernel.d, eps, rho, res,
+                    kernel.outer + rho.t_halfwidth * eps ** 2,
+                    math.sqrt(kernel.outer) + rho.x_radius * eps)
 
 
 def g_eps_squared(d: int, eps: float, rho: Optional[MollifierSpec] = None,
@@ -611,10 +610,8 @@ def g_eps_squared(d: int, eps: float, rho: Optional[MollifierSpec] = None,
     if rho is None:
         rho = MollifierSpec(d)
     r_hi = 6.0 * math.sqrt(t_window) + rho.x_radius * eps
-    t_grid, r_grid, vals = _mollify(lambda t, r: heat_kernel(t, r, d), d,
-                                    eps, rho, res, t_window, r_hi)
-    shell = sphere_area(d) * r_grid.weights * r_grid.nodes ** (d - 1)
-    return float(t_grid.weights @ (vals ** 2 @ shell))
+    return _mollify(lambda t, r: heat_kernel(t, r, d), d, eps, rho, res,
+                    t_window, r_hi).squared_integral()
 
 
 # ---------------------------------------------------------------------------
@@ -733,27 +730,38 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
 # Correlation functions Q_m
 # ---------------------------------------------------------------------------
 
-def correlate(A: MollifiedKernel, B: MollifiedKernel,
-              t_out: np.ndarray, rho_out: np.ndarray) -> np.ndarray:
-    """(A star B)(t, x) = int A(z1) B(z1 - z) dz1 on an output (t, r) grid.
+def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
+              t_out: np.ndarray, rho_out: np.ndarray) -> list[np.ndarray]:
+    """(A star B)(t, x) = int A(z1) B(z1 - z) dz1 on an output (t, r) grid
+    for each B in ``Bs``; returns one (Nt, Nrho) array per B.
 
-    Radial in x; the t1 integral runs over A's native grid.  Each row of A
-    takes one :func:`radial_convolve` call: A's radial samples are the
-    spline (f) factor, and the B slices at t1 - t for every output time t
-    inside B's t support form the stacked compact (g) factor on B's r grid,
-    so the f-side work is done once per row of A.
+    Radial in x; the t1 integral runs over A's native grid.  The Bs share
+    one r grid (else ``ValueError``).  Each row of A takes one
+    :func:`radial_convolve` call, with A's radial samples as the spline (f)
+    factor and every B's slices at t1 - t (t in that B's t support) stacked
+    as the compact (g) factor: the f-side work is done once per row of A.
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     rho_out = np.atleast_1d(np.asarray(rho_out, dtype=float))
-    out = np.zeros((t_out.size, rho_out.size))
+    r_grid = Bs[0].r_grid
+    if any(not np.array_equal(B.r_grid.nodes, r_grid.nodes) for B in Bs):
+        raise ValueError("right kernels must share one r grid")
+    supports = np.array([B.t_support for B in Bs])
+    outs = [np.zeros((t_out.size, rho_out.size)) for _ in Bs]
     for t1, w1, a_row in zip(A.t_grid.nodes, A.t_grid.weights, A.vals):
         ts = t1 - t_out
-        inside = (ts >= B.t_support[0]) & (ts <= B.t_support[1])
-        if np.any(inside):
-            out[inside] += w1 * radial_convolve(
-                A.d, A.r_grid.nodes, a_row, B.r_grid, B.profile(ts[inside]),
-                rho_out)
-    return out
+        insides = (ts >= supports[:, :1]) & (ts <= supports[:, 1:])
+        counts = np.count_nonzero(insides, axis=1)
+        if not counts.any():
+            continue
+        conv = w1 * radial_convolve(
+            A.d, A.r_grid.nodes, a_row, r_grid,
+            np.concatenate([B.profile(ts[m]) for B, m in zip(Bs, insides)]),
+            rho_out)
+        for out, m, part in zip(outs, insides,
+                                np.split(conv, np.cumsum(counts)[:-1])):
+            out[m] += part
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -774,21 +782,10 @@ class KernelConstants:
     errors: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {"d": self.d, "eps": self.eps, "C1": self.C1,
-               "Q1_0": self.Q1_0, "Q2_0": self.Q2_0, "C2": self.C2,
-               "I": {f"I{i}{j}": v for (i, j), v in self.I.items()},
-               "errors": self.errors}
-        return out
-
-
-def _output_grids(kernel: TruncatedKernel, eps: float,
-                  res: Resolution) -> tuple[Grid1D, Grid1D]:
-    tg = panel_grid(geometric_edges(0.0, kernel.outer,
-                                    res.t_frac * eps ** 2, res.ratio),
-                    res.order)
-    rg = panel_grid(geometric_edges(0.0, math.sqrt(kernel.outer),
-                                    res.r_frac * eps, res.ratio), res.order)
-    return tg, rg
+        return {"d": self.d, "eps": self.eps, "C1": self.C1,
+                "Q1_0": self.Q1_0, "Q2_0": self.Q2_0, "C2": self.C2,
+                "I": {f"I{i}{j}": v for (i, j), v in self.I.items()},
+                "errors": self.errors}
 
 
 def kernel_constants(d: int, eps: float,
@@ -803,8 +800,11 @@ def kernel_constants(d: int, eps: float,
 
     ``full`` (default: d == 3) adds the correlation functions on the kernel
     support and the integrals C2 and Iij; otherwise only C1 and the origin
-    values Q1(0), Q2(0) are computed.  ``estimate_errors`` repeats the whole
-    computation on a coarser grid and reports the differences.
+    values Q1(0), Q2(0) are computed.  Two correlation passes, K_eps against
+    (K_eps, K^Q_eps) for Q0, Q1 and K^Q_eps against itself for Q2, run on
+    output grids that start at the origin: Q1(0), Q2(0) are entry [0, 0].
+    ``estimate_errors`` repeats the whole computation on a coarser grid and
+    reports the differences.
     """
     if kernel is None:
         kernel = build_truncated_kernel(d)
@@ -818,29 +818,28 @@ def kernel_constants(d: int, eps: float,
     keps = mollify_kernel(kernel, eps, rho, res)
     kq = kq_kernel(keps, Q, T, res)
     C1 = keps.squared_integral()
-    origin_t = np.array([0.0])
-    origin_r = np.array([0.0])
-    Q1_0 = float(correlate(keps, kq, origin_t, origin_r)[0, 0])
-    Q2_0 = float(correlate(kq, kq, origin_t, origin_r)[0, 0])
+    t_out = r_out = np.zeros(1)
+    if full:   # the kernel-support grids, each after a node at the origin
+        tg = panel_grid(geometric_edges(0.0, kernel.outer,
+                                        res.t_frac * eps ** 2, res.ratio),
+                        res.order)
+        rg = panel_grid(geometric_edges(0.0, math.sqrt(kernel.outer),
+                                        res.r_frac * eps, res.ratio),
+                        res.order)
+        t_out, r_out = np.r_[0.0, tg.nodes], np.r_[0.0, rg.nodes]
+    q0, q1 = correlate(keps, (keps, kq), t_out, r_out)
+    [q2] = correlate(kq, (kq,), t_out, r_out)
+    Q1_0, Q2_0 = float(q1[0, 0]), float(q2[0, 0])
 
     C2 = None
     I: dict = {}
     if full:
-        tg, rg = _output_grids(kernel, eps, res)
-        TT, RR = np.meshgrid(tg.nodes, rg.nodes, indexing="ij")
-        w2 = (tg.weights[:, None] * rg.weights[None, :]
-              * sphere_area(d) * RR ** (d - 1))
-        kv = kernel(TT, RR)
-        q0 = correlate(keps, keps, tg.nodes, rg.nodes)
-        q1 = correlate(keps, kq, tg.nodes, rg.nodes)
-        q2 = correlate(kq, kq, tg.nodes, rg.nodes)
-        C2 = 2.0 * float(np.sum(w2 * kv * q0 ** 2))
-        I[(0, 0)] = float(np.sum(w2 * kv * q0 * q0))
-        I[(0, 1)] = float(np.sum(w2 * kv * q0 * q1))
-        I[(1, 1)] = float(np.sum(w2 * kv * q1 * q1))
-        I[(0, 2)] = float(np.sum(w2 * kv * q0 * q2))
-        I[(1, 2)] = float(np.sum(w2 * kv * q1 * q2))
-        I[(2, 2)] = float(np.sum(w2 * kv * q2 * q2))
+        w = (tg.weights[:, None] * _shell(rg, d)
+             * kernel(tg.nodes[:, None], rg.nodes[None, :]))
+        qs = [q[1:, 1:] for q in (q0, q1, q2)]
+        I = {(i, j): float(np.sum(w * qs[i] * qs[j]))
+             for j in range(3) for i in range(j + 1)}
+        C2 = 2.0 * I[(0, 0)]
 
     out = KernelConstants(d=d, eps=eps, C1=C1, Q1_0=Q1_0, Q2_0=Q2_0,
                           C2=C2, I=I)

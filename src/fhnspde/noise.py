@@ -188,11 +188,13 @@ def counter_gaussians(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def sample_white_noise(lattice: Lattice, seed: int) -> NoiseField:
-    """Cellwise iid N(0, 1/(dt dx^d)), keyed on the global cell index."""
+    """Cellwise iid N(0, 1/(dt dx^d)), keyed on the global cell index and
+    drawn one time slice at a time into one array."""
     sigma = 1.0 / math.sqrt(lattice.cell_volume)
-    vals = sigma * counter_gaussians(seed, 0, lattice.cells)
-    return NoiseField(lattice=lattice, values=vals.reshape(lattice.shape),
-                      seed=seed)
+    vals = np.empty(lattice.shape)
+    for i, row in enumerate(vals.reshape(lattice.n_time, -1)):
+        row[:] = sigma * counter_gaussians(seed, i * row.size, row.size)
+    return NoiseField(lattice=lattice, values=vals, seed=seed)
 
 
 # ---------------------------------------------------------------------------

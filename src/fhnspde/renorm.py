@@ -684,19 +684,11 @@ class RenormalizedEquation:
         return str(sympy.expand(self.Fhat))
 
 
-def default_constants(d: int, n_channels: int = 1,
-                      symbolic: bool = True,
-                      values: Optional[Mapping[str, object]] = None
+def default_constants(d: int, n_channels: int = 1
                       ) -> dict[Symbol, sympy.Expr]:
     """Constants for the divergent patterns only (C1; plus C2 when d = 3)."""
-    out: dict[Symbol, sympy.Expr] = {}
-    for pat in divergent_patterns(d, n_channels):
-        name = constant_symbol(pat)
-        if symbolic:
-            out[pat] = name
-        else:
-            out[pat] = sympy.sympify(values[str(name)])
-    return out
+    return {pat: constant_symbol(pat)
+            for pat in divergent_patterns(d, n_channels)}
 
 
 def renormalized_nonlinearity(F: CubicPolynomial, d: int,

@@ -155,6 +155,8 @@ class RunConfig:
             raise ValueError("initial-data regularity eta must exceed -2/3")
         if self.gamma <= 1.0:
             raise ValueError("slow-channel regularity gamma must exceed 1")
+        if self.record_every < 1:
+            raise ValueError("record_every must be at least 1")
 
 
 @dataclass
@@ -339,7 +341,10 @@ def _noise_forcing(d: int, config: RunConfig, steps: int,
                   t_end=(steps + pad) * config.dt)
     xi = sample_white_noise(lat, config.seed)
     checksum = xi.checksum()
-    raw_hat = np.fft.rfftn(xi.values, axes=tuple(range(1, d + 1)))
+    # transformed slice by slice: the complex temporaries stay one slice wide
+    raw_hat = np.empty(lat.shape[:-1] + (config.n_space // 2 + 1,), complex)
+    for i, xi_i in enumerate(xi.values):
+        raw_hat[i] = np.fft.rfftn(xi_i)
     firs = {e: _FIRMollifier(lat, e, mspec) for e in scales}
     amp = config.noise_amplitude
 
@@ -477,17 +482,16 @@ def run(config: RunConfig, spec: SystemSpec) -> RunResult:
 # ---------------------------------------------------------------------------
 
 def counterterms_for(spec_F: CubicPolynomial, d: int, eps: float,
-                     kernel: Optional[TruncatedKernel] = None,
-                     with_C2: Optional[bool] = None) -> CounterTerms:
+                     kernel: Optional[TruncatedKernel] = None
+                     ) -> CounterTerms:
     """Scale-dependent counterterms for a nonlinearity.
 
     In two dimensions only C1 enters, so the correlation-function pipeline
     is skipped entirely.
     """
-    full = d == 3 if with_C2 is None else with_C2
     if kernel is None:
         kernel = build_truncated_kernel(d)
-    if full:
+    if d == 3:
         consts = kernel_constants(d, eps, kernel=kernel, full=True)
     else:
         keps = mollify_kernel(kernel, eps)

@@ -322,11 +322,25 @@ def test_converge_outputs(outdir, config_file, capsys):
         assert float(r["D_sup"]) >= float(r["D_l2"]) >= 0.0
 
 
-def test_converge_grid_guard(outdir, tmp_path):
+def test_converge_grid_guard(outdir, tmp_path, capsys):
     # partner scale eps/2 would fall below two grid spacings; a negative
-    # cutoff must fail validation before any counterterm is computed
+    # cutoff or a record interval below one must fail validation before any
+    # counterterm is computed and before any run directory exists
     p = tmp_path / "bad.cfg"
     for old, new in (("eps_list = 2^-2", "eps_list = 2^-3"),
-                     ("dim = 2", "dim = 2\ncutoff = -1")):
+                     ("dim = 2", "dim = 2\ncutoff = -1"),
+                     ("record_every = 2", "record_every = 0")):
         p.write_text(CFG.replace(old, new))
         assert main(["converge", "--config", str(p)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (outdir / "converge").exists()
+
+
+@pytest.mark.parametrize("every", ["0", "-3"])
+def test_simulate_rejects_record_interval_below_one(outdir, tmp_path, capsys,
+                                                    every):
+    p = tmp_path / "bad.cfg"
+    p.write_text(CFG.replace("record_every = 2", f"record_every = {every}"))
+    assert main(["simulate", "--config", str(p)]) == 1
+    assert "record_every" in capsys.readouterr().err
+    assert not (outdir / "simulate").exists()

@@ -246,7 +246,8 @@ def test_mollified_kernel_support_and_consistency():
     assert keps(2.0, 0.1) == 0.0
     # C1 computed two ways: native grid sum vs the correlation at the origin
     c1 = keps.squared_integral()
-    q00 = float(correlate(keps, keps, np.array([0.0]), np.array([0.0]))[0, 0])
+    [q0] = correlate(keps, (keps,), np.array([0.0]), np.array([0.0]))
+    q00 = float(q0[0, 0])
     assert q00 == pytest.approx(c1, rel=1e-4)
 
 
@@ -286,13 +287,56 @@ def test_correlate_windowed_heat_oracle(d):
     A, B = window_kernel(0.05, 0.3), window_kernel(0.01, 0.45)
     t_out = np.array([-0.05, 0.0, 0.04])
     rho = np.array([0.1, 0.5, 1.2])
-    got = correlate(A, B, t_out, rho)
+    [got] = correlate(A, (B,), t_out, rho)
     # slices outside B's t support are zero rows
     outside = B.profile(np.array([0.2, 0.5, -0.1]))
     assert np.any(outside[0]) and not np.any(outside[1:])
     want = np.array([[exact(t, r, 0.05, 0.3, 0.01, 0.45) for r in rho]
                      for t in t_out])
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-4
+
+
+def _keps_kq(d, eps=0.25, res=Resolution().coarser()):
+    keps = mollify_kernel(build_truncated_kernel(d), eps, res=res)
+    return keps, kq_kernel(keps, ou_weight(1.0, 1.0, 0.5), 0.5, res)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_correlate_stacked_right_kernels_match_single_calls(d):
+    # one pass over the rows of A with both Bs stacked gives, row for row,
+    # what one pass per B gives; at negative lags K^Q_eps (support up to
+    # 1 + 2T) has slices inside its window where K_eps has none
+    keps, kq = _keps_kq(d)
+    t_out = np.array([-0.9, -0.3, 0.0, 0.01, 0.2, 0.7, 1.3])
+    rho = np.array([0.0, 0.05, 0.3, 0.9])
+    q0, q1 = correlate(keps, (keps, kq), t_out, rho)
+    for got, B in ((q0, keps), (q1, kq)):
+        [want] = correlate(keps, (B,), t_out, rho)
+        assert np.any(want)
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_correlate_rejects_right_kernels_on_different_r_grids():
+    keps, _ = _keps_kq(3)
+    rg = panel_grid(np.linspace(0.0, keps.r_support, 9), 6)
+    other = MollifiedKernel(
+        d=3, t_grid=keps.t_grid, r_grid=rg,
+        vals=keps(keps.t_grid.nodes[:, None], rg.nodes[None, :]),
+        t_support=keps.t_support, r_support=keps.r_support)
+    with pytest.raises(ValueError, match="r grid"):
+        correlate(keps, (keps, other), np.array([0.0]), np.array([0.0]))
+
+
+def test_kernel_constants_origin_values_match_origin_correlation():
+    # Q1(0), Q2(0) are read off the grid passes; an origin-only call agrees
+    c = kernel_constants(3, 0.25, res=Resolution().coarser())
+    keps, kq = _keps_kq(3)
+    origin = (np.array([0.0]), np.array([0.0]))
+    [q1] = correlate(keps, (kq,), *origin)
+    [q2] = correlate(kq, (kq,), *origin)
+    assert c.Q1_0 == pytest.approx(float(q1[0, 0]), rel=1e-13)
+    assert c.Q2_0 == pytest.approx(float(q2[0, 0]), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,15 @@ def test_white_noise_reproducible_bitwise():
     assert a.checksum() != sample_white_noise(lat, 6).checksum()
 
 
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 8), (3, 6)])
+def test_white_noise_sliced_draw_equals_whole_draw(d, n):
+    # one draw per time slice gives the whole-history draw bit for bit
+    lat = Lattice(d=d, n_space=n, n_time=13, t_end=0.1)
+    sigma = 1.0 / math.sqrt(lat.cell_volume)
+    whole = sigma * counter_gaussians(11, 0, lat.cells)
+    assert np.array_equal(sample_white_noise(lat, 11).values.ravel(), whole)
+
+
 def test_white_noise_pairing_isometry():
     # Var(<xi, phi>) equals the discrete L2 norm of phi
     lat = Lattice(d=2, n_space=8, n_time=50, t_end=0.5)
@@ -242,7 +251,7 @@ def test_lattice_covariance_matches_continuum_correlation():
     lat = Lattice(d=2, n_space=32, n_time=nt, t_end=nt / 512.0)
     tr = kernel_slice_transforms(keps, lat)
     rho_out = np.linspace(0.0, 2.2, 140)
-    q0 = correlate(keps, keps, np.array([0.0, 16 * lat.dt]), rho_out)
+    [q0] = correlate(keps, (keps,), np.array([0.0, 16 * lat.dt]), rho_out)
     spl = [CubicSpline(rho_out, q0[i]) for i in range(2)]
 
     def periodised(sp, z):
