@@ -531,7 +531,7 @@ def cmd_verify_bounds(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec, config, extra = load_config(args.config)
-    config.validate(spec.d)
+    config.validate(spec.d, spec.Q.n)
     if extra["renorm_on"]:
         spec = replace(spec, renorm=counterterms_for(spec.F, spec.d,
                                                      config.eps))
@@ -572,7 +572,8 @@ def cmd_converge(args) -> int:
     if not sweep.get("eps_list"):
         raise UsageError("converge needs a [sweep] section with eps_list")
     # epsilon_sweep's check at its finest scale, before the run dir exists
-    replace(config, eps=min(sweep["eps_list"]) / 2).validate(spec.d)
+    replace(config, eps=min(sweep["eps_list"]) / 2).validate(spec.d,
+                                                             spec.Q.n)
     rd = RunDir("converge", seed=config.seed)
     rep = epsilon_sweep(spec, config, sweep["eps_list"],
                         t_star=sweep.get("t_star", 0.1))
@@ -641,7 +642,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--full", action="store_true",
                     help="include correlation integrals in d = 2")
     sp.add_argument("--errors", action="store_true",
-                    help="estimate grid errors by coarse re-computation")
+                    help="estimate grid errors as the gap to the next finer "
+                    "level (costs several times the plain run)")
     sp.add_argument("--check", action="store_true",
                     help="exit 2 if the asymptotic fit is out of tolerance")
     sp.set_defaults(func=cmd_constants)

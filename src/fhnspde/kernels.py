@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,7 +45,6 @@ __all__ = [
     "build_truncated_kernel",
     "kernel_moments",
     "KernelConstructionError",
-    "Resolution",
     "MollifiedKernel",
     "mollify_kernel",
     "g_eps_squared",
@@ -488,20 +487,31 @@ def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
 # Mollified kernels on grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Resolution:
-    """Grid-quality knobs shared by the kernel pipelines."""
+class _Resolution(NamedTuple):
+    order: int          # Gauss-Legendre order per panel
+    ratio: float        # geometric panel growth
+    frac: float         # smallest t panel / eps^2, smallest r panel / eps
+    conv_edges: int     # panel edges across each mollifier factor
 
-    order: int = 8            # Gauss-Legendre order per panel
-    ratio: float = 2.0        # geometric panel growth
-    t_frac: float = 0.125     # smallest t panel, in units of eps^2
-    r_frac: float = 0.125     # smallest r panel, in units of eps
-    conv_nodes: int = 24      # quadrature nodes across the mollifier support
+    def graded(self, hi: float, scale: float) -> Grid1D:
+        """Panels on [0, hi] growing from frac * scale at 0."""
+        return panel_grid(geometric_edges(0.0, hi, self.frac * scale,
+                                          self.ratio), self.order)
 
-    def coarser(self) -> "Resolution":
-        return replace(self, order=max(4, self.order - 3),
-                       conv_nodes=max(10, self.conv_nodes // 2),
-                       t_frac=self.t_frac * 2, r_frac=self.r_frac * 2)
+
+def _resolution(level: int) -> _Resolution:
+    """The grids of accuracy ``level`` >= -1; 0 is the default, -1 coarse.
+
+    Each level up halves the smallest panels, doubles the mollifier panels
+    and takes the square root of the growth ratio, so the outer panels
+    refine too: at a fixed ratio the gap between levels stops shrinking.
+    """
+    if level < -1:
+        raise ValueError(f"accuracy level {level} below -1")
+    if level == -1:
+        return _Resolution(5, 2.0, 0.25, 2)
+    return _Resolution(8, 2.0 ** 2.0 ** -level, 2.0 ** -(3 + level),
+                       4 * 2 ** level)
 
 
 @dataclass
@@ -536,8 +546,10 @@ class MollifiedKernel:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((t.size, self.r_grid.nodes.size))
         inside = (t >= self.t_support[0]) & (t <= self.t_support[1])
-        out[inside] = self._spline(t[inside, None], self.r_grid.nodes[None, :],
-                                   grid=False)
+        # one grid evaluation on the times sorted, rows scattered back
+        order = np.argsort(t[inside])
+        out[np.flatnonzero(inside)[order]] = self._spline(
+            t[inside][order], self.r_grid.nodes)
         return out
 
     def squared_integral(self) -> float:
@@ -545,22 +557,8 @@ class MollifiedKernel:
                      @ (self.vals ** 2 @ _shell(self.r_grid, self.d)))
 
 
-def _mollifier_t_grid(eps: float, rho: MollifierSpec,
-                      res: Resolution) -> Grid1D:
-    half = rho.t_halfwidth * eps ** 2
-    return panel_grid(np.linspace(-half, half, max(2, res.conv_nodes // 6)),
-                      res.order)
-
-
-def _mollifier_s_grid(eps: float, rho: MollifierSpec,
-                      res: Resolution) -> Grid1D:
-    rad = rho.x_radius * eps
-    return panel_grid(np.linspace(0.0, rad, max(2, res.conv_nodes // 6)),
-                      res.order)
-
-
 def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
-             res: Resolution, t_hi: float, r_hi: float) -> MollifiedKernel:
+             res: _Resolution, t_hi: float, r_hi: float) -> MollifiedKernel:
     """fn * rho_eps on graded grids over [-t_half, t_hi] x [0, r_hi].
 
     A t pass (1-d convolution against the temporal factor on every radial
@@ -569,18 +567,18 @@ def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
     """
     t_half = rho.t_halfwidth * eps ** 2
     t_grid = panel_grid(
-        _two_sided_edges(-t_half, t_hi, res.t_frac * eps ** 2, res.ratio),
+        _two_sided_edges(-t_half, t_hi, res.frac * eps ** 2, res.ratio),
         res.order)
-    r_grid = panel_grid(
-        geometric_edges(0.0, r_hi, res.r_frac * eps, res.ratio), res.order)
+    r_grid = res.graded(r_hi, eps)
 
-    tau = _mollifier_t_grid(eps, rho, res)
+    tau = panel_grid(np.linspace(-t_half, t_half, res.conv_edges), res.order)
     rho_t = rho.scaled_t(tau.nodes, eps)
     ft = np.zeros((t_grid.nodes.size, r_grid.nodes.size))
     for tq, wq, pq in zip(tau.nodes, tau.weights, rho_t):
         ft += wq * pq * fn(t_grid.nodes[:, None] - tq, r_grid.nodes[None, :])
 
-    sg = _mollifier_s_grid(eps, rho, res)
+    sg = panel_grid(np.linspace(0.0, rho.x_radius * eps, res.conv_edges),
+                    res.order)
     gs = rho.scaled_x(sg.nodes, eps)
     vals = radial_convolve(d, r_grid.nodes, ft, sg, gs, r_grid.nodes)
     return MollifiedKernel(d=d, t_grid=t_grid, r_grid=r_grid, vals=vals,
@@ -589,29 +587,27 @@ def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
 
 def mollify_kernel(kernel: TruncatedKernel, eps: float,
                    rho: Optional[MollifierSpec] = None,
-                   res: Resolution = Resolution()) -> MollifiedKernel:
-    """K_eps = K * rho_eps by a t pass then a radial x pass on graded grids."""
-    if rho is None:
-        rho = MollifierSpec(kernel.d)
-    return _mollify(kernel, kernel.d, eps, rho, res,
+                   level: int = 0) -> MollifiedKernel:
+    """K_eps = K * rho_eps by a t pass then a radial x pass on graded grids
+    of accuracy ``level``."""
+    rho = rho or MollifierSpec(kernel.d)
+    return _mollify(kernel, kernel.d, eps, rho, _resolution(level),
                     kernel.outer + rho.t_halfwidth * eps ** 2,
                     math.sqrt(kernel.outer) + rho.x_radius * eps)
 
 
 def g_eps_squared(d: int, eps: float, rho: Optional[MollifierSpec] = None,
-                  t_window: float = 1.0,
-                  res: Resolution = Resolution()) -> float:
+                  t_window: float = 1.0) -> float:
     """int_{t <= t_window} int (G * rho_eps)^2 dx dt for the free heat kernel.
 
     The time window makes the outer integral finite; the small-eps behaviour
     (the 1/eps rate in d = 3, the (1/4 pi) log(1/eps) slope in d = 2) is
     window-independent because it comes from the origin.
     """
-    if rho is None:
-        rho = MollifierSpec(d)
+    rho = rho or MollifierSpec(d)
     r_hi = 6.0 * math.sqrt(t_window) + rho.x_radius * eps
-    return _mollify(lambda t, r: heat_kernel(t, r, d), d, eps, rho, res,
-                    t_window, r_hi).squared_integral()
+    return _mollify(lambda t, r: heat_kernel(t, r, d), d, eps, rho,
+                    _resolution(0), t_window, r_hi).squared_integral()
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +664,7 @@ def _graded_span(a: float, b: float, h_min: float,
     return b - geometric_edges(0.0, b - a, h_min, ratio)[::-1]
 
 
-def kq_exact(kernel: TruncatedKernel, Q: Callable,
-             T: float = 0.5, order: int = 10
+def kq_exact(kernel: TruncatedKernel, Q: Callable, T: float = 0.5
              ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Unmollified K^Q(t, r) = int_0^{2T} Q(s) K(t - s, r) ds, pointwise.
 
@@ -688,7 +683,7 @@ def kq_exact(kernel: TruncatedKernel, Q: Callable,
             if hi <= lo:
                 continue
             h = max(min(ri ** 2 / 24.0, hi - lo), 1e-12)
-            g = panel_grid(_graded_span(lo, hi, h), order)
+            g = panel_grid(_graded_span(lo, hi, h), 10)
             res[i] = float(np.sum(
                 g.weights * np.asarray(Q(ti - g.nodes), dtype=float)
                 * kernel(g.nodes, ri)))
@@ -698,8 +693,9 @@ def kq_exact(kernel: TruncatedKernel, Q: Callable,
 
 
 def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
-              res: Resolution = Resolution()) -> MollifiedKernel:
-    """K^Q_eps(t, x) = int_0^{2T} Q(s) K_eps(t - s, x) ds on the same r grid.
+              level: int = 0) -> MollifiedKernel:
+    """K^Q_eps(t, x) = int_0^{2T} Q(s) K_eps(t - s, x) ds on the same r grid,
+    with t panels of accuracy ``level``.
 
     In the variable u = t - s the integrand K_eps(u, .) carries all its fine
     structure at scales >= eps^2 near u = 0 (mollification floors the heat
@@ -709,6 +705,7 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
     t_hi = keps.t_support[1] + 2.0 * T
     eps_scale = max(keps.t_grid.nodes[0] - t_lo, 1e-12)
     h_min = eps_scale / 4.0
+    res = _resolution(level)
     t_grid = panel_grid(_two_sided_edges(t_lo, t_hi, eps_scale, res.ratio),
                         res.order)
     vals = np.zeros((t_grid.nodes.size, keps.r_grid.nodes.size))
@@ -793,7 +790,7 @@ def kernel_constants(d: int, eps: float,
                      rho: Optional[MollifierSpec] = None,
                      Q: Optional[Callable] = None,
                      T: float = 0.5,
-                     res: Resolution = Resolution(),
+                     level: int = 0,
                      full: Optional[bool] = None,
                      estimate_errors: bool = False) -> KernelConstants:
     """Compute the renormalisation constants at scale eps.
@@ -803,29 +800,24 @@ def kernel_constants(d: int, eps: float,
     values Q1(0), Q2(0) are computed.  Two correlation passes, K_eps against
     (K_eps, K^Q_eps) for Q0, Q1 and K^Q_eps against itself for Q2, run on
     output grids that start at the origin: Q1(0), Q2(0) are entry [0, 0].
-    ``estimate_errors`` repeats the whole computation on a coarser grid and
-    reports the differences.
+    ``level`` sets the accuracy of every grid (see :func:`_resolution`).
+    ``estimate_errors`` repeats the whole computation at ``level + 1`` and
+    reports each value's gap to that next finer level; this costs several
+    times the plain call (about 5x in d = 3 at eps = 2^-6).
     """
-    if kernel is None:
-        kernel = build_truncated_kernel(d)
-    if rho is None:
-        rho = MollifierSpec(d)
-    if Q is None:
-        Q = ou_weight(1.0, 1.0, T)
-    if full is None:
-        full = d == 3
+    kernel = kernel or build_truncated_kernel(d)
+    rho = rho or MollifierSpec(d)
+    Q = Q or ou_weight(1.0, 1.0, T)
+    full = d == 3 if full is None else full
 
-    keps = mollify_kernel(kernel, eps, rho, res)
-    kq = kq_kernel(keps, Q, T, res)
+    keps = mollify_kernel(kernel, eps, rho, level)
+    kq = kq_kernel(keps, Q, T, level)
     C1 = keps.squared_integral()
     t_out = r_out = np.zeros(1)
     if full:   # the kernel-support grids, each after a node at the origin
-        tg = panel_grid(geometric_edges(0.0, kernel.outer,
-                                        res.t_frac * eps ** 2, res.ratio),
-                        res.order)
-        rg = panel_grid(geometric_edges(0.0, math.sqrt(kernel.outer),
-                                        res.r_frac * eps, res.ratio),
-                        res.order)
+        res = _resolution(level)
+        tg = res.graded(kernel.outer, eps ** 2)
+        rg = res.graded(math.sqrt(kernel.outer), eps)
         t_out, r_out = np.r_[0.0, tg.nodes], np.r_[0.0, rg.nodes]
     q0, q1 = correlate(keps, (keps, kq), t_out, r_out)
     [q2] = correlate(kq, (kq,), t_out, r_out)
@@ -844,14 +836,13 @@ def kernel_constants(d: int, eps: float,
     out = KernelConstants(d=d, eps=eps, C1=C1, Q1_0=Q1_0, Q2_0=Q2_0,
                           C2=C2, I=I)
     if estimate_errors:
-        coarse = kernel_constants(d, eps, kernel, rho, Q, T, res.coarser(),
-                                  full, estimate_errors=False)
-        out.errors = {"C1": abs(C1 - coarse.C1),
-                      "Q1_0": abs(Q1_0 - coarse.Q1_0),
-                      "Q2_0": abs(Q2_0 - coarse.Q2_0)}
-        if full and coarse.C2 is not None:
-            out.errors["C2"] = abs(C2 - coarse.C2)
-            out.errors.update({f"I{i}{j}": abs(I[(i, j)] - coarse.I[(i, j)])
+        fine = kernel_constants(d, eps, kernel, rho, Q, T, level + 1, full)
+        out.errors = {"C1": abs(C1 - fine.C1),
+                      "Q1_0": abs(Q1_0 - fine.Q1_0),
+                      "Q2_0": abs(Q2_0 - fine.Q2_0)}
+        if full:
+            out.errors["C2"] = abs(C2 - fine.C2)
+            out.errors.update({f"I{i}{j}": abs(I[(i, j)] - fine.I[(i, j)])
                                for (i, j) in I})
     return out
 
@@ -934,7 +925,6 @@ def _shell_samples(eps_min: float, n_lam: int = 24,
 
 
 def verify_appendix_bounds(d: int, eps_list: Sequence[float],
-                           res: Resolution = Resolution(),
                            T: float = 0.5, theta: float = 0.25,
                            trend_tol: float = 0.1) -> list[BoundCheck]:
     """Ratio tables for the kernel estimates behind the constants.
@@ -960,8 +950,8 @@ def verify_appendix_bounds(d: int, eps_list: Sequence[float],
     TS, XS = np.meshgrid(ts, xs, indexing="ij")
     kq_ref = KQ0(TS, XS)
     for eps in eps_list:
-        keps = mollify_kernel(kernel, eps, rho, res)
-        kq = kq_kernel(keps, Q, T, res)
+        keps = mollify_kernel(kernel, eps, rho)
+        kq = kq_kernel(keps, Q, T)
         t, r = _shell_samples(eps)
         lam = np.sqrt(r ** 2 + np.abs(t))
         point_r.append(float(np.max(np.abs(keps(t, r)) * (lam + eps) ** d)))
@@ -969,10 +959,9 @@ def verify_appendix_bounds(d: int, eps_list: Sequence[float],
         rate_r.append(eps * C1 if d == 3 else C1 / math.log(1.0 / eps))
         kqsq_r.append(kq.squared_integral())
         # certify only differences resolvable above the grid error, estimated
-        # pointwise from a coarser rerun -- else eps^-theta amplifies noise
-        kq_coarse = kq_kernel(
-            mollify_kernel(kernel, eps, rho, res.coarser()), Q, T,
-            res.coarser())
+        # pointwise from a level -1 rerun -- else eps^-theta amplifies noise
+        kq_coarse = kq_kernel(mollify_kernel(kernel, eps, rho, level=-1), Q,
+                              T, level=-1)
         kq_vals = kq(TS, XS)
         noise = np.abs(kq_vals - kq_coarse(TS, XS)) + 1e-12
         diff = np.abs(kq_ref - kq_vals)

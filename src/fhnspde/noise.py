@@ -201,17 +201,18 @@ def sample_white_noise(lattice: Lattice, seed: int) -> NoiseField:
 # radial Fourier transforms
 # ---------------------------------------------------------------------------
 
-def _fourier_bessel(k: np.ndarray, r_max: float, d: int, n_panels: int,
-                    order: int) -> tuple:
+def _fourier_bessel(k: np.ndarray, r_max: float, d: int,
+                    n_panels: int) -> tuple:
     """Quadrature for radial transforms on [0, r_max] at magnitudes ``k``.
 
     int f(|x|) e^{-2 pi i k.x} dx ~= sum_s basis[k, s] * jac[s] * f(s) * w[s]
     with basis j0(2 pi k s) in d = 2, sinc(2 k s) in d = 3, cos(2 pi k s)
-    in d = 1, and radial Jacobian jac = |S^{d-1}| s^{d-1}.  The panel count
-    resolves the fastest oscillation present.  Returns (s, w, basis, jac).
+    in d = 1, and radial Jacobian jac = |S^{d-1}| s^{d-1}.  At least
+    ``n_panels`` order-8 panels, more when needed to resolve the fastest
+    oscillation present.  Returns (s, w, basis, jac).
     """
     need = max(n_panels, int(6 * float(np.max(k)) * r_max) + 8)
-    g = panel_grid(list(np.linspace(0.0, r_max, need + 1)), order)
+    g = panel_grid(list(np.linspace(0.0, r_max, need + 1)), 8)
     s = g.nodes
     if d == 2:
         return s, g.weights, j0(2.0 * math.pi * np.outer(k, s)), \
@@ -222,15 +223,15 @@ def _fourier_bessel(k: np.ndarray, r_max: float, d: int, n_panels: int,
     return s, g.weights, np.cos(2.0 * math.pi * np.outer(k, s)), 2.0
 
 
-def radial_fourier(fn: Callable, r_max: float, k: np.ndarray, d: int,
-                   n_panels: int = 64, order: int = 8) -> np.ndarray:
+def radial_fourier(fn: Callable, r_max: float, k: np.ndarray,
+                   d: int) -> np.ndarray:
     """Transform int f(|x|) e^{-2 pi i k.x} dx of a radial function.
 
     ``k`` is an array of frequency magnitudes; the quadrature resolves the
     fastest oscillation present.
     """
     k = np.atleast_1d(np.asarray(k, dtype=float))
-    s, w, basis, jac = _fourier_bessel(k, r_max, d, n_panels, order)
+    s, w, basis, jac = _fourier_bessel(k, r_max, d, 64)
     return (basis * (jac * fn(s) * w)).sum(axis=1)
 
 
@@ -322,8 +323,8 @@ def heat_convolution(forcing: Union[Field, NoiseField]) -> Field:
     return Field(lattice=lat, values=out, meta=meta)
 
 
-def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice,
-                            order: int = 8) -> tuple[np.ndarray, np.ndarray]:
+def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """Sample K(tau_j, .) at slice lags and transform each slice radially.
 
     Returns (taus, K_hat) with K_hat[j] on the rfftn frequency lattice; the
@@ -340,8 +341,7 @@ def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice,
     mags = lattice.k_magnitudes()
     flat = np.round(mags.ravel(), 9)
     uniq, inverse = np.unique(flat, return_inverse=True)
-    s, w, basis, jac = _fourier_bessel(uniq, kernel.r_support, lattice.d,
-                                       48, order)
+    s, w, basis, jac = _fourier_bessel(uniq, kernel.r_support, lattice.d, 48)
     mat = basis * (jac * w)
     hats = np.zeros((len(taus),) + mags.shape)
     for j, tau in enumerate(taus):

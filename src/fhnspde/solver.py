@@ -145,7 +145,7 @@ class RunConfig:
     record_every: int = 10
     snapshot_times: tuple[float, ...] = ()
 
-    def validate(self, d: int) -> None:
+    def validate(self, d: int, n_v: int = 1) -> None:
         if self.cutoff <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("cutoff, dt, and t_end must be positive")
         if self.eps < 2.0 / self.n_space:
@@ -157,6 +157,14 @@ class RunConfig:
             raise ValueError("slow-channel regularity gamma must exceed 1")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
+        # the Philox keys seed, seed + 1 and seed + 1 + 7919 i for the n_v
+        # slow channels i (see initial_data) must all fit in uint64
+        if not 0 <= self.seed < 2 ** 64 - 1 - 7919 * n_v:
+            raise ValueError(f"seed {self.seed} outside [0, 2^64 - 1 - 7919 "
+                             f"n_v) for n_v = {n_v}")
+        if not all(0.0 <= t <= self.t_end for t in self.snapshot_times):
+            raise ValueError(f"snapshot times {self.snapshot_times} outside "
+                             f"[0, t_end = {self.t_end:g}]")
 
 
 @dataclass
@@ -425,7 +433,7 @@ def run(config: RunConfig, spec: SystemSpec) -> RunResult:
     spectrally, so phi = u - chi is available in both formulations and the
     decomposition is exact by construction.
     """
-    config.validate(spec.d)
+    config.validate(spec.d, spec.Q.n)
     steps = int(round(config.t_end / config.dt))
     checksum, forcing = _noise_forcing(spec.d, config, steps, (config.eps,))
     u0, v0 = initial_data(spec.d, config.n_space, config.seed + 1,
@@ -535,7 +543,7 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     scales = sorted({e for e in eps_list} | {e / 2 for e in eps_list},
                     reverse=True)
     d = spec.d
-    replace(config, eps=min(scales)).validate(d)
+    replace(config, eps=min(scales)).validate(d, spec.Q.n)
     steps = int(round(t_star / config.dt))
     checksum, forcing = _noise_forcing(d, config, steps, scales)
 

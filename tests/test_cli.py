@@ -324,12 +324,14 @@ def test_converge_outputs(outdir, config_file, capsys):
 
 def test_converge_grid_guard(outdir, tmp_path, capsys):
     # partner scale eps/2 would fall below two grid spacings; a negative
-    # cutoff or a record interval below one must fail validation before any
-    # counterterm is computed and before any run directory exists
+    # cutoff, a record interval below one or a seed outside the generator's
+    # key range must fail validation before any counterterm is computed and
+    # before any run directory exists
     p = tmp_path / "bad.cfg"
     for old, new in (("eps_list = 2^-2", "eps_list = 2^-3"),
                      ("dim = 2", "dim = 2\ncutoff = -1"),
-                     ("record_every = 2", "record_every = 0")):
+                     ("record_every = 2", "record_every = 0"),
+                     ("seed = 1", "seed = -1")):
         p.write_text(CFG.replace(old, new))
         assert main(["converge", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -343,4 +345,18 @@ def test_simulate_rejects_record_interval_below_one(outdir, tmp_path, capsys,
     p.write_text(CFG.replace("record_every = 2", f"record_every = {every}"))
     assert main(["simulate", "--config", str(p)]) == 1
     assert "record_every" in capsys.readouterr().err
+    assert not (outdir / "simulate").exists()
+
+
+@pytest.mark.parametrize("old, new, frag", [
+    ("seed = 1", "seed = -1", "seed"),
+    ("seed = 1", f"seed = {2 ** 64}", "seed"),
+    ("snapshots = 4e-3", "snapshots = 0.5 -0.1", "snapshot"),
+])
+def test_simulate_rejects_bad_seed_and_snapshot_times(outdir, tmp_path,
+                                                      capsys, old, new, frag):
+    p = tmp_path / "bad.cfg"
+    p.write_text(CFG.replace(old, new))
+    assert main(["simulate", "--config", str(p)]) == 1
+    assert frag in capsys.readouterr().err
     assert not (outdir / "simulate").exists()

@@ -14,7 +14,6 @@ from fhnspde.kernels import (
     KernelConstructionError,
     MollifiedKernel,
     MollifierSpec,
-    Resolution,
     assemble_C,
     build_truncated_kernel,
     correlate,
@@ -36,9 +35,6 @@ from fhnspde.kernels import (
     sphere_area,
     verify_appendix_bounds,
 )
-
-FINE = Resolution(order=10, ratio=1.6, t_frac=1 / 16, r_frac=1 / 16,
-                  conv_nodes=36)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +247,35 @@ def test_mollified_kernel_support_and_consistency():
     assert q00 == pytest.approx(c1, rel=1e-4)
 
 
+def test_profile_rows_match_pointwise_evaluation():
+    # rows come back in the order asked, whatever the order of the times
+    keps, kq = _keps_kq(3)
+    t = np.array([0.3, -0.01, 0.3, 0.05, 2.5, 0.0, 0.9])
+    for B in (keps, kq):
+        rows = B.profile(t)
+        r = B.r_grid.nodes[None, :]
+        inside = (t >= B.t_support[0]) & (t <= B.t_support[1])
+        want = np.where(inside[:, None], B(t[:, None], r), 0.0)
+        assert np.any(want)
+        np.testing.assert_allclose(rows, want, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("eps", [2.0 ** -3, 2.0 ** -5])
+def test_accuracy_ladder_converges(eps):
+    # each level refines the outer panels too, so the C1 gap between
+    # consecutive levels shrinks; at a fixed panel ratio it grows at 2^-3
+    K = build_truncated_kernel(3)
+    c1 = [mollify_kernel(K, eps, level=n).squared_integral()
+          for n in (0, 1, 2)]
+    assert abs(c1[2] - c1[1]) * 3.0 <= abs(c1[1] - c1[0])
+
+
+def test_accuracy_levels_below_minus_one_rejected():
+    with pytest.raises(ValueError, match="level"):
+        mollify_kernel(build_truncated_kernel(3), 0.25, level=-2)
+
+
 def test_mollified_kernel_converges_to_kernel():
     # away from the origin the kernel is smooth, so K_eps -> K
     K = build_truncated_kernel(3)
@@ -296,9 +321,9 @@ def test_correlate_windowed_heat_oracle(d):
     assert np.max(np.abs(got - want) / np.abs(want)) < 1e-4
 
 
-def _keps_kq(d, eps=0.25, res=Resolution().coarser()):
-    keps = mollify_kernel(build_truncated_kernel(d), eps, res=res)
-    return keps, kq_kernel(keps, ou_weight(1.0, 1.0, 0.5), 0.5, res)
+def _keps_kq(d):
+    keps = mollify_kernel(build_truncated_kernel(d), 0.25, level=-1)
+    return keps, kq_kernel(keps, ou_weight(1.0, 1.0, 0.5), 0.5, level=-1)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -330,7 +355,7 @@ def test_correlate_rejects_right_kernels_on_different_r_grids():
 
 def test_kernel_constants_origin_values_match_origin_correlation():
     # Q1(0), Q2(0) are read off the grid passes; an origin-only call agrees
-    c = kernel_constants(3, 0.25, res=Resolution().coarser())
+    c = kernel_constants(3, 0.25, level=-1)
     keps, kq = _keps_kq(3)
     origin = (np.array([0.0]), np.array([0.0]))
     [q1] = correlate(keps, (kq,), *origin)
@@ -418,7 +443,7 @@ def test_kq_kernel_approaches_exact():
 # ---------------------------------------------------------------------------
 
 def test_kernel_constants_structure():
-    c = kernel_constants(3, 2.0 ** -3, res=Resolution().coarser())
+    c = kernel_constants(3, 2.0 ** -3, level=-1)
     assert c.C1 > 0 and c.C2 is not None
     assert set(c.I) == {(0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)}
     # C2 = 2 int K Q0^2 and I00 = int K Q0 Q0 share the quadrature exactly
@@ -436,8 +461,10 @@ def test_kernel_constants_d2_skips_correlations():
 
 
 def test_kernel_constants_error_estimate():
+    # the reported error is the gap to the next finer level
     c = kernel_constants(2, 2.0 ** -3, estimate_errors=True)
-    assert "C1" in c.errors
+    fine = kernel_constants(2, 2.0 ** -3, level=1)
+    assert c.errors["C1"] == abs(c.C1 - fine.C1)
     assert c.errors["C1"] < 0.02 * c.C1
 
 

@@ -11,7 +11,6 @@ import pytest
 
 from fhnspde.kernels import (
     MollifierSpec,
-    Resolution,
     build_truncated_kernel,
     correlate,
     mollify_kernel,
@@ -32,15 +31,13 @@ from fhnspde.noise import (
     load_field,
     mollifier_transform,
     mollify_noise,
+    radial_fourier,
     sample_white_noise,
     save_field,
     slow_channel_convolution,
     wick_cube,
     wick_square,
 )
-
-FINE = Resolution(order=10, ratio=1.6, t_frac=1 / 16, r_frac=1 / 16,
-                  conv_nodes=36)
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +118,26 @@ def test_white_noise_pairing_isometry():
     est = float(np.var(pair, ddof=1))
     se = norm2 * math.sqrt(2.0 / 199)
     assert abs(est - norm2) < 3 * se
+
+
+# ---------------------------------------------------------------------------
+# radial Fourier transforms
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_fourier_truncated_gaussian(d):
+    # a unit-mass Gaussian cut at ten widths (tail below 1e-20) transforms
+    # to exp(-2 pi^2 sigma^2 k^2)
+    sigma = 0.05
+
+    def gauss(r):
+        return np.exp(-r ** 2 / (2 * sigma ** 2)) \
+            / (2 * math.pi * sigma ** 2) ** (d / 2)
+
+    k = np.array([0.0, 0.5, 3.0, 7.5, 12.0])
+    got = radial_fourier(gauss, 10 * sigma, k, d)
+    want = np.exp(-2 * math.pi ** 2 * sigma ** 2 * k ** 2)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +263,7 @@ def test_lattice_covariance_matches_continuum_correlation():
     # periodised real-space correlation of the same kernel
     from scipy.interpolate import CubicSpline
     eps = 0.25
-    keps = mollify_kernel(build_truncated_kernel(2), eps, res=FINE)
+    keps = mollify_kernel(build_truncated_kernel(2), eps, level=1)
     nt = 872
     lat = Lattice(d=2, n_space=32, n_time=nt, t_end=nt / 512.0)
     tr = kernel_slice_transforms(keps, lat)

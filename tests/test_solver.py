@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,17 @@ def test_config_validation():
                   gamma=0.9).validate(2)
     with pytest.raises(ValueError):
         SystemSpec(d=2, F=_zero_F(), Q=_scalar_Q(), formulation="magic")
+    # the Philox keys seed, seed + 1 and seed + 1 + 7919 i (one per slow
+    # channel) must fit in uint64; snapshot times must lie in [0, t_end]
+    top = 2 ** 64 - 2 - 7919   # the largest seed with one slow channel
+    replace(good, seed=top, snapshot_times=(0.0, 0.01)).validate(2)
+    for bad, n_v in (({"seed": -1}, 1), ({"seed": top + 1}, 1),
+                     ({"seed": top}, 2),
+                     ({"snapshot_times": (0.005, -0.1)}, 1),
+                     ({"snapshot_times": (0.5,)}, 1),
+                     ({"snapshot_times": (math.nan,)}, 1)):
+        with pytest.raises(ValueError, match="seed|snapshot"):
+            replace(good, **bad).validate(2, n_v)
 
 
 # ---------------------------------------------------------------------------
