@@ -716,8 +716,7 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
             continue
         g = panel_grid(_graded_span(lo, hi, h_min, res.ratio), res.order)
         qs = np.asarray(Q(ti - g.nodes), dtype=float)
-        vals[i] = (g.weights * qs) @ keps(g.nodes[:, None],
-                                          keps.r_grid.nodes[None, :])
+        vals[i] = (g.weights * qs) @ keps.profile(g.nodes)
     return MollifiedKernel(d=keps.d, t_grid=t_grid, r_grid=keps.r_grid,
                            vals=vals, t_support=(t_lo, t_hi),
                            r_support=keps.r_support)

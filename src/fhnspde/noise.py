@@ -3,16 +3,17 @@
 Space-time white noise lives on a uniform lattice over [0, T_end] x the unit
 torus.  Every random number is a pure function of (seed, global cell index)
 through a counter-based generator, so ensemble members, grid slices, and
-re-runs are bit-for-bit reproducible regardless of traversal or chunking.
+re-runs are bit-for-bit reproducible regardless of traversal or chunking;
+`NoiseStream` draws the slices one at a time, holding only a window.
 
 Mollification happens in two factors, mirroring the separable mollifier:
 direct convolution in time, Fourier multiplication by the radial profile
 transform in space (which on the torus is automatically the periodised
-convolution).  Stochastic convolutions come in two flavours: the heat
-semigroup acting mode-by-mode as an exact Ornstein-Uhlenbeck recursion, and
-direct space-time convolution with a compactly supported kernel slice stack.
-The latter also yields exact discrete covariance predictions, used as the
-lattice-adjusted centring constants for Wick powers.
+convolution).  The one stochastic convolution here, `kernel_convolution`, is
+direct space-time convolution with a compactly supported kernel slice stack;
+it also yields exact discrete covariance predictions, used as the
+lattice-adjusted centring constants for Wick powers.  The heat semigroup's
+exact per-mode Ornstein-Uhlenbeck recursion is the solver's step.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .kernels import MollifiedKernel, MollifierSpec, panel_grid
 __all__ = [
     "Lattice",
     "NoiseField",
+    "NoiseStream",
     "Field",
     "ResolutionError",
     "counter_gaussians",
@@ -42,15 +44,12 @@ __all__ = [
     "mollifier_transform",
     "radial_fourier",
     "kernel_slice_transforms",
-    "heat_convolution",
     "kernel_convolution",
-    "slow_channel_convolution",
     "lattice_covariance",
     "lattice_chi_constant",
     "wick_square",
     "wick_cube",
     "save_field",
-    "load_field",
 ]
 
 GENERATOR_ID = "philox4x64-boxmuller-v1"
@@ -140,11 +139,8 @@ class NoiseField:
     generator_id: str = GENERATOR_ID
 
     def checksum(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-        h.update(json.dumps([self.lattice.shape, self.seed,
-                             self.generator_id]).encode())
-        return h.hexdigest()
+        return _checksum(hashlib.sha256(), [self.values], self.lattice,
+                         self.seed, self.generator_id)
 
 
 @dataclass(frozen=True)
@@ -187,14 +183,75 @@ def counter_gaussians(seed: int, start: int, count: int) -> np.ndarray:
     return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
 
+def _white_slice(lattice: Lattice, seed: int, i: int) -> np.ndarray:
+    """Time slice i of the white noise, flattened."""
+    size = lattice.n_space ** lattice.d
+    sigma = 1.0 / math.sqrt(lattice.cell_volume)
+    return sigma * counter_gaussians(seed, i * size, size)
+
+
 def sample_white_noise(lattice: Lattice, seed: int) -> NoiseField:
     """Cellwise iid N(0, 1/(dt dx^d)), keyed on the global cell index and
     drawn one time slice at a time into one array."""
-    sigma = 1.0 / math.sqrt(lattice.cell_volume)
     vals = np.empty(lattice.shape)
     for i, row in enumerate(vals.reshape(lattice.n_time, -1)):
-        row[:] = sigma * counter_gaussians(seed, i * row.size, row.size)
+        row[:] = _white_slice(lattice, seed, i)
     return NoiseField(lattice=lattice, values=vals, seed=seed)
+
+
+def _checksum(sha, slices, lattice: Lattice, seed: int,
+              generator_id: str = GENERATOR_ID) -> str:
+    """The noise checksum: sha256 over the values as little-endian float64
+    in time order (``sha`` has hashed the slices before ``slices``), then
+    over (shape, seed, generator)."""
+    for xi in slices:
+        sha.update(np.ascontiguousarray(xi, dtype="<f8"))
+    sha.update(json.dumps([lattice.shape, seed, generator_id]).encode())
+    return sha.hexdigest()
+
+
+class NoiseStream:
+    """The realisation of `sample_white_noise`, drawn and hashed slice by
+    slice.  ``window(lo, hi)`` is the spatial rfftn of slices lo .. hi - 1,
+    contiguous and in time order, for windows that only move forward and
+    span at most ``width`` slices.  The buffer holds width + width // 8
+    slices, so held slices move once every width // 8 steps."""
+
+    def __init__(self, lattice: Lattice, seed: int, width: int):
+        self.lattice, self.seed = lattice, seed
+        self._hat = np.empty((min(lattice.n_time, width + width // 8),)
+                             + lattice.shape[1:-1]
+                             + (lattice.n_space // 2 + 1,), complex)
+        self._first = self._end = 0    # slices held: _first .. _end - 1
+        self._sha = hashlib.sha256()
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        if not self._first <= lo <= hi <= min(lo + len(self._hat),
+                                              self.lattice.n_time):
+            raise ValueError(f"window [{lo}, {hi}) moves back or overflows")
+        while self._end < hi:
+            if self._end - self._first == len(self._hat):
+                # blocks no longer than the shift do not overlap their
+                # source, so no assignment copies the whole window first
+                shift, n = lo - self._first, self._end - lo
+                for a in range(0, n, shift):
+                    b = min(a + shift, n)
+                    self._hat[a:b] = self._hat[a + shift:b + shift]
+                self._first = lo
+            xi = _white_slice(self.lattice, self.seed, self._end)
+            self._sha.update(np.ascontiguousarray(xi, dtype="<f8"))
+            self._hat[self._end - self._first] = np.fft.rfftn(
+                xi.reshape(self.lattice.shape[1:]))
+            self._end += 1
+        return self._hat[lo - self._first:hi - self._first]
+
+    def checksum(self) -> str:
+        """Equals ``sample_white_noise(...).checksum()``: the slices no
+        window reached are drawn for it."""
+        return _checksum(self._sha.copy(), (
+            _white_slice(self.lattice, self.seed, i)
+            for i in range(self._end, self.lattice.n_time)),
+            self.lattice, self.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -235,18 +292,14 @@ def radial_fourier(fn: Callable, r_max: float, k: np.ndarray,
     return (basis * (jac * fn(s) * w)).sum(axis=1)
 
 
-def _unique_eval(fn: Callable, mags: np.ndarray) -> np.ndarray:
-    flat = np.round(mags.ravel(), 9)
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    return fn(uniq)[inverse].reshape(mags.shape)
-
-
 def mollifier_transform(spec: MollifierSpec, eps: float,
                         k_mags: np.ndarray) -> np.ndarray:
-    """Spatial-profile transform at scale eps: rho_eps^x -> rho_hat(eps |k|)."""
-    return _unique_eval(
-        lambda u: radial_fourier(spec.x_profile, spec.x_radius, u, spec.d),
-        eps * k_mags)
+    """Spatial-profile transform at scale eps: rho_eps^x -> rho_hat(eps |k|),
+    evaluated once per distinct magnitude."""
+    mags = eps * k_mags
+    uniq, inverse = np.unique(np.round(mags.ravel(), 9), return_inverse=True)
+    return radial_fourier(spec.x_profile, spec.x_radius, uniq,
+                          spec.d)[inverse].reshape(mags.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -301,28 +354,6 @@ def mollify_noise(xi: NoiseField, eps: float,
 # stochastic convolutions
 # ---------------------------------------------------------------------------
 
-def heat_convolution(forcing: Union[Field, NoiseField]) -> Field:
-    """chi(t) = int_0^t e^{(t-s) Laplacian} forcing(s) ds, zero initial data.
-
-    Exact per spatial mode for slice-constant forcing: an OU recursion with
-    rates (2 pi |k|)^2.  Output slice i holds chi(i*dt); slice 0 is zero.
-    """
-    lat = forcing.lattice
-    ax = tuple(range(1, lat.d + 1))
-    decay, gain = lat._heat_weights()
-    f_hat = np.fft.rfftn(forcing.values, axes=ax)
-    out = np.empty(lat.shape)
-    acc = np.zeros_like(f_hat[0])
-    out[0] = 0.0
-    for i in range(1, lat.n_time):
-        acc = decay * acc + gain * f_hat[i - 1]
-        out[i] = np.fft.irfftn(acc, s=(lat.n_space,) * lat.d, axes=tuple(
-            range(0, lat.d)))
-    meta = dict(getattr(forcing, "meta", {}))
-    meta["convolution"] = "heat"
-    return Field(lattice=lat, values=out, meta=meta)
-
-
 def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice
                             ) -> tuple[np.ndarray, np.ndarray]:
     """Sample K(tau_j, .) at slice lags and transform each slice radially.
@@ -376,25 +407,6 @@ def kernel_convolution(xi: Union[Field, NoiseField],
         out[n] = lat.dt * np.fft.irfftn(acc, s=(lat.n_space,) * lat.d,
                                         axes=tuple(range(0, lat.d)))
     return out
-
-
-def slow_channel_convolution(chi: Field, Q: Callable) -> Field:
-    """chi^Q(t) = int_0^t Q(t-s) chi(s) ds along the time axis (Q causal).
-
-    Trapezoid-corrected rectangle sum: second order for slice-sampled chi.
-    """
-    lat = chi.lattice
-    lags = lat.dt * np.arange(lat.n_time)
-    qv = np.asarray(Q(lags), dtype=float)
-    wq = lat.dt * qv
-    shape = (len(wq),) + (1,) * lat.d
-    full = fftconvolve(chi.values, wq.reshape(shape), mode="full", axes=0)
-    out = full[:lat.n_time]
-    out = out - 0.5 * lat.dt * qv[0] * chi.values
-    out = out - 0.5 * lat.dt * qv.reshape(shape) * chi.values[0]
-    meta = dict(chi.meta)
-    meta["convolution"] = "slow-channel"
-    return Field(lattice=lat, values=out, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +491,3 @@ def save_field(path, obj: Union[Field, NoiseField]) -> Path:
     }
     base.with_suffix(".json").write_text(json.dumps(manifest, indent=2))
     return bin_path
-
-
-def load_field(path) -> Field:
-    base = Path(path)
-    manifest = json.loads(base.with_suffix(".json").read_text())
-    if manifest["format_version"] != FORMAT_VERSION:
-        raise ValueError("unsupported field format version")
-    vals = np.frombuffer(base.with_suffix(".bin").read_bytes(),
-                         dtype="<f8").reshape(manifest["dims"])
-    lat = Lattice(d=manifest["d"], n_space=manifest["n_space"],
-                  n_time=manifest["n_time"], t_end=manifest["t_end"])
-    return Field(lattice=lat, values=vals.copy(),
-                 meta=manifest.get("meta", {}))

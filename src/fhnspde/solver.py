@@ -13,11 +13,13 @@ weights, so u = chi + phi holds to rounding and remainder norms come for
 free.
 
 One engine advances every integration.  Members share one white-noise
-realisation; each mollification scale applies its own separable mollifier as
-a spectral FIR filter on that realisation's spatial transform, and all
-members advance in lockstep.  `run` is the one-member case; `epsilon_sweep`
-runs every scale and its half side by side, so cross-scale differences are
-recorded at matching times without storing trajectories.
+realisation, streamed slice by slice: only the window of spatial transforms
+that the temporal filters read is held, never the whole history.  Each
+mollification scale applies its own separable mollifier as a spectral FIR
+filter on that window, and all members advance in lockstep.  `run` is the
+one-member case; `epsilon_sweep` runs every scale and its half side by side,
+so cross-scale differences are recorded at matching times without storing
+trajectories.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ from .kernels import (
 )
 from .noise import (
     Lattice,
+    NoiseStream,
     counter_gaussians,
     mollifier_transform,
-    sample_white_noise,
+    sample_white_noise,  # noqa: F401  (unused; perfbench's tests trace it)
     _temporal_weights,
 )
 from .renorm import U_SYM, CubicPolynomial
@@ -64,7 +67,6 @@ __all__ = [
     "run",
     "counterterms_for",
     "epsilon_sweep",
-    "koper_system",
 ]
 
 
@@ -165,6 +167,11 @@ class RunConfig:
         if not all(0.0 <= t <= self.t_end for t in self.snapshot_times):
             raise ValueError(f"snapshot times {self.snapshot_times} outside "
                              f"[0, t_end = {self.t_end:g}]")
+        ts = sorted(set(self.snapshot_times))
+        for a, b in zip(ts, ts[1:]):
+            if round(a / self.dt) == round(b / self.dt):
+                raise ValueError(f"snapshot times {a:g} and {b:g} round to "
+                                 f"the same step at dt = {self.dt:g}")
 
 
 @dataclass
@@ -334,11 +341,12 @@ class _FIRMollifier:
 
 def _noise_forcing(d: int, config: RunConfig, steps: int,
                    scales: Sequence[float]
-                   ) -> tuple[Optional[str], Optional[Callable]]:
+                   ) -> tuple[Optional[NoiseStream], Optional[Callable]]:
     """One white-noise realisation, mollified per scale as a spectral FIR.
 
-    Returns the noise checksum and forcing(i), mapping each scale to the
-    amplitude-scaled spectral forcing of step i; (None, None) without noise.
+    Returns the noise stream (read its checksum after the run) and
+    forcing(i), mapping each scale to the amplitude-scaled spectral forcing
+    of step i; (None, None) without noise.
     """
     if config.noise_amplitude == 0.0:
         return None, None
@@ -347,19 +355,18 @@ def _noise_forcing(d: int, config: RunConfig, steps: int,
     pad = int(math.ceil(mspec.t_halfwidth * max(scales) ** 2 / config.dt)) + 2
     lat = Lattice(d=d, n_space=config.n_space, n_time=steps + pad,
                   t_end=(steps + pad) * config.dt)
-    xi = sample_white_noise(lat, config.seed)
-    checksum = xi.checksum()
-    # transformed slice by slice: the complex temporaries stay one slice wide
-    raw_hat = np.empty(lat.shape[:-1] + (config.n_space // 2 + 1,), complex)
-    for i, xi_i in enumerate(xi.values):
-        raw_hat[i] = np.fft.rfftn(xi_i)
     firs = {e: _FIRMollifier(lat, e, mspec) for e in scales}
+    half = max(fir.half for fir in firs.values())
+    stream = NoiseStream(lat, config.seed, 2 * half + 1)
     amp = config.noise_amplitude
 
     def forcing(i: int) -> dict:
-        return {e: amp * fir.slice_hat(raw_hat, i) for e, fir in firs.items()}
+        lo = max(0, i - half)
+        window = stream.window(lo, min(lat.n_time, i + half + 1))
+        return {e: amp * fir.slice_hat(window, i - lo)
+                for e, fir in firs.items()}
 
-    return checksum, forcing
+    return stream, forcing
 
 
 class _Member:
@@ -435,7 +442,7 @@ def run(config: RunConfig, spec: SystemSpec) -> RunResult:
     """
     config.validate(spec.d, spec.Q.n)
     steps = int(round(config.t_end / config.dt))
-    checksum, forcing = _noise_forcing(spec.d, config, steps, (config.eps,))
+    stream, forcing = _noise_forcing(spec.d, config, steps, (config.eps,))
     u0, v0 = initial_data(spec.d, config.n_space, config.seed + 1,
                           eta=config.eta, gamma=config.gamma, n_v=spec.Q.n,
                           u0=config.u0, v0=config.v0)
@@ -477,7 +484,7 @@ def run(config: RunConfig, spec: SystemSpec) -> RunResult:
         "eps": config.eps, "seed": config.seed, "cutoff": config.cutoff,
         "eta": config.eta, "gamma": config.gamma,
         "noise_amplitude": config.noise_amplitude,
-        "noise_checksum": checksum,
+        "noise_checksum": stream.checksum() if stream else None,
     }
     return RunResult(times=np.asarray(times),
                      norms={k: np.asarray(val) for k, val in series.items()},
@@ -545,7 +552,7 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     d = spec.d
     replace(config, eps=min(scales)).validate(d, spec.Q.n)
     steps = int(round(t_star / config.dt))
-    checksum, forcing = _noise_forcing(d, config, steps, scales)
+    stream, forcing = _noise_forcing(d, config, steps, scales)
 
     constants = {}
     if "renormalised" in modes:
@@ -618,13 +625,6 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     }
     return SweepReport(eps=eps_list, t_star=t_star, D=D,
                        contraction=contraction,
-                       noise_checksum=checksum, constants=constants,
+                       noise_checksum=stream.checksum() if stream else None,
+                       constants=constants,
                        manifest=manifest)
-
-
-def koper_system(eps1: float = 0.1, k: float = -10.0) -> SystemSpec:
-    """Two slow channels with the singular drift matrix of the Koper family."""
-    F = CubicPolynomial(sympy.sympify("3*u + v1 - u**3"), 2)
-    Q = QSpec(A1=(eps1 * k, 0.0),
-              A2=((-2 * eps1, eps1), (eps1, -eps1)))
-    return SystemSpec(d=2, F=F, Q=Q)

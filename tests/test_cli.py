@@ -352,6 +352,7 @@ def test_simulate_rejects_record_interval_below_one(outdir, tmp_path, capsys,
     ("seed = 1", "seed = -1", "seed"),
     ("seed = 1", f"seed = {2 ** 64}", "seed"),
     ("snapshots = 4e-3", "snapshots = 0.5 -0.1", "snapshot"),
+    ("snapshots = 4e-3", "snapshots = 2e-3 2.2e-3", "snapshot"),
 ])
 def test_simulate_rejects_bad_seed_and_snapshot_times(outdir, tmp_path,
                                                       capsys, old, new, frag):

@@ -4,7 +4,9 @@ Monte-Carlo assertions follow the 3-standard-error convention; ensemble
 sizes are chosen so systematic discretisation bias stays below one SE.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,30 +16,30 @@ from fhnspde.kernels import (
     build_truncated_kernel,
     correlate,
     mollify_kernel,
-    ou_weight,
     panel_grid,
 )
 from fhnspde.noise import (
+    FORMAT_VERSION,
     Field,
     Lattice,
     NoiseField,
+    NoiseStream,
     ResolutionError,
     counter_gaussians,
-    heat_convolution,
     kernel_convolution,
     kernel_slice_transforms,
     lattice_chi_constant,
     lattice_covariance,
-    load_field,
     mollifier_transform,
     mollify_noise,
     radial_fourier,
     sample_white_noise,
     save_field,
-    slow_channel_convolution,
     wick_cube,
     wick_square,
 )
+from fhnspde.renorm import CubicPolynomial
+from fhnspde.solver import QSpec, Stepper, SystemSpec
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +104,25 @@ def test_white_noise_sliced_draw_equals_whole_draw(d, n):
     sigma = 1.0 / math.sqrt(lat.cell_volume)
     whole = sigma * counter_gaussians(11, 0, lat.cells)
     assert np.array_equal(sample_white_noise(lat, 11).values.ravel(), whole)
+
+
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 4)])
+def test_noise_stream_windows_and_checksum(d, n):
+    # sliding windows hold the slices' spatial transforms bit for bit, and
+    # the checksum also covers the slices no window reached
+    lat = Lattice(d=d, n_space=n, n_time=40, t_end=0.4)
+    xi = sample_white_noise(lat, 9)
+    ref = np.stack([np.fft.rfftn(x) for x in xi.values])
+    stream = NoiseStream(lat, 9, 9)
+    for i in range(30):
+        lo, hi = max(0, i - 4), i + 5
+        assert np.array_equal(stream.window(lo, hi), ref[lo:hi]), i
+    assert stream.checksum() == xi.checksum()
+    assert stream.checksum() == xi.checksum()     # reading it consumes none
+    for lo, hi in ((0, 5), (29, 40), (36, 41)):
+        # behind the held slices, wider than the buffer, past the lattice
+        with pytest.raises(ValueError, match="window"):
+            stream.window(lo, hi)
 
 
 def test_white_noise_pairing_isometry():
@@ -210,23 +231,25 @@ def test_mollified_mean_centred():
 # stochastic convolutions
 # ---------------------------------------------------------------------------
 
-def test_heat_convolution_zero_in_zero_out():
-    lat = Lattice(d=2, n_space=8, n_time=12, t_end=0.1)
-    zero = Field(lattice=lat, values=np.zeros(lat.shape))
-    out = heat_convolution(zero)
-    assert float(np.max(np.abs(out.values))) == 0.0
-
-
-def test_heat_convolution_single_mode_ou_variance():
-    # unmollified noise, coarse space, fine time: stationary mode variance
-    # approaches 1/(2 (2 pi |k|)^2)
+def test_engine_heat_step_single_mode_ou_variance():
+    # unmollified noise, coarse space, fine time: the engine's exact heat
+    # step with zero nonlinearity gives stationary mode variance
+    # 1/(2 (2 pi |k|)^2)
     lat = Lattice(d=2, n_space=8, n_time=3000, t_end=3.0)
+    spec = SystemSpec(d=2, F=CubicPolynomial(0, 1),
+                      Q=QSpec(A1=(1.0,), A2=((-1.0,),)))
+    st = Stepper(spec, lat.n_space, lat.dt)
+    zero = np.zeros((lat.n_space,) * 2)
     acc = []
     for s in range(30):
         xi = sample_white_noise(lat, 4000 + s)
-        chi = heat_convolution(xi)
-        chat = np.fft.rfftn(chi.values, axes=(1, 2))[1500:, 1, 0]
-        chat = chat / lat.n_space ** 2
+        f_hat = np.fft.rfftn(xi.values, axes=(1, 2))
+        chi_hat = np.zeros_like(f_hat[0])
+        chat = []
+        for i in range(1, lat.n_time):     # chi_hat now holds chi(i dt)
+            chi_hat = st.step_u(chi_hat, zero, f_hat[i - 1])
+            if i >= 1500:
+                chat.append(chi_hat[1, 0] / lat.n_space ** 2)
         acc.append(float(np.mean(np.abs(chat) ** 2)))
     lam = (2 * math.pi) ** 2
     est = float(np.mean(acc))
@@ -287,20 +310,6 @@ def test_lattice_covariance_matches_continuum_correlation():
         assert latv == pytest.approx(cont, rel=0.015), (lagt, lagx)
 
 
-def test_slow_channel_convolution_constant_input():
-    lat = Lattice(d=1, n_space=4, n_time=200, t_end=2.0)
-    chi = Field(lattice=lat, values=np.ones(lat.shape))
-    Q = ou_weight(decay=1.3, gain=0.7, T=0.5)
-    out = slow_channel_convolution(chi, Q)
-    # constant chi: chi^Q(t) = int_0^t Q(s) ds once t covers the support
-    i = 150
-    g = panel_grid(list(np.linspace(0, 1.0, 65)), 8)
-    exact = float(np.sum(g.weights * Q(g.nodes)))
-    assert float(out.values[i, 0]) == pytest.approx(exact, rel=2e-3)
-    assert out.meta["convolution"] == "slow-channel"
-    assert float(out.values[0, 0]) == pytest.approx(0.0, abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # Wick powers
 # ---------------------------------------------------------------------------
@@ -339,6 +348,20 @@ def test_wick_means_and_raw_variance():
 # field files and common-noise coupling
 # ---------------------------------------------------------------------------
 
+def load_field(path) -> Field:
+    """Reader of the `save_field` format."""
+    base = Path(path)
+    manifest = json.loads(base.with_suffix(".json").read_text())
+    if manifest["format_version"] != FORMAT_VERSION:
+        raise ValueError("unsupported field format version")
+    vals = np.frombuffer(base.with_suffix(".bin").read_bytes(),
+                         dtype="<f8").reshape(manifest["dims"])
+    lat = Lattice(d=manifest["d"], n_space=manifest["n_space"],
+                  n_time=manifest["n_time"], t_end=manifest["t_end"])
+    return Field(lattice=lat, values=vals.copy(),
+                 meta=manifest.get("meta", {}))
+
+
 def test_field_roundtrip(tmp_path):
     lat = Lattice(d=2, n_space=8, n_time=6, t_end=0.1)
     xi = sample_white_noise(lat, 77)
@@ -355,7 +378,6 @@ def test_field_roundtrip(tmp_path):
 
 
 def test_field_format_version_guard(tmp_path):
-    import json
     lat = Lattice(d=1, n_space=4, n_time=2, t_end=0.1)
     f = Field(lattice=lat, values=np.zeros(lat.shape))
     save_field(tmp_path / "f", f)

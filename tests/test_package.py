@@ -1,7 +1,9 @@
 """Package-level invariants of the public API."""
 
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 
 import fhnspde
 
@@ -17,3 +19,18 @@ def test_every_public_name_resolves():
         missing = [n for n in module.__all__ if not hasattr(module, n)]
         assert not missing, f"fhnspde.{name}.__all__ names {missing}"
         assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/run.py --trace 1 wraps these callables by their names, so a
+    # rename in the package breaks it; the tracer module is read, not changed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for _, module, attr_path in tracer.TARGETS:
+        obj = importlib.import_module(module)
+        for part in attr_path.split("."):
+            obj = getattr(obj, part, None)
+        assert callable(obj), f"{module}.{attr_path} is not callable"

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,10 +26,10 @@ from fhnspde.solver import (
     SystemSpec,
     Stepper,
     _FIRMollifier,
+    _noise_forcing,
     counterterms_for,
     epsilon_sweep,
     initial_data,
-    koper_system,
     phi_series,
     run,
     spectral_sigma,
@@ -112,6 +113,8 @@ def test_config_validation():
                      ({"seed": top}, 2),
                      ({"snapshot_times": (0.005, -0.1)}, 1),
                      ({"snapshot_times": (0.5,)}, 1),
+                     # one step at dt = 1e-3: one snapshot would be lost
+                     ({"snapshot_times": (0.005, 0.0052)}, 1),
                      ({"snapshot_times": (math.nan,)}, 1)):
         with pytest.raises(ValueError, match="seed|snapshot"):
             replace(good, **bad).validate(2, n_v)
@@ -223,6 +226,19 @@ def test_cutoff_triggers_immediately_for_tiny_threshold():
     res = run(cfg, spec)
     assert res.termination == "cutoff-hit"
     assert res.t_star == 0.0
+    # the checksum still covers the whole realisation the run would have used
+    n_time = 50 + math.ceil(0.25 * cfg.eps ** 2 / cfg.dt) + 2
+    lat = Lattice(d=2, n_space=16, n_time=n_time, t_end=n_time * cfg.dt)
+    assert res.manifest["noise_checksum"] \
+        == sample_white_noise(lat, cfg.seed).checksum()
+
+
+def koper_system(eps1: float = 0.1, k: float = -10.0) -> SystemSpec:
+    """Two slow channels with the singular drift matrix of the Koper family."""
+    F = CubicPolynomial(sympy.sympify("3*u + v1 - u**3"), 2)
+    Q = QSpec(A1=(eps1 * k, 0.0),
+              A2=((-2 * eps1, eps1), (eps1, -eps1)))
+    return SystemSpec(d=2, F=F, Q=Q)
 
 
 def test_koper_system_runs():
@@ -405,6 +421,50 @@ def test_fir_mollifier_matches_full_field_path():
         mine = np.fft.irfftn(fir.slice_hat(raw_hat, i), s=(16, 16),
                              axes=(0, 1))
         assert np.max(np.abs(mine - ref.values[i])) < 1e-11
+
+
+@pytest.mark.parametrize("d, n_space, dt, steps, scales", [
+    (2, 32, 2e-3, 80, (0.25, 0.125, 0.0625)),
+    (3, 8, 5e-3, 120, (0.5, 0.25)),
+    (2, 16, 2e-3, 5, (0.25, 0.125)),      # shorter than one filter window
+])
+def test_streamed_forcing_equals_whole_history_formula(d, n_space, dt, steps,
+                                                       scales):
+    cfg = RunConfig(n_space=n_space, dt=dt, t_end=steps * dt,
+                    eps=min(scales), seed=8, noise_amplitude=0.7)
+    stream, forcing = _noise_forcing(d, cfg, steps, scales)
+    lat = stream.lattice
+    firs = {e: _FIRMollifier(lat, e, MollifierSpec(d)) for e in scales}
+    width = 2 * max(fir.half for fir in firs.values()) + 1
+    assert steps >= 3 * width or steps < width
+    xi = sample_white_noise(lat, cfg.seed)
+    raw_hat = np.stack([np.fft.rfftn(x) for x in xi.values])
+    for i in range(steps):
+        got = forcing(i)
+        for e, fir in firs.items():
+            assert np.array_equal(got[e], 0.7 * fir.slice_hat(raw_hat, i)), \
+                (i, e)
+    assert stream.checksum() == xi.checksum()
+
+
+def test_streamed_forcing_memory_does_not_grow_with_run_length():
+    def peak(steps: int) -> int:
+        cfg = RunConfig(n_space=32, dt=2e-3, t_end=steps * 2e-3, eps=0.125,
+                        seed=2)
+        tracemalloc.start()
+        try:
+            stream, forcing = _noise_forcing(2, cfg, steps, (0.25, 0.125))
+            tracemalloc.reset_peak()    # filter set-up: run-length free
+            for i in range(steps):
+                forcing(i)
+            stream.checksum()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak(200), peak(400)
+    # the whole complex history of the long run alone is 3.6 MB
+    assert long < 1.1 * short < 1e6, (short, long)
 
 
 def test_epsilon_sweep_structure_and_contraction():
