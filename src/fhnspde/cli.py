@@ -301,6 +301,13 @@ def _parse_eps_list(text: str) -> list[float]:
     return out
 
 
+def _channel_count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"channel count {n} is negative")
+    return n
+
+
 def _matrix(text: str) -> tuple[tuple[float, ...], ...]:
     rows = [r for r in text.replace(",", " ").split(";") if r.strip()]
     return tuple(tuple(float(x) for x in r.split()) for r in rows)
@@ -620,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--dim", type=int, choices=(2, 3), default=3)
     sp.add_argument("--cutoff", default="0",
                     help="homogeneity cutoff as a rational, e.g. 0 or 3/2")
-    sp.add_argument("--channels", type=int, default=0)
+    sp.add_argument("--channels", type=_channel_count, default=0)
     sp.add_argument("--collapse", action="store_true",
                     help="collapse spatial-coordinate orbits")
     sp.set_defaults(func=cmd_symbols)
@@ -633,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("renorm-eq", help="renormalised equation for a cubic")
     sp.add_argument("--dim", type=int, choices=(2, 3), default=3)
     sp.add_argument("--F", required=True)
-    sp.add_argument("--channels", type=int, default=1)
+    sp.add_argument("--channels", type=_channel_count, default=1)
     sp.set_defaults(func=cmd_renorm_eq)
 
     sp = sub.add_parser("constants", help="renormalisation constants vs eps")

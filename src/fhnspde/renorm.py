@@ -19,9 +19,13 @@ contributes its multiset count.  A renormalisation map is
 with scalar constants ``C(tau)``; the series terminates because every
 extraction strictly lowers the noise count.
 
-The second half of the module derives the renormalised equation: it expands
-the abstract fixed point of a cubic nonlinearity ``F(u, v_1..v_n)`` on the
-symbol basis, applies ``M - id``, collects the coefficients of the symbols of
+A pattern's signature counts its legs by channel (:func:`symbols.leg_channel`).
+
+The second half of the module derives the renormalised equation.  One
+truncated substitution, ``_substitute``, expands ``F(u, v_1..v_n)`` on the
+symbol basis, both for the first-order pass that reads the fixed-point
+coefficients off ``F`` and on the fixed point itself; the derivation applies
+``M - id`` to the latter, collects the coefficients of the symbols of
 non-positive homogeneity, and factors them through counterterms
 ``F - c0 - c1*u - sum_i c2_i*v_i`` whenever that is exactly possible,
 reporting the obstruction terms when it is not.
@@ -34,19 +38,20 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import sympy
 
 from .symbols import (
     ONE,
-    XI,
     Homogeneity,
     Symbol,
     display_name,
     ext,
     homogeneity,
     integral,
+    leg,
+    leg_channel,
     product,
     to_text,
     x_power,
@@ -135,20 +140,6 @@ class Combo:
                     out.add(p, c1 * c2)
         return out
 
-    def power(self, n: int) -> "Combo":
-        out = Combo({ONE: 1})
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def truncated(self, d: int, cutoff: Homogeneity) -> "Combo":
-        """Restriction to the terms of homogeneity <= cutoff."""
-        out = Combo()
-        for sym, c in self.terms.items():
-            if homogeneity(sym, d) <= cutoff:
-                out.terms[sym] = c
-        return out
-
     def coeff(self, sym: Symbol) -> sympy.Expr:
         return self.terms.get(sym, sympy.Integer(0))
 
@@ -191,41 +182,19 @@ class Combo:
 # Generator families
 # ---------------------------------------------------------------------------
 
-_PLAIN = ("plain",)
-
-
-def _leg_type(sym: Symbol) -> Optional[tuple]:
-    """Atom classification: I(Xi) -> plain leg, E_ch(I(Xi)) -> decorated leg."""
-    if sym.tag == "int" and sym.child.tag == "xi":
-        return _PLAIN
-    if (sym.tag == "ext" and sym.child.tag == "int"
-            and sym.child.child.tag == "xi"):
-        return ("deco", sym.channel)
-    return None
-
-
-def _leg_symbol(t: tuple, d: int) -> Symbol:
-    rsi = integral(XI)
-    if t == _PLAIN:
-        return rsi
-    sym = ext(t[1], rsi, d)
-    if sym is None:
+def _leg_products(d: int, n_channels: int, k: int) -> list[Symbol]:
+    """Products of k legs over channels 0..n_channels, in a fixed order."""
+    legs = [leg(ch, d) for ch in range(n_channels + 1)]
+    if any(sym is None for sym in legs):
         raise UnsupportedSymbolError(
             f"decorated leg not admissible in dimension {d}")
-    return sym
-
-
-def _leg_alphabet(d: int, n_channels: int) -> list[tuple]:
-    return [_PLAIN] + [("deco", ch) for ch in range(1, n_channels + 1)]
+    return [product(c)
+            for c in itertools.combinations_with_replacement(legs, k)]
 
 
 def pair_family(d: int, n_channels: int = 0) -> list[Symbol]:
     """Leg pairs over {I(Xi)} and the decorated legs (3 members for n = 1)."""
-    out = []
-    for combo in itertools.combinations_with_replacement(
-            _leg_alphabet(d, n_channels), 2):
-        out.append(product([_leg_symbol(t, d) for t in combo]))
-    return out
+    return _leg_products(d, n_channels, 2)
 
 
 def composite_family(d: int, n_channels: int = 0) -> list[Symbol]:
@@ -240,27 +209,30 @@ def divergent_patterns(d: int, n_channels: int = 0) -> list[Symbol]:
     The undecorated pair always does; the undecorated composite only in three
     dimensions (its contraction is logarithmic there, bounded in two).
     """
-    out = [pat for pat in pair_family(d, n_channels)
-           if classify_chaos_zero(pat, d).divergent]
-    out += [pat for pat in composite_family(d, n_channels)
+    return [pat for pat in pair_family(d, n_channels)
+            + composite_family(d, n_channels)
             if classify_chaos_zero(pat, d).divergent]
-    return out
 
 
 def _pattern_sig(pattern: Symbol):
-    """(kind, leg counters) of a generator pattern; raises if unsupported."""
+    """(kind, Counters of leg channels) of a pattern; raises if unsupported."""
     factors = list(pattern.iter_factors())
-    types = [_leg_type(f) for f in factors]
-    if len(factors) == 2 and all(t is not None for t in types):
-        return ("pair", Counter(types))
-    deep = [f for f, t in zip(factors, types) if t is None]
-    legs = [t for t in types if t is not None]
+    chans = [leg_channel(f) for f in factors]
+    if len(factors) == 2 and None not in chans:
+        return ("pair", Counter(chans))
+    deep = [f for f, ch in zip(factors, chans) if ch is None]
+    legs = [ch for ch in chans if ch is not None]
     if (len(deep) == 1 and deep[0].tag == "int" and len(legs) == 2):
-        inner = [_leg_type(f) for f in deep[0].child.iter_factors()]
-        if len(inner) == 2 and all(t is not None for t in inner):
+        inner = [leg_channel(f) for f in deep[0].child.iter_factors()]
+        if len(inner) == 2 and None not in inner:
             return ("composite", Counter(inner), Counter(legs))
     raise UnsupportedSymbolError(
         f"no extraction rule for pattern {to_text(pattern)}")
+
+
+def _decorated(legs: Counter) -> list[int]:
+    """The channels of the decorated legs in a leg Counter, sorted."""
+    return sorted(ch for ch in legs.elements() if ch)
 
 
 def constant_symbol(pattern: Symbol) -> sympy.Symbol:
@@ -273,15 +245,11 @@ def constant_symbol(pattern: Symbol) -> sympy.Symbol:
     """
     sig = _pattern_sig(pattern)
     if sig[0] == "pair":
-        chans = sorted(ch for t, n in sig[1].items() if t != _PLAIN
-                       for ch in [t[1]] * n)
+        chans = _decorated(sig[1])
         if all(ch == 1 for ch in chans):
             return sympy.Symbol("C1" + "p" * len(chans))
     else:
-        inner = sorted(ch for t, n in sig[1].items() if t != _PLAIN
-                       for ch in [t[1]] * n)
-        outer = sorted(ch for t, n in sig[2].items() if t != _PLAIN
-                       for ch in [t[1]] * n)
+        inner, outer = _decorated(sig[1]), _decorated(sig[2])
         if all(ch == 1 for ch in inner + outer):
             return sympy.Symbol("C2" + "p" * len(inner) + "q" * len(outer))
     return sympy.Symbol(f"C[{to_text(pattern)}]")
@@ -304,9 +272,9 @@ def _remove_legs(factors: Sequence[Symbol], need: Counter) -> list[Symbol]:
     left = Counter(need)
     out = []
     for f in factors:
-        t = _leg_type(f)
-        if t is not None and left.get(t, 0) > 0:
-            left[t] -= 1
+        ch = leg_channel(f)
+        if ch is not None and left.get(ch, 0) > 0:
+            left[ch] -= 1
             continue
         out.append(f)
     return out
@@ -315,8 +283,8 @@ def _remove_legs(factors: Sequence[Symbol], need: Counter) -> list[Symbol]:
 def _extract(sig, sym: Symbol, d: int) -> Combo:
     out = Combo()
     factors = list(sym.iter_factors())
-    legs_have = Counter(t for f in factors
-                        if (t := _leg_type(f)) is not None)
+    legs_have = Counter(ch for f in factors
+                        if (ch := leg_channel(f)) is not None)
 
     if sig[0] == "pair":
         need = sig[1]
@@ -330,14 +298,14 @@ def _extract(sig, sym: Symbol, d: int) -> Combo:
             if f.tag != "int":
                 continue
             inner_factors = list(f.child.iter_factors())
-            inner_have = Counter(t for g in inner_factors
-                                 if (t := _leg_type(g)) is not None)
+            inner_have = Counter(ch for g in inner_factors
+                                 if (ch := leg_channel(g)) is not None)
             ways1 = _multiset_ways(inner_have, need_in)
             if not ways1:
                 continue
             others = factors[:idx] + factors[idx + 1:]
-            other_legs = Counter(t for g in others
-                                 if (t := _leg_type(g)) is not None)
+            other_legs = Counter(ch for g in others
+                                 if (ch := leg_channel(g)) is not None)
             ways2 = _multiset_ways(other_legs, need_out)
             if not ways2:
                 continue
@@ -408,10 +376,6 @@ class ChaosZero:
     rate: str
 
 
-def _deco_count(t: tuple) -> int:
-    return 0 if t == _PLAIN else 1
-
-
 def classify_chaos_zero(pattern: Symbol, d: int) -> ChaosZero:
     """Closed form of the pattern's chaos-0 constant and its small-scale order.
 
@@ -422,17 +386,13 @@ def classify_chaos_zero(pattern: Symbol, d: int) -> ChaosZero:
     """
     sig = _pattern_sig(pattern)
     if sig[0] == "pair":
-        m = sum(_deco_count(t) * n for t, n in sig[1].items())
+        m = len(_decorated(sig[1]))
         if m == 0:
             rate = "eps^-1" if d == 3 else "log(1/eps)"
             return ChaosZero("Q0(0)", True, rate)
         return ChaosZero(f"Q{m}(0)", False, "O(1)")
-    inner = sorted(itertools.chain.from_iterable(
-        [_deco_count(t)] * n for t, n in sig[1].items()))
-    outer = sorted(itertools.chain.from_iterable(
-        [_deco_count(t)] * n for t, n in sig[2].items()))
-    a1, a2 = inner
-    b1, b2 = outer
+    a1, a2 = sorted(int(ch > 0) for ch in sig[1].elements())
+    b1, b2 = sorted(int(ch > 0) for ch in sig[2].elements())
     pairings = sorted([tuple(sorted((a1 + b1, a2 + b2))),
                        tuple(sorted((a1 + b2, a2 + b1)))])
     if pairings[0] == pairings[1]:
@@ -457,12 +417,19 @@ def v_symbols(n_channels: int) -> tuple[sympy.Symbol, ...]:
 
 @dataclass(frozen=True)
 class CubicPolynomial:
-    """Polynomial nonlinearity ``F(u, v_1..v_n)`` of total degree at most 3."""
+    """Polynomial nonlinearity ``F(u, v_1..v_n)`` of total degree at most 3.
+
+    ``terms``: the ``(exponents, coefficient)`` pairs of its ``sympy.Poly``.
+    """
 
     expr: sympy.Expr
     n_channels: int = 1
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.n_channels < 0:
+            raise ValueError(
+                f"slow-channel count must be >= 0, got {self.n_channels}")
         expr = sympy.expand(sympy.sympify(self.expr))
         object.__setattr__(self, "expr", expr)
         gens = (U_SYM, *v_symbols(self.n_channels))
@@ -479,6 +446,7 @@ class CubicPolynomial:
             raise ValueError(f"not polynomial in (u, v): {exc}") from None
         if expr != 0 and poly.total_degree() > 3:
             raise ValueError("nonlinearity must have total degree <= 3")
+        object.__setattr__(self, "terms", tuple(poly.terms()))
 
     @property
     def vs(self) -> tuple[sympy.Symbol, ...]:
@@ -487,9 +455,7 @@ class CubicPolynomial:
     def coefficient(self, p: int, q: Sequence[int] = ()) -> sympy.Expr:
         """Coefficient of the exact monomial ``u^p * v1^q1 * ...``."""
         exps = (p,) + tuple(q) + (0,) * (self.n_channels - len(tuple(q)))
-        poly = sympy.Poly(self.expr, U_SYM, *self.vs)
-        return poly.coeff_monomial(
-            sympy.prod(g ** e for g, e in zip((U_SYM, *self.vs), exps)))
+        return dict(self.terms).get(exps, sympy.Integer(0))
 
     @property
     def gamma1(self) -> sympy.Expr:
@@ -522,14 +488,29 @@ class CubicPolynomial:
 # Fixed-point expansion
 # ---------------------------------------------------------------------------
 
-def _family_trees(d: int, n_channels: int):
-    """Deterministic leg triples and pairs (as symbols) for the expansion."""
-    legs = _leg_alphabet(d, n_channels)
-    triples = [product([_leg_symbol(t, d) for t in c])
-               for c in itertools.combinations_with_replacement(legs, 3)]
-    pairs = [product([_leg_symbol(t, d) for t in c])
-             for c in itertools.combinations_with_replacement(legs, 2)]
-    return triples, pairs
+def _substitute(F: CubicPolynomial, u: Combo, vs: Sequence[Combo], d: int,
+                cutoff: Homogeneity) -> Combo:
+    """``F(u, vs)`` on the symbol basis, restricted to homogeneities <= cutoff.
+
+    Partial products are pruned against the most negative homogeneity the
+    remaining factors could still contribute, so the restriction is exact.
+    """
+    out = Combo()
+    for exps, coeff in F.terms:
+        combos = [u] * exps[0]
+        for v, e in zip(vs, exps[1:]):
+            combos += [v] * e
+        mins = [min(homogeneity(s, d) for s in f.terms) for f in combos]
+        term = Combo({ONE: coeff})
+        for i, f in enumerate(combos):
+            room = cutoff
+            for m in mins[i + 1:]:
+                room = room - m
+            term = term * f
+            term.terms = {s: c for s, c in term.terms.items()
+                          if homogeneity(s, d) <= room}
+        out = out + term
+    return out.expanded()
 
 
 @dataclass
@@ -544,7 +525,6 @@ class FixedPointExpansion:
     """
 
     d: int
-    n_channels: int
     F: CubicPolynomial
     u_combo: Combo
     v_combos: tuple[Combo, ...]
@@ -554,38 +534,8 @@ class FixedPointExpansion:
     psi: tuple[sympy.Symbol, ...]
     hatted: tuple[sympy.Symbol, ...]
 
-    def substituted(self, cutoff: Optional[Homogeneity] = None) -> Combo:
-        """``F(U, V...)`` expanded on the symbol basis.
 
-        With ``cutoff`` the result is restricted to homogeneities <= cutoff;
-        partial products are pruned against the most negative homogeneity the
-        remaining factors could still contribute, so the restriction is exact.
-        """
-        poly = sympy.Poly(self.F.expr, U_SYM, *self.F.vs)
-        out = Combo()
-        for exps, coeff in poly.terms():
-            combos = [self.u_combo] * exps[0]
-            for vi, e in enumerate(exps[1:]):
-                combos += [self.v_combos[vi]] * e
-            term = Combo({ONE: coeff})
-            if cutoff is None:
-                for f in combos:
-                    term = term * f
-            else:
-                mins = [min(homogeneity(s, self.d) for s in f.terms)
-                        for f in combos]
-                for i, f in enumerate(combos):
-                    room = cutoff
-                    for m in mins[i + 1:]:
-                        room = room - m
-                    term = (term * f).truncated(self.d, room)
-            out = out + term
-        return out.expanded()
-
-
-def fixed_point_expansion(F: CubicPolynomial, d: int,
-                          n_channels: Optional[int] = None
-                          ) -> FixedPointExpansion:
+def fixed_point_expansion(F: CubicPolynomial, d: int) -> FixedPointExpansion:
     """Read the expansion coefficients off the nonlinearity.
 
     The triple coefficients ``a_i`` are the cubic coefficients of matching
@@ -594,61 +544,45 @@ def fixed_point_expansion(F: CubicPolynomial, d: int,
     Both are obtained by substituting the first-order proxies
     ``u -> RSI + phi``, ``v_i -> E_i(RSI) + psi_i`` and collecting.
     """
-    if n_channels is None:
-        n_channels = F.n_channels
-    rsi = integral(XI)
+    n_channels = F.n_channels
+    rsi = leg(0, d)
     phi = sympy.Symbol("phi")
     psi = tuple(sympy.Symbol(f"psi{i}") for i in range(1, n_channels + 1))
-    triples, pairs = _family_trees(d, n_channels)
+    triples = _leg_products(d, n_channels, 3)
+    pairs = _leg_products(d, n_channels, 2)
 
-    proxy_u = Combo({rsi: 1, ONE: phi})
-    proxy_vs = [Combo({ext(i + 1, rsi, d): 1, ONE: psi[i]})
-                for i in range(n_channels)]
-    poly = sympy.Poly(F.expr, U_SYM, *F.vs)
-    first_order = Combo()
-    for exps, coeff in poly.terms():
-        term = Combo({ONE: coeff})
-        term = term * proxy_u.power(exps[0])
-        for vi, e in enumerate(exps[1:]):
-            term = term * proxy_vs[vi].power(e)
-        first_order = first_order + term
-    first_order = first_order.expanded()
-
+    # every leg triple and pair has negative homogeneity, so cutoff 0 keeps
+    # all the coefficients read below
+    first_order = _substitute(
+        F, Combo({rsi: 1, ONE: phi}),
+        [Combo({leg(ch, d): 1, ONE: psi[ch - 1]})
+         for ch in range(1, n_channels + 1)], d, Homogeneity(0))
     a = {w: first_order.coeff(w) for w in triples}
     b = {p: first_order.coeff(p) for p in pairs}
 
-    grad_u = [sympy.Symbol(f"dphi{i}") for i in range(d + 1)]
     u_combo = Combo({rsi: 1, ONE: phi})
-    for w, aw in a.items():
-        if aw != 0:
-            u_combo.add(integral(w), aw)
-    for p, bp in b.items():
-        if bp != 0:
-            u_combo.add(integral(p), bp)
+    for w, c in [*a.items(), *b.items()]:
+        u_combo.add(integral(w), c)     # adding 0 leaves no term
     for i in range(d + 1):
-        u_combo.add(x_power(i, d), grad_u[i])
+        u_combo.add(x_power(i, d), sympy.Symbol(f"dphi{i}"))
 
     hatted: list[sympy.Symbol] = []
     v_combos = []
     for ch in range(1, n_channels + 1):
         tag = "" if n_channels == 1 else str(ch)
-        vc = Combo({ext(ch, rsi, d): 1, ONE: psi[ch - 1]})
-        for t_idx, w in enumerate(triples, start=1):
-            s = sympy.Symbol(f"ah{tag}{t_idx}")
-            hatted.append(s)
-            vc.add(integral(w), s)
-        for p_idx, p in enumerate(pairs, start=1):
-            s = sympy.Symbol(f"bh{tag}{p_idx}")
-            hatted.append(s)
-            vc.add(integral(p), s)
+        vc = Combo({leg(ch, d): 1, ONE: psi[ch - 1]})
+        for prefix, trees in (("ah", triples), ("bh", pairs)):
+            for idx, w in enumerate(trees, start=1):
+                s = sympy.Symbol(f"{prefix}{tag}{idx}")
+                hatted.append(s)
+                vc.add(integral(w), s)
         for i in range(d + 1):
             vc.add(x_power(i, d), sympy.Symbol(f"dpsi{tag}_{i}"))
         v_combos.append(vc)
 
     return FixedPointExpansion(
-        d=d, n_channels=n_channels, F=F, u_combo=u_combo,
-        v_combos=tuple(v_combos), a=a, b=b, phi=phi, psi=psi,
-        hatted=tuple(hatted))
+        d=d, F=F, u_combo=u_combo, v_combos=tuple(v_combos), a=a, b=b,
+        phi=phi, psi=psi, hatted=tuple(hatted))
 
 
 # ---------------------------------------------------------------------------
@@ -706,16 +640,26 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
     if constants is None:
         constants = default_constants(d, n)
     constants = {pat: sympy.sympify(c) for pat, c in constants.items()}
-    fp = fixed_point_expansion(F, d, n)
+    # float constants round differently on the two sides of an identity:
+    # float coefficients below 1e-12 of the largest constant count as zero
+    tol = 1e-12 * max([abs(f) for c in constants.values()
+                       for f in c.atoms(sympy.Float)], default=0.0)
+
+    def vanishes(x: sympy.Expr) -> bool:
+        x = sympy.expand(x)
+        return x.xreplace({f: 0 for f in x.atoms(sympy.Float)
+                           if abs(f) <= tol}) == 0
+
+    fp = fixed_point_expansion(F, d)
     # every extraction pattern has strictly negative homogeneity, so M - id
     # can only raise it: the sector at or below zero of (M - id)(G) is
     # computed exactly from the same sector of G
-    G = fp.substituted(Homogeneity(0))
+    G = _substitute(F, fp.u_combo, fp.v_combos, d, Homogeneity(0))
     M = RenormMap(constants, d)
     delta = (M.apply(G) + G.scaled(-1)).expanded()
 
-    rsi = integral(XI)
-    targets = [ONE, rsi] + [ext(i, rsi, d) for i in range(1, n + 1)]
+    rsi = leg(0, d)
+    targets = [ONE] + [leg(i, d) for i in range(n + 1)]
     totals = {t: delta.coeff(t) for t in targets}
     for sym, c in delta.terms.items():
         if sym not in targets:
@@ -734,27 +678,25 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
             obstruction.append((res, t))
 
     c1 = sympy.expand(-pure[rsi])
-    c2 = tuple(sympy.expand(-pure[ext(i, rsi, d)]) for i in range(1, n + 1))
+    c2 = tuple(sympy.expand(-pure[leg(i, d)]) for i in range(1, n + 1))
     zero_local = {fp.phi: 0, **{p: 0 for p in fp.psi}}
     c0 = sympy.expand(-pure[ONE].subs(zero_local))
     residual = sympy.expand(pure[ONE] + c0 + c1 * fp.phi
                             + sum(ci * pi for ci, pi in zip(c2, fp.psi)))
-    factorized = residual == 0 and not obstruction
-    if residual != 0:
+    if not vanishes(residual):
         # leftover local dependence that no constant-coefficient counterterm
         # reproduces; report it against the unit symbol
         obstruction.append((sympy.expand(-residual), ONE))
+    factorized = not obstruction
 
     pair0 = product([rsi, rsi])
     C1 = constants.get(pair0, sympy.Integer(0))
     comp0 = product([integral(pair0), pair0])
     C2 = constants.get(comp0, sympy.Integer(0))
-    gamma1 = F.gamma1
-    C_eps = sympy.expand(3 * C1 + 9 * gamma1 * C2)
+    C_eps = sympy.expand(3 * C1 + 9 * F.gamma1 * C2)
     proportional = (
-        sympy.expand(c0 - F.beta1 * C_eps / 3) == 0
-        and sympy.expand(c1 - gamma1 * C_eps) == 0
-        and all(sympy.expand(ci - F.gamma2(i + 1) * C_eps / 3) == 0
+        vanishes(c0 - F.beta1 * C_eps / 3) and vanishes(c1 - F.gamma1 * C_eps)
+        and all(vanishes(ci - F.gamma2(i + 1) * C_eps / 3)
                 for i, ci in enumerate(c2)))
 
     Fhat = F.expr - c0 - c1 * U_SYM - sum(

@@ -52,7 +52,7 @@ from .noise import (
     sample_white_noise,  # noqa: F401  (unused; perfbench's tests trace it)
     _temporal_weights,
 )
-from .renorm import U_SYM, CubicPolynomial
+from .renorm import CubicPolynomial
 
 __all__ = [
     "QSpec",
@@ -150,6 +150,8 @@ class RunConfig:
     def validate(self, d: int, n_v: int = 1) -> None:
         if self.cutoff <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("cutoff, dt, and t_end must be positive")
+        if self.n_space < 2:      # Lattice's rule, before the guard divides
+            raise ValueError(f"n_space = {self.n_space}: degenerate lattice")
         if self.eps < 2.0 / self.n_space:
             raise ValueError("eps=%g below the resolution guard 2*dx=%g"
                              % (self.eps, 2.0 / self.n_space))
@@ -270,7 +272,7 @@ class Stepper:
         # self._a[p] lists the nonzero terms (coefficient, v-channel
         # factors) of the u^p coefficient, e.g. (2.0, (0, 0, 1)) = 2 v1^2 v2
         a: list[dict] = [{} for _ in range(4)]
-        for (p, *q), c in sympy.Poly(spec.F.expr, U_SYM, *spec.F.vs).terms():
+        for (p, *q), c in spec.F.terms:
             a[p][tuple(q)] = float(c)
         if spec.renorm is not None:
             zero = (0,) * spec.Q.n

@@ -14,6 +14,9 @@ are absorbed, ``I`` applied to a purely polynomial argument is zero, and
 ``E_i`` applied to a symbol whose homogeneity lies outside the open sector
 ``(-2, 0)`` is zero.  Zero is not a symbol: constructors return ``None`` and
 linear combinations simply drop the term.
+
+Legs are encoded here only: :func:`leg` builds I(Xi) (channel 0) or E_i(I(Xi))
+(channel i), and :func:`leg_channel` reads the channel back (None: not a leg).
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ __all__ = [
     "ext",
     "product",
     "power",
+    "leg",
+    "leg_channel",
     "canonicalize",
     "homogeneity",
     "xi_count",
@@ -103,10 +108,6 @@ class Scaling:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise StructureError(f"spatial dimension must be >= 1, got {self.d}")
-
-    @property
-    def weights(self) -> tuple[int, ...]:
-        return (2,) + (1,) * self.d
 
     def degree(self, k: Sequence[int]) -> int:
         """Scaled degree ``|k|_s = 2*k0 + k1 + ... + kd`` of a multiindex."""
@@ -297,6 +298,22 @@ def power(base: Optional[Symbol], n: int) -> Optional[Symbol]:
     return product([base] * n)
 
 
+def leg(channel: int, d: int) -> Optional[Symbol]:
+    """The leg I(Xi) for channel 0, its decoration E_channel(I(Xi)) otherwise."""
+    rsi = integral(XI)
+    return rsi if channel == 0 else ext(channel, rsi, d)
+
+
+def leg_channel(sym: Symbol) -> Optional[int]:
+    """0 for I(Xi), i for E_i(I(Xi)), None for a symbol that is not a leg."""
+    # a flat tag check: display_name classifies every factor of every term
+    if sym.tag == _INT:
+        return 0 if sym.child.tag == _XI else None
+    if sym.tag == _EXT and sym.child.tag == _INT and sym.child.child.tag == _XI:
+        return sym.channel
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Raw trees and canonicalisation
 # ---------------------------------------------------------------------------
@@ -427,15 +444,14 @@ def to_text(sym: Symbol) -> str:
 
 def _legs_profile(sym: Symbol) -> Optional[tuple[int, int]]:
     """(#I(Xi) legs, #E_i(I(Xi)) legs) when sym is a product of such legs."""
-    plain = deco = 0
-    for f in sym.iter_factors():
-        if f.tag == _INT and f.child.tag == _XI:
-            plain += 1
-        elif f.tag == _EXT and f.child.tag == _INT and f.child.child.tag == _XI:
-            deco += 1
-        else:
+    factors = sym.factors or (sym,)
+    deco = 0
+    for f in factors:
+        ch = leg_channel(f)
+        if ch is None:
             return None
-    return (plain, deco)
+        deco += ch > 0
+    return (len(factors) - deco, deco)
 
 
 _LEG_NAMES = {(1, 0): "RSI", (0, 1): "RSoI"}
@@ -461,31 +477,26 @@ def display_name(sym: Symbol) -> str:
         total = p + q
         if total == 1:
             return _LEG_NAMES[prof]
-        if total in _PAIR_BASE and total >= 2:
+        if total in _PAIR_BASE:
             return _PAIR_BASE[total] + "o" * q
     if sym.tag == _INT:
         prof = _legs_profile(sym.child)
         if prof is not None:
             p, q = prof
             total = p + q
-            if total in _INT_BASE and q == 0:
-                return _INT_BASE[total]
             if total in _INT_BASE:
                 return _INT_BASE[total] + "o" * q
     if sym.tag == _PROD:
-        # composite I(legs)*legs: exactly one non-leg factor, itself I of legs
-        def _is_leg(f: Symbol) -> bool:
-            return _legs_profile(f) is not None
-
-        deep = [f for f in sym.factors if not _is_leg(f)]
+        # composite I(legs)*legs: exactly one non-leg factor, itself I of
+        # legs; the outer legs must all be plain
+        chans = [leg_channel(f) for f in sym.factors]
+        deep = [f for f, ch in zip(sym.factors, chans) if ch is None]
         if len(deep) == 1 and deep[0].tag == _INT:
             inner_prof = _legs_profile(deep[0].child)
-            outer = [f for f in sym.factors if _is_leg(f)]
-            outer_prof = _legs_profile(product(outer)) if outer else None
-            if inner_prof is not None and outer_prof is not None:
-                base = _COMPOSITE_BASE.get(
-                    (sum(inner_prof), sum(outer_prof)))
-                if base is not None and outer_prof[1] == 0:
+            outer = [ch for ch in chans if ch is not None]
+            if inner_prof is not None and not any(outer):
+                base = _COMPOSITE_BASE.get((sum(inner_prof), len(outer)))
+                if base is not None:
                     return base + "o" * inner_prof[1]
         # products with a monomial factor: name the rest, append the monomial
         monos = [f for f in sym.factors if f.tag == _MONO]

@@ -16,6 +16,7 @@ from fhnspde.cli import (
     parse_nonlinearity,
     parse_symbol_expr,
 )
+from fhnspde.hopf import coproduct
 from fhnspde.symbols import (
     ONE,
     XI,
@@ -147,6 +148,13 @@ def test_usage_errors_exit_1(outdir, capsys):
     assert main(["symbols", "--dim", "5"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+    # a negative slow-channel count is a usage error, not a silent zero
+    for argv in (["symbols", "--channels", "-2"],
+                 ["renorm-eq", "--dim", "3", "--F", "u - u^3",
+                  "--channels", "-1"]):
+        assert main(argv) == 1
+        assert "negative" in capsys.readouterr().err
+        assert not (outdir / argv[0]).exists()
 
 
 def test_version_flag():
@@ -221,6 +229,55 @@ def test_renorm_eq_obstruction_reported(outdir, capsys):
     rd = _run_dir(outdir, "renorm-eq")
     payload = json.loads((rd / "renorm_eq.json").read_text())
     assert payload["obstruction"]
+
+
+# ---------------------------------------------------------------------------
+# pinned symbolic outputs: a refactor of the symbolic layers must keep them
+# ---------------------------------------------------------------------------
+
+def test_pinned_symbol_table_and_coproducts():
+    table = enumerate_symbols(3, Homogeneity(Fraction(1, 2)), n_channels=2)
+    h = hashlib.sha256()
+    for r in table.rows:
+        h.update(f"{r.name}\t{to_text(r.symbol)}\t{r.hom}\t"
+                 f"{coproduct(r.symbol, 3).text()}\n".encode())
+    assert len(table.rows) == 421
+    assert h.hexdigest() == ("72f5c6b287616a7dee6bab897750241b"
+                             "a87dbdac6e151f01ef28fe0a0df2baa4")
+
+
+_FHN = {"c0": "0", "c1": "-3*C1 + 9*C2", "C_eps": "3*C1 - 9*C2",
+        "proportional": True}
+_PINNED_RENORM_EQ = [
+    (["--dim", "2", "--F", "u - u^3 - v"],
+     {"F": "-u**3 + u - v1", "dim": 2, "c0": "0", "c1": "-3*C1",
+      "c2": ["0"], "C_eps": "3*C1", "proportional": True,
+      "factorized": True, "obstruction": [],
+      "Fhat": "3*C1*u - u**3 + u - v1"}),
+    (["--dim", "3", "--F", "u - u^3 - v"],
+     {"F": "-u**3 + u - v1", "dim": 3, **_FHN, "c2": ["0"],
+      "factorized": True, "obstruction": [],
+      "Fhat": "3*C1*u - 9*C2*u - u**3 + u - v1"}),
+    (["--dim", "3", "--F", "u - u^3 + u^2*v"],
+     {"F": "-u**3 + u**2*v1 + u", "dim": 3, **_FHN, "c2": ["C1 - 3*C2"],
+      "factorized": False,
+      "obstruction": [["-C2*bh1", "One"], ["-3*C2*ah1", "I(Xi)"],
+                      ["-C2*ah2", "E(I(Xi))"]],
+      "Fhat": "3*C1*u - C1*v1 - 9*C2*u + 3*C2*v1 - u**3 + u**2*v1 + u"}),
+    (["--dim", "3", "--F", "3*u + v1 - u^3", "--channels", "2"],
+     {"F": "-u**3 + 3*u + v1", "dim": 3, **_FHN, "c2": ["0", "0"],
+      "factorized": True, "obstruction": [],
+      "Fhat": "3*C1*u - 9*C2*u - u**3 + 3*u + v1"}),
+]
+
+
+@pytest.mark.parametrize("args, payload", _PINNED_RENORM_EQ)
+def test_pinned_renorm_eq_payloads(outdir, capsys, args, payload):
+    assert main(["renorm-eq"] + args) == 0
+    text = (_run_dir(outdir, "renorm-eq") / "renorm_eq.json").read_text()
+    keys = ["F", "dim", "c0", "c1", "c2", "C_eps", "proportional",
+            "factorized", "obstruction", "Fhat"]
+    assert text == json.dumps({k: payload[k] for k in keys}, indent=2)
 
 
 def test_constants_csv_d2(outdir):
@@ -331,7 +388,9 @@ def test_converge_grid_guard(outdir, tmp_path, capsys):
     for old, new in (("eps_list = 2^-2", "eps_list = 2^-3"),
                      ("dim = 2", "dim = 2\ncutoff = -1"),
                      ("record_every = 2", "record_every = 0"),
-                     ("seed = 1", "seed = -1")):
+                     ("seed = 1", "seed = -1"),
+                     ("n_space = 16", "n_space = 0"),
+                     ("n_space = 16", "n_space = -4")):
         p.write_text(CFG.replace(old, new))
         assert main(["converge", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -353,6 +412,8 @@ def test_simulate_rejects_record_interval_below_one(outdir, tmp_path, capsys,
     ("seed = 1", f"seed = {2 ** 64}", "seed"),
     ("snapshots = 4e-3", "snapshots = 0.5 -0.1", "snapshot"),
     ("snapshots = 4e-3", "snapshots = 2e-3 2.2e-3", "snapshot"),
+    ("n_space = 16", "n_space = 0", "n_space"),
+    ("n_space = 16", "n_space = -4", "n_space"),
 ])
 def test_simulate_rejects_bad_seed_and_snapshot_times(outdir, tmp_path,
                                                       capsys, old, new, frag):

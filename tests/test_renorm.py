@@ -1,7 +1,12 @@
 """Renormalisation group: extraction counts, map identities, counterterms."""
 
+import itertools
+import random
+
 import pytest
 import sympy
+
+from fhnspde.kernels import KernelConstants, assemble_C
 
 from fhnspde.renorm import (
     Combo,
@@ -19,6 +24,7 @@ from fhnspde.renorm import (
     renormalized_nonlinearity,
 )
 from fhnspde.renorm import U_SYM, v_symbols
+from fhnspde.solver import QSpec, SystemSpec
 from fhnspde.symbols import (
     ONE,
     XI,
@@ -266,6 +272,8 @@ def test_cubic_polynomial_validation():
         CubicPolynomial(sympy.Symbol("v2") * U, 1)  # undeclared channel
     with pytest.raises(ValueError):
         CubicPolynomial(sympy.sin(U), 1)
+    with pytest.raises(ValueError, match="channel"):
+        CubicPolynomial(U, -1)
     F = CubicPolynomial.standard_fhn()
     assert F.expr == U - U ** 3 - V1
     assert F.gamma1 == -1 and F.beta1 == 0 and F.gamma2(1) == 0
@@ -374,3 +382,51 @@ def test_default_constants():
     cs = default_constants(3, 1)
     assert cs == {CT["RSV"]: C1, pat_comp(): C2}
     assert default_constants(2, 1) == {common_trees(2)["RSV"]: C1}
+
+
+# ---------------------------------------------------------------------------
+# Hand-written counterterm rules against the derivation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d, n, seed", [
+    (d, n, seed) for d in (2, 3) for n in (1, 2) for seed in range(3)]
+    + [(3, 2, 3)])      # u^2 v2 present, u^2 v1 absent
+def test_hand_written_counterterm_rules_match_derivation(d, n, seed):
+    # a random cubic with every monomial present, except that each u^2 v_i
+    # coefficient is dropped with probability 1/2, so both sides of the
+    # d = 3 rule occur
+    rng = random.Random(1000 * d + 100 * n + seed)
+    gens = (U, *v_symbols(n))
+    expr = 0
+    for e in itertools.product(range(4), repeat=n + 1):
+        if 0 < sum(e) <= 3:
+            coeff = rng.choice([-3, -2, -1, 1, 2, 3])
+            if e[0] == 2 and sum(e) == 3 and rng.random() < 0.5:
+                coeff = 0
+            expr += coeff * sympy.prod(g ** k for g, k in zip(gens, e))
+    F = CubicPolynomial(expr + rng.choice([-1, 1]), n)
+    gamma2 = [float(F.gamma2(i)) for i in range(1, n + 1)]
+    C1, C2 = rng.uniform(0.5, 5.0), rng.uniform(0.01, 0.5)
+    ct = common_trees(d)
+    constants = {ct["RSV"]: C1}
+    if d == 3:
+        constants[product([integral(ct["RSV"]), ct["RSV"]])] = C2
+    eq = renormalized_nonlinearity(F, d, constants)
+
+    assert eq.factorized == (d == 2 or not any(gamma2))
+    assert eq.proportional or not eq.factorized
+    want = assemble_C(float(F.beta1), float(F.gamma1), gamma2,
+                      KernelConstants(d=d, eps=0.1, C1=C1, Q1_0=0.0, Q2_0=0.0,
+                                      C2=C2 if d == 3 else None))
+    assert float(-eq.c0) == pytest.approx(want.C0, rel=1e-12, abs=1e-12)
+    assert float(-eq.c1) == pytest.approx(want.C1_sys, rel=1e-12, abs=1e-12)
+    assert [float(-c) for c in eq.c2] == pytest.approx(
+        list(want.C2_sys), rel=1e-12, abs=1e-12)
+    # SystemSpec refuses exactly the renormalised systems that do not factor
+    Q = QSpec(A1=(1.0,) * n, A2=tuple(tuple(-float(i == j) for j in range(n))
+                                      for i in range(n)))
+    if eq.factorized:
+        SystemSpec(d=d, F=F, Q=Q, renorm=want)
+    else:
+        with pytest.raises(ValueError, match="u\\^2 v_i"):
+            SystemSpec(d=d, F=F, Q=Q, renorm=want)

@@ -115,8 +115,11 @@ def test_config_validation():
                      ({"snapshot_times": (0.5,)}, 1),
                      # one step at dt = 1e-3: one snapshot would be lost
                      ({"snapshot_times": (0.005, 0.0052)}, 1),
-                     ({"snapshot_times": (math.nan,)}, 1)):
-        with pytest.raises(ValueError, match="seed|snapshot"):
+                     ({"snapshot_times": (math.nan,)}, 1),
+                     # Lattice's rule, checked before the eps guard divides
+                     ({"n_space": 1}, 1), ({"n_space": 0}, 1),
+                     ({"n_space": -4}, 1)):
+        with pytest.raises(ValueError, match="seed|snapshot|n_space"):
             replace(good, **bad).validate(2, n_v)
 
 
