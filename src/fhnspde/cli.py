@@ -21,6 +21,7 @@ import json
 import math
 import os
 import re
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -251,6 +252,9 @@ class RunDir:
 
     def write_manifest(self) -> Path:
         self.manifest["elapsed_seconds"] = round(time.time() - self.t0, 3)
+        # ru_maxrss is in KiB on Linux: the process's peak so far, imports too
+        self.manifest["peak_rss_mb"] = round(
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
         inventory = []
         for p in sorted(self.path.iterdir()):
             if p.name == "manifest.json":

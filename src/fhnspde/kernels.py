@@ -342,26 +342,33 @@ def kernel_moments(kernel: TruncatedKernel, order: int = 9,
     an independent estimate of the continuum moments.
     """
     monos = _moment_monomials(kernel.zeta)
-    return _kernel_moments(lambda t, r: kernel(t, r), kernel.d, kernel.outer,
-                           monos, order, t_min, ratio, n_core, kernel.inner)
+    table = _kernel_moments(lambda t, r: [kernel(t, r)], kernel.d,
+                            kernel.outer, monos, order, t_min, ratio, n_core,
+                            kernel.inner)
+    return tuple(float(v) for v in table[0])
 
 
-def _kernel_moments(func: Callable, d: int, outer: float,
+def _kernel_moments(funcs: Callable, d: int, outer: float,
                     monos: Sequence[Callable], order: int, t_min: float,
-                    ratio: float, n_core: int,
-                    inner: float) -> tuple[float, ...]:
+                    ratio: float, n_core: int, inner: float) -> np.ndarray:
+    """(n_funcs, n_monos) moments of the rows ``funcs(t, r)`` returns.
+
+    One row-wise pass: each t row's r grid, shell weights and monomials are
+    built once and shared by every function.
+    """
     t_edges = _insert_edges(geometric_edges(0.0, outer, t_min, ratio), [inner])
     tg = panel_grid(t_edges, order)
     r_top = math.sqrt(outer)
-    out = np.zeros(len(monos))
+    out = 0.0
     for t, wt in zip(tg.nodes, tg.weights):
         breaks = [math.sqrt(v - t) for v in (inner, outer) if v > t]
         rg = _row_r_grid(t, r_top, order, n_core, breaks=breaks)
         shell = _shell(rg, d)
-        vals = func(np.full_like(rg.nodes, t), rg.nodes)
-        for j, m in enumerate(monos):
-            out[j] += wt * float(shell @ (vals * m(t, rg.nodes)))
-    return tuple(float(v) for v in out)
+        mono_vals = [m(t, rg.nodes) for m in monos]
+        rows = funcs(np.full_like(rg.nodes, t), rg.nodes)
+        out = out + wt * np.array([[shell @ (vals * m) for m in mono_vals]
+                                   for vals in rows])
+    return out
 
 
 def build_truncated_kernel(d: int, zeta: int = 2, inner: float = 0.5,
@@ -377,18 +384,12 @@ def build_truncated_kernel(d: int, zeta: int = 2, inner: float = 0.5,
     raw = TruncatedKernel(d=d, zeta=zeta, inner=inner, outer=outer)
     monos = _moment_monomials(zeta)
 
-    def base(t, r):
-        return heat_kernel(t, r, d) * raw.cutoff(np.square(r) + np.abs(t))
+    def rows(t, r):
+        base = heat_kernel(t, r, d) * raw.cutoff(np.square(r) + np.abs(t))
+        return [base] + raw._bump_shapes(t, r)
 
-    shape_funcs = [
-        (lambda t, r, i=i: raw._bump_shapes(t, r)[i])
-        for i in range(len(raw._bump_shapes(np.array(0.3), np.array(0.3))))
-    ]
-    A = np.array([
-        _kernel_moments(sh, d, outer, monos, 10, 1e-9, 1.8, 6, inner)
-        for sh in shape_funcs
-    ]).T
-    g = np.array(_kernel_moments(base, d, outer, monos, 10, 1e-9, 1.8, 6, inner))
+    table = _kernel_moments(rows, d, outer, monos, 10, 1e-9, 1.8, 6, inner)
+    g, A = table[0], table[1:].T
     coeffs = np.linalg.solve(A, -g)
     kernel = replace(raw, bump_coeffs=tuple(coeffs))
     residuals = kernel_moments(kernel)
@@ -934,7 +935,17 @@ def verify_appendix_bounds(d: int, eps_list: Sequence[float],
     sup |K^Q - K^Q_eps| |x|^(1+theta) eps^(-theta) bounded.  Each check
     passes iff its ratio sequence has no upward trend as eps -> 0
     (log-log slope <= ``trend_tol``).
+
+    Raises ``ValueError`` for a non-finite or negative ``theta``, a
+    non-finite ``trend_tol`` or fewer than two distinct scales: none of them
+    can certify a trend.
     """
+    if not (math.isfinite(theta) and theta >= 0):
+        raise ValueError(f"theta must be finite and >= 0, got {theta}")
+    if not math.isfinite(trend_tol):
+        raise ValueError(f"trend_tol must be finite, got {trend_tol}")
+    if len(set(float(e) for e in eps_list)) < 2:
+        raise ValueError("a trend needs at least two distinct scales")
     kernel = build_truncated_kernel(d)
     rho = MollifierSpec(d)
     Q = ou_weight(1.0, 1.0, T)

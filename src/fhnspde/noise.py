@@ -27,7 +27,6 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 from numpy.random import Philox
-from scipy.signal import fftconvolve
 from scipy.special import j0
 
 from .kernels import MollifiedKernel, MollifierSpec, panel_grid
@@ -333,6 +332,8 @@ def _temporal_weights(spec: MollifierSpec, eps: float, dt: float
 def mollify_noise(xi: NoiseField, eps: float,
                   spec: Optional[MollifierSpec] = None) -> Field:
     """Discrete rho_eps * xi: direct in time, Fourier (periodised) in space."""
+    # deferred: scipy.signal (and the scipy.stats it loads) is a large import
+    from scipy.signal import fftconvolve
     lat = xi.lattice
     if eps < 2.0 * lat.dx:
         raise ResolutionError(

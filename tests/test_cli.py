@@ -155,6 +155,14 @@ def test_usage_errors_exit_1(outdir, capsys):
         assert main(argv) == 1
         assert "negative" in capsys.readouterr().err
         assert not (outdir / argv[0]).exists()
+    # verify-bounds inputs that cannot certify a trend fail before any
+    # quadrature: a NaN or negative theta, a NaN tolerance, a single scale
+    for extra in (["--theta", "nan"], ["--theta", "-1"], ["--tol", "nan"],
+                  ["--eps-list", "2^-3"]):
+        argv = ["verify-bounds", "--dim", "2", "--eps-list", "2^-3,2^-4"]
+        assert main(argv + extra) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (outdir / "verify-bounds").exists()
 
 
 def test_version_flag():
@@ -290,6 +298,9 @@ def test_constants_csv_d2(outdir):
     c1 = [float(r["C1"]) for r in rows]
     assert all(v > 0 for v in c1)
     assert c1[1] > c1[0]  # log divergence as eps shrinks
+    manifest = json.loads((rd / "manifest.json").read_text())
+    rss = manifest["peak_rss_mb"]
+    assert math.isfinite(rss) and rss > 0
 
 
 # ---------------------------------------------------------------------------

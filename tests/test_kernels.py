@@ -1,11 +1,13 @@
 """Closed-form oracles and invariants for the numerical kernel pipeline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import erfc, exp1
 
+from fhnspde import kernels
 from fhnspde.kernels import (
     BoundCheck,
     CounterTerms,
@@ -223,6 +225,41 @@ def test_truncated_kernel_zeta_zero():
     K = build_truncated_kernel(2, zeta=0)
     assert len(K.bump_coeffs) == 1
     assert abs(K.moment_residuals[0]) < 1e-6
+
+
+def _moments_one_function(func, d, monos):
+    # one row-wise quadrature pass per function, on the construction grid
+    t_edges = kernels._insert_edges(
+        geometric_edges(0.0, 1.0, 1e-9, 1.8), [0.5])
+    tg = panel_grid(t_edges, 10)
+    out = np.zeros(len(monos))
+    for t, wt in zip(tg.nodes, tg.weights):
+        breaks = [math.sqrt(v - t) for v in (0.5, 1.0) if v > t]
+        rg = kernels._row_r_grid(t, 1.0, 10, 6, breaks=breaks)
+        shell = kernels._shell(rg, d)
+        vals = func(np.full_like(rg.nodes, t), rg.nodes)
+        for j, m in enumerate(monos):
+            out[j] += wt * float(shell @ (vals * m(t, rg.nodes)))
+    return tuple(float(v) for v in out)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_truncated_kernel_matches_four_pass_reference(d):
+    # the loop version: base and each annulus shape get a pass of their own
+    raw = kernels.TruncatedKernel(d=d)
+    monos = kernels._moment_monomials(2)
+
+    def base(t, r):
+        return heat_kernel(t, r, d) * raw.cutoff(np.square(r) + np.abs(t))
+
+    shapes = [(lambda t, r, i=i: raw._bump_shapes(t, r)[i]) for i in range(3)]
+    A = np.array([_moments_one_function(sh, d, monos) for sh in shapes]).T
+    g = np.array(_moments_one_function(base, d, monos))
+    coeffs = tuple(np.linalg.solve(A, -g))
+    ref = replace(raw, bump_coeffs=coeffs)
+    K = build_truncated_kernel(d)
+    assert K.bump_coeffs == coeffs
+    assert K.moment_residuals == kernel_moments(ref)
 
 
 def test_truncated_kernel_rejects_bad_zeta():

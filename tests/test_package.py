@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import fhnspde
@@ -34,3 +37,15 @@ def test_benchmark_tracer_targets_resolve():
         for part in attr_path.split("."):
             obj = getattr(obj, part, None)
         assert callable(obj), f"{module}.{attr_path} is not callable"
+
+
+def test_cli_import_skips_scipy_signal_and_stats():
+    # scipy.signal (and the scipy.stats it loads) costs every command about
+    # 0.7 s and 23 MB at start-up; only noise.mollify_noise needs it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import sys, fhnspde.cli; print(' '.join(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
