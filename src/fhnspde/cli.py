@@ -458,6 +458,13 @@ _I_KEYS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 def cmd_constants(args) -> int:
     eps_list = _parse_eps_list(args.eps_list)
+    # the manifest keys each scale by 6 significant digits: two scales with
+    # one key would compute twice and keep one record
+    keys = [f"eps={e:.6g}" for e in eps_list]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise UsageError("scales repeat in the scale list: "
+                         + ", ".join(repeated))
     full = args.full or args.dim == 3
     kernel = build_truncated_kernel(args.dim)
     rd = RunDir("constants")
@@ -506,8 +513,7 @@ def cmd_constants(args) -> int:
               f"(ratio {spread:.4f})")
         if args.check and not ok:
             status = 2
-    rd.manifest["constants"] = {
-        f"eps={e:.6g}": c.as_dict() for e, c in zip(eps_list, recs)}
+    rd.manifest["constants"] = {k: c.as_dict() for k, c in zip(keys, recs)}
     rd.manifest["fit"] = fit
     rd.write_manifest()
     return status

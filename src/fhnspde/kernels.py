@@ -402,25 +402,41 @@ def build_truncated_kernel(d: int, zeta: int = 2, inner: float = 0.5,
 # Radial convolution
 # ---------------------------------------------------------------------------
 
-# f-side block budget of radial_convolve: (f row, rho node, s node) triples
-_F_BLOCK = 2 ** 13
+# f-side block budget: (f row, rho node, s node) triples of one operator
+# block, times the angular nodes in d = 2, where the integrand is sampled at
+# every (rho, s, theta).  The blocks of radial_convolve (over rho) and of
+# correlate (over the rows of A) are sized from it.
+_F_BLOCK = 2 ** 15
+_N_THETA = 24
 
 
-def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
-                    rho, n_theta: int = 24) -> np.ndarray:
-    """Radial convolution (f * g)(|x|) in R^d, d in {2, 3}.
+def _radii(rho) -> np.ndarray:
+    """Output radii as a 1-d array; ``ValueError`` if negative or not finite."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    if not np.all(np.isfinite(rho) & (rho >= 0)):
+        raise ValueError("output radii must be finite and >= 0")
+    return rho
+
+
+def _node_width(d: int, s_grid: Grid1D, n_theta: int) -> int:
+    """Operator entries per (f row, rho node), counted against _F_BLOCK."""
+    return s_grid.nodes.size * (n_theta if d == 2 else 1)
+
+
+def _radial_operator(d: int, f_nodes: np.ndarray, f_vals: np.ndarray,
+                     s_grid: Grid1D, n_theta: int = _N_THETA
+                     ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The f side of the radial convolution in R^d, d in {2, 3}.
 
     f is sampled at ``f_nodes`` (spline-interpolated, zero beyond the last
-    node), as one profile of shape (Nf,) or a stack of shape (m, Nf); g is
-    sampled on ``s_grid``, as one profile (Ns,) or a stack (m, Ns).  Leading
-    stack shapes broadcast, and the result has one row of shape (Nrho,) per
-    broadcast row: (Nrho,) for two single profiles, (m, Nrho) when either is
-    a stack.  The f splines are built once per call, one multi-column spline
-    for a stack, and shared by every row of g.  They are evaluated over
-    blocks of rho nodes of at most ``_F_BLOCK`` (f row, rho, s) triples
-    (times ``n_theta`` in d = 2): a single f over the output grids of
-    ``correlate`` (up to eps = 2^-7) is one block, and a tall f stack goes
-    a few rho nodes at a time.
+    node), as one profile (Nf,) or a stack (..., Nf).  The splines are built
+    once, one multi-column spline for a stack.  The returned ``op`` maps
+    output radii rho >= 0 to the operator M of shape (..., Nrho, Ns) with
+    (f_k * g)(rho) = M[k] @ g for any g sampled on ``s_grid``, in factored
+    form: op(rho) = (core, scale) with M = scale[:, None] * core * w s, the
+    s weights w and the radial measure s on the last axis.  correlate
+    multiplies the factors out; radial_convolve applies them one at a time,
+    in the order that fixes the rounding of the mollified kernels (and C1).
 
     d = 3 uses the shell identity with the cumulative of u f(u):
         int f(|x-y|) g(|y|) dy
@@ -428,59 +444,94 @@ def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
     F(R) = int_0^R u f(u) du; at rho = 0 it degenerates to
     4 pi int s^2 f g.  d = 2 uses Gauss-Legendre in the polar angle.
     """
-    if d not in (2, 3):
-        raise ValueError("spatial dimension must be 2 or 3")
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    f_nodes = np.asarray(f_nodes, dtype=float)
-    f_vals = np.asarray(f_vals, dtype=float)
-    g_vals = np.asarray(g_vals)
     s = s_grid.nodes
     top = float(f_nodes[-1])
     u = np.concatenate([[0.0], f_nodes])
-    # the value spline serves the d = 2 rule and the d = 3 origin only
-    spline = CubicSpline(u, np.concatenate([f_vals[..., :1], f_vals], axis=-1),
-                         axis=-1) if d == 2 or np.any(rho <= 0) else None
+    @functools.cache
+    def value():   # the d = 2 rule and the d = 3 origin only
+        return CubicSpline(
+            u, np.concatenate([f_vals[..., :1], f_vals], axis=-1), axis=-1)
 
     def f_value(x):
-        return np.where(x <= top, spline(np.clip(x, 0.0, top)), 0.0)
+        return np.where(x <= top, value()(np.clip(x, 0.0, top)), 0.0)
 
-    ws_g = s_grid.weights * s * g_vals
-
-    def g_contract(mat):
-        # (..., b, Ns) f-side values against g: (..., b)
-        if mat.ndim == 2:
-            return ws_g @ mat.T
-        return (mat @ ws_g[..., None])[..., 0]
-
-    out = np.empty(np.broadcast_shapes(f_vals.shape[:-1], g_vals.shape[:-1])
-                   + rho.shape)
-    step = max(1, _F_BLOCK // (math.prod(f_vals.shape[:-1]) * s.size))
     if d == 2:
         xt, wt = _leggauss(n_theta)
         cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
-        wth = 0.5 * math.pi * wt  # half circle; integrand is even in theta
-        for lo in range(0, rho.size, step):
-            r = rho[lo:lo + step, None, None]
+        # the full circle: twice the half-circle rule, as the integrand is
+        # even in theta
+        wth = math.pi * wt
+
+        def op(rho):
+            r = rho[:, None, None]
             dist = np.sqrt(np.maximum(
                 r ** 2 + s[None, :, None] ** 2
                 - 2.0 * r * s[None, :, None] * cos_theta[None, None, :], 0.0))
-            # full-circle angular integral
-            out[..., lo:lo + step] = g_contract(2.0 * (f_value(dist) @ wth))
-        return out
+            return f_value(dist) @ wth, np.ones(rho.size)
+        return op
 
     cum = CubicSpline(u, np.concatenate([np.zeros_like(f_vals[..., :1]),
                                          f_nodes * f_vals], axis=-1),
                       axis=-1).antiderivative()
-    pos = np.flatnonzero(rho > 0)
-    for lo in range(0, pos.size, step):
-        idx = pos[lo:lo + step]
-        rp = rho[idx]
-        shell = (cum(np.clip(s[None, :] + rp[:, None], 0.0, top))
-                 - cum(np.clip(np.abs(s[None, :] - rp[:, None]), 0.0, top)))
-        out[..., idx] = (2.0 * math.pi / rp) * g_contract(shell)
-    if pos.size < rho.size:
-        out[..., rho <= 0] = 4.0 * math.pi * np.sum(
-            s_grid.weights * s ** 2 * g_vals * f_value(s), axis=-1)[..., None]
+
+    def op(rho):
+        pos = rho > 0
+        rp = rho[pos, None]
+        shell = (cum(np.clip(s + rp, 0.0, top))
+                 - cum(np.clip(np.abs(s - rp), 0.0, top)))
+        scale = np.where(pos, 2.0 * math.pi / np.where(pos, rho, 1.0),
+                         4.0 * math.pi)
+        if pos.all():
+            return shell, scale
+        core = np.empty(f_vals.shape[:-1] + (rho.size, s.size))
+        core[..., pos, :] = shell
+        core[..., ~pos, :] = (s * f_value(s))[..., None, :]
+        return core, scale
+    return op
+
+
+def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
+                    rho, n_theta: int = _N_THETA) -> np.ndarray:
+    """Radial convolution (f * g)(|x|) in R^d, d in {2, 3}.
+
+    f is sampled at ``f_nodes`` (spline-interpolated, zero beyond the last
+    node), as one profile of shape (Nf,) or a stack of shape (m, Nf); g is
+    sampled on ``s_grid``, as one profile (Ns,) or a stack (m, Ns).  Leading
+    stack shapes broadcast, and the result has one row of shape (Nrho,) per
+    broadcast row: (Nrho,) for two single profiles, (m, Nrho) when either is
+    a stack.  The output radii ``rho`` must be finite and >= 0, else
+    ``ValueError``.
+
+    This is the f-side operator of :func:`_radial_operator` (the package's
+    one radial quadrature: the d = 3 shell identity, the origin formula and
+    the d = 2 angular rule) contracted against g.  Its splines are built
+    once per call and shared by every row of g; the operator is evaluated
+    over blocks of rho nodes of at most ``_F_BLOCK`` entries: in d = 3 a
+    single f over a few hundred rho nodes is one block, and a tall f stack
+    goes a few rho nodes at a time.
+    """
+    if d not in (2, 3):
+        raise ValueError("spatial dimension must be 2 or 3")
+    rho = _radii(rho)
+    f_vals = np.asarray(f_vals, dtype=float)
+    g_vals = np.asarray(g_vals)
+    op = _radial_operator(d, np.asarray(f_nodes, dtype=float), f_vals,
+                          s_grid, n_theta)
+
+    ws_g = s_grid.weights * s_grid.nodes * g_vals
+
+    def g_contract(core, scale):
+        # (..., b, Ns) operator block against g: (..., b)
+        if core.ndim == 2:
+            return scale * (ws_g @ core.T)
+        return scale * (core @ ws_g[..., None])[..., 0]
+
+    out = np.empty(np.broadcast_shapes(f_vals.shape[:-1], g_vals.shape[:-1])
+                   + rho.shape)
+    step = max(1, _F_BLOCK // (math.prod(f_vals.shape[:-1])
+                               * _node_width(d, s_grid, n_theta)))
+    for lo in range(0, rho.size, step):
+        out[..., lo:lo + step] = g_contract(*op(rho[lo:lo + step]))
     return out
 
 
@@ -732,32 +783,44 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
     """(A star B)(t, x) = int A(z1) B(z1 - z) dz1 on an output (t, r) grid
     for each B in ``Bs``; returns one (Nt, Nrho) array per B.
 
-    Radial in x; the t1 integral runs over A's native grid.  The Bs share
-    one r grid (else ``ValueError``).  Each row of A takes one
-    :func:`radial_convolve` call, with A's radial samples as the spline (f)
-    factor and every B's slices at t1 - t (t in that B's t support) stacked
-    as the compact (g) factor: the f-side work is done once per row of A.
+    Radial in x; the t1 integral runs over A's native grid.  ``Bs`` must be
+    non-empty and share one r grid, and ``rho_out`` must be finite and
+    >= 0 (else ``ValueError``).  The rows of A that meet some B's t support
+    go in blocks of at most ``_F_BLOCK`` operator entries.  Each block
+    builds one multi-column spline of its rows (scaled by A's t weights)
+    and one radial operator M (:func:`_radial_operator`), the f-side work
+    shared by every B; each B's slices at every t1 - t of the block (zero
+    outside its t support) form P of shape (Nt, b Ns), and one matmul
+    P @ M adds the block to that B's output.
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
-    rho_out = np.atleast_1d(np.asarray(rho_out, dtype=float))
+    rho_out = _radii(rho_out)
+    if not Bs:
+        raise ValueError("correlate needs at least one right kernel")
     r_grid = Bs[0].r_grid
     if any(not np.array_equal(B.r_grid.nodes, r_grid.nodes) for B in Bs):
         raise ValueError("right kernels must share one r grid")
-    supports = np.array([B.t_support for B in Bs])
+    rows = max(1, _F_BLOCK // (rho_out.size
+                               * _node_width(A.d, r_grid, _N_THETA)))
+    ws = r_grid.weights * r_grid.nodes
     outs = [np.zeros((t_out.size, rho_out.size)) for _ in Bs]
-    for t1, w1, a_row in zip(A.t_grid.nodes, A.t_grid.weights, A.vals):
-        ts = t1 - t_out
-        insides = (ts >= supports[:, :1]) & (ts <= supports[:, 1:])
-        counts = np.count_nonzero(insides, axis=1)
-        if not counts.any():
+    for start in range(0, A.t_grid.nodes.size, rows):
+        lags = A.t_grid.nodes[start:start + rows] - t_out[:, None]
+        # rows of A with no lag inside any B's t support add nothing
+        live = np.any([(lags >= B.t_support[0]) & (lags <= B.t_support[1])
+                       for B in Bs], axis=(0, 1))
+        if not live.any():
             continue
-        conv = w1 * radial_convolve(
-            A.d, A.r_grid.nodes, a_row, r_grid,
-            np.concatenate([B.profile(ts[m]) for B, m in zip(Bs, insides)]),
-            rho_out)
-        for out, m, part in zip(outs, insides,
-                                np.split(conv, np.cumsum(counts)[:-1])):
-            out[m] += part
+        idx = start + np.flatnonzero(live)
+        op = _radial_operator(A.d, A.r_grid.nodes,
+                              A.t_grid.weights[idx, None] * A.vals[idx],
+                              r_grid)
+        core, scale = op(rho_out)
+        mat = (core * (scale[:, None] * ws)).transpose(0, 2, 1) \
+            .reshape(-1, rho_out.size)
+        lags = lags[:, live].ravel()
+        for out, B in zip(outs, Bs):
+            out += B.profile(lags).reshape(t_out.size, -1) @ mat
     return outs
 
 

@@ -163,6 +163,13 @@ def test_usage_errors_exit_1(outdir, capsys):
         assert main(argv + extra) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (outdir / "verify-bounds").exists()
+    # two scales with one manifest key (exact repeats included) fail before
+    # any quadrature, and no run directory is left behind
+    for eps_list in ("2^-2, 0.25", "2^-3, 2^-4, 2^-3"):
+        argv = ["constants", "--dim", "2", "--eps-list", eps_list]
+        assert main(argv) == 1
+        assert "repeat" in capsys.readouterr().err
+        assert not (outdir / "constants").exists()
 
 
 def test_version_flag():

@@ -1,6 +1,7 @@
 """Closed-form oracles and invariants for the numerical kernel pipeline."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,11 @@ def test_radial_convolution_semigroup(d):
     for row, ti in zip(fstack, ts):
         want = heat_kernel(ti + s, rho, d)
         assert np.max(np.abs(row - want) / want) < 5e-6
+    # output radii are distances: a negative or non-finite one is an error
+    for bad in (-0.3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="radii"):
+            radial_convolve(d, fg.nodes, heat_kernel(t, fg.nodes, d), sg,
+                            heat_kernel(s, sg.nodes, d), np.array([0.3, bad]))
 
 
 def test_radial_convolution_gaussian_variance():
@@ -388,6 +394,78 @@ def test_correlate_rejects_right_kernels_on_different_r_grids():
         t_support=keps.t_support, r_support=keps.r_support)
     with pytest.raises(ValueError, match="r grid"):
         correlate(keps, (keps, other), np.array([0.0]), np.array([0.0]))
+    # no right kernel at all, and a negative output radius
+    with pytest.raises(ValueError, match="right kernel"):
+        correlate(keps, (), np.array([0.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="radii"):
+        correlate(keps, (keps,), np.array([0.0]), np.array([0.1, -0.3]))
+
+
+def _correlate_per_row(A, Bs, t_out, rho_out):
+    # the reference: one radial_convolve per row of A, every B's in-window
+    # slices stacked as g
+    supports = np.array([B.t_support for B in Bs])
+    outs = [np.zeros((t_out.size, rho_out.size)) for _ in Bs]
+    for t1, w1, a_row in zip(A.t_grid.nodes, A.t_grid.weights, A.vals):
+        ts = t1 - t_out
+        insides = (ts >= supports[:, :1]) & (ts <= supports[:, 1:])
+        counts = np.count_nonzero(insides, axis=1)
+        if not counts.any():
+            continue
+        conv = w1 * radial_convolve(
+            A.d, A.r_grid.nodes, a_row, Bs[0].r_grid,
+            np.concatenate([B.profile(ts[m]) for B, m in zip(Bs, insides)]),
+            rho_out)
+        for out, m, part in zip(outs, insides,
+                                np.split(conv, np.cumsum(counts)[:-1])):
+            out[m] += part
+    return outs
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_correlate_matches_per_row_reference(d):
+    keps, kq = _keps_kq(d)
+    t_out = np.array([-0.9, -0.3, 0.0, 0.01, 0.2, 0.7, 1.3])
+    rho = np.r_[0.0, np.linspace(0.01, 1.2, 59)]
+    # A spans more than one block of rows
+    block = kernels._F_BLOCK // (rho.size * keps.r_grid.nodes.size
+                                 * (kernels._N_THETA if d == 2 else 1))
+    assert keps.t_grid.nodes.size > max(block, 1)
+    got = correlate(keps, (keps, kq), t_out, rho)
+    for g, want in zip(got, _correlate_per_row(keps, (keps, kq), t_out, rho)):
+        assert np.any(want)
+        np.testing.assert_allclose(g, want, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(want)))
+
+
+def test_correlate_memory_does_not_grow_with_rows_of_A():
+    keps, _ = _keps_kq(3)
+
+    def resampled(n_panels):
+        tg = panel_grid(np.linspace(*keps.t_support, n_panels + 1), 5)
+        vals = keps(tg.nodes[:, None], keps.r_grid.nodes[None, :])
+        return MollifiedKernel(d=3, t_grid=tg, r_grid=keps.r_grid, vals=vals,
+                               t_support=keps.t_support,
+                               r_support=keps.r_support)
+
+    t_out = np.linspace(0.0, 1.0, 30)
+    rho = np.r_[0.0, keps.r_grid.nodes]
+
+    def peak(A):
+        tracemalloc.start()
+        try:
+            correlate(A, (keps,), t_out, rho)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = resampled(20), resampled(40)
+    block = kernels._F_BLOCK // (rho.size * keps.r_grid.nodes.size)
+    assert small.t_grid.nodes.size >= 2 * block
+    assert large.t_grid.nodes.size == 2 * small.t_grid.nodes.size
+    # the block budget fixes the buffers, not the rows of A
+    p_small, p_large = peak(small), peak(large)
+    assert p_large < 1.1 * p_small, (p_small, p_large)
 
 
 def test_kernel_constants_origin_values_match_origin_correlation():
@@ -489,6 +567,36 @@ def test_kernel_constants_structure():
     d = c.as_dict()
     assert d["I"]["I00"] == c.I[(0, 0)]
     assert d["eps"] == 2.0 ** -3
+
+
+# kernel_constants(d, 0.25, ...) recorded before correlate went blockwise
+# (level 0 spans several blocks of rows in d = 3)
+_PINNED_CONSTANTS = {
+    (3, 0): {
+        "C1": 0.6380342602066432, "C2": 0.003827970704200851,
+        "Q1_0": 0.012564668823299669, "Q2_0": 0.011929260086360936,
+        (0, 0): 0.0019139853521004254, (0, 1): 2.9285828757820405e-05,
+        (1, 1): 1.3947738477530424e-06, (0, 2): 4.959660320233209e-05,
+        (1, 2): 2.80836192147854e-07, (2, 2): 1.5715797350942853e-06,
+    },
+    (2, -1): {
+        "C1": 1.1412044922894486, "C2": 0.017943867390539315,
+        "Q1_0": 0.014804672754064552, "Q2_0": 0.018578210006807247,
+        (0, 0): 0.008971933695269657, (0, 1): 6.866046840175107e-05,
+        (1, 1): 1.3844636729029418e-05, (0, 2): 0.00018027307741321885,
+        (1, 2): -3.335898379103955e-06, (2, 2): 5.809560346677194e-06,
+    },
+}
+
+
+@pytest.mark.parametrize("d, level", sorted(_PINNED_CONSTANTS))
+def test_kernel_constants_pinned_values(d, level):
+    c = kernel_constants(d, 0.25, level=level, full=True)
+    got = {"C1": c.C1, "C2": c.C2, "Q1_0": c.Q1_0, "Q2_0": c.Q2_0, **c.I}
+    want = _PINNED_CONSTANTS[(d, level)]
+    assert set(got) == set(want)
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-12, abs=0), key
 
 
 def test_kernel_constants_d2_skips_correlations():
