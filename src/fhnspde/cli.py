@@ -591,9 +591,11 @@ def cmd_converge(args) -> int:
     # epsilon_sweep's check at its finest scale, before the run dir exists
     replace(config, eps=min(sweep["eps_list"]) / 2).validate(spec.d,
                                                              spec.Q.n)
+    t_star = sweep.get("t_star", 0.1)
+    if not (math.isfinite(t_star) and t_star > 0):
+        raise UsageError(f"t_star = {t_star!r} must be finite and positive")
     rd = RunDir("converge", seed=config.seed)
-    rep = epsilon_sweep(spec, config, sweep["eps_list"],
-                        t_star=sweep.get("t_star", 0.1))
+    rep = epsilon_sweep(spec, config, sweep["eps_list"], t_star=t_star)
     rows = []
     for mode in rep.D:
         for ch in ("u", "v", "phi"):

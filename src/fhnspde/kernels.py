@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -132,14 +132,20 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def panel_grid(edges: Sequence[float], order: int = 8) -> Grid1D:
-    """Composite Gauss-Legendre rule over consecutive panels."""
+    """Composite Gauss-Legendre rule over consecutive panels.
+
+    A stack of edge rows (..., n) gives one rule per row: nodes and weights
+    of shape (..., (n - 1) order), each row as its edges alone would give.
+    """
     xg, wg = _leggauss(order)
     edges = np.asarray(edges, dtype=float)
-    if edges.size < 2:
+    if edges.shape[-1] < 2:
         raise ValueError("need at least one panel")
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return Grid1D((mid + half * xg).ravel(), (half * wg).ravel())
+    mid = 0.5 * (edges[..., :-1] + edges[..., 1:])[..., None]
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])[..., None]
+    shape = edges.shape[:-1] + (-1,)
+    return Grid1D((mid + half * xg).reshape(shape),
+                  (half * wg).reshape(shape))
 
 
 def _two_sided_edges(lo: float, hi: float, h_min: float,
@@ -303,6 +309,10 @@ class KernelConstructionError(RuntimeError):
                 ", ".join("%.3e" % v for v in residuals), tol))
 
 
+# quadrature nodes per chunk of a moment pass: 128 kB per (rows, nodes) array
+_ROW_CHUNK = 2 ** 14
+
+
 def _moment_monomials(zeta: int) -> list[Callable]:
     mono = [lambda t, r: np.ones_like(np.broadcast_to(t * r, np.shape(t * r)))]
     if zeta >= 2:
@@ -310,27 +320,46 @@ def _moment_monomials(zeta: int) -> list[Callable]:
     return mono
 
 
-def _insert_edges(edges: Sequence[float], points: Iterable[float],
-                  eps: float = 1e-12) -> list[float]:
-    out = sorted(edges)
-    for p in points:
-        if out[0] + eps < p < out[-1] - eps and \
-                min(abs(p - e) for e in out) > eps:
-            out.append(p)
-    return sorted(out)
+def _insert_edges(edges, points, eps: float = 1e-12) -> np.ndarray:
+    """Panel edges with break points added, row by row.
+
+    ``edges`` (..., n) are sorted rows, padded with inf; the columns of
+    ``points`` (..., k) are radii of limited integrand smoothness.  In
+    column order, a point joins its row when it lies more than eps above
+    the row's first edge and below the last edge added (the row's top edge
+    for the first column), and more than eps from every edge.  Returns the
+    rows sorted, with inf in place of each point not added.
+    """
+    edges = np.asarray(edges, dtype=float)
+    last = np.max(edges, axis=-1, where=np.isfinite(edges), initial=-np.inf)
+    for p in np.moveaxis(np.asarray(points, dtype=float), -1, 0):
+        add = ((edges[..., 0] + eps < p) & (p < last - eps)
+               & (np.min(np.abs(p[..., None] - edges), axis=-1) > eps))
+        edges = np.concatenate([edges, np.where(add, p, np.inf)[..., None]],
+                               axis=-1)
+        last = np.where(add, p, last)
+    return np.sort(edges, axis=-1)
 
 
-def _row_r_grid(t: float, r_top: float, order: int = 10,
-                n_core: int = 6, n_tail: int = 6,
-                breaks: Iterable[float] = ()) -> Grid1D:
-    """Radial panels for one t slice: resolve the width-sqrt(t) heat core,
-    then the O(1) cutoff annulus.  ``breaks`` are radii of limited
-    integrand smoothness; panels never straddle them."""
-    cut = min(6.0 * math.sqrt(max(t, 1e-300)), r_top)
-    edges = list(np.linspace(0.0, cut, n_core + 1))
-    if cut < r_top:
-        edges += list(np.linspace(cut, r_top, n_tail + 1)[1:])
-    return panel_grid(_insert_edges(edges, breaks), order)
+def _row_r_edges(t: np.ndarray, r_top: float, n_core: int, n_tail: int,
+                 breaks: Sequence[float]) -> np.ndarray:
+    """Radial panel edges of the t slices ``t``, one sorted row per slice.
+
+    n_core panels resolve the width-sqrt(t) heat core up to 6 sqrt(t), then
+    n_tail panels the O(1) cutoff annulus up to r_top.  The radii
+    sqrt(v - t), v in ``breaks``, where the integrand is less smooth, join
+    by :func:`_insert_edges`.  Rows are padded with inf.
+    """
+    cut = np.minimum(6.0 * np.sqrt(np.maximum(t, 1e-300)), r_top)
+    tail = np.full((t.size, n_tail), np.inf)
+    more = cut < r_top
+    # only rows with a tail: linspace rounds every row differently once
+    # any row of a stacked call has a zero step
+    tail[more] = np.linspace(cut[more], r_top, n_tail + 1, axis=-1)[:, 1:]
+    edges = np.concatenate(
+        [np.linspace(0.0, cut, n_core + 1, axis=-1), tail], axis=-1)
+    radii = np.sqrt(np.maximum(np.subtract.outer(breaks, t), 0.0)).T
+    return _insert_edges(edges, radii)
 
 
 def kernel_moments(kernel: TruncatedKernel, order: int = 9,
@@ -351,23 +380,40 @@ def kernel_moments(kernel: TruncatedKernel, order: int = 9,
 def _kernel_moments(funcs: Callable, d: int, outer: float,
                     monos: Sequence[Callable], order: int, t_min: float,
                     ratio: float, n_core: int, inner: float) -> np.ndarray:
-    """(n_funcs, n_monos) moments of the rows ``funcs(t, r)`` returns.
+    """(n_funcs, n_monos) moments of the functions ``funcs(t, r)`` returns.
 
-    One row-wise pass: each t row's r grid, shell weights and monomials are
-    built once and shared by every function.
+    A row-wise quadrature: Gauss-Legendre panels in t, and for each t row
+    the radial panels of :func:`_row_r_edges`.  Rows with the same panel
+    count are built together as 2-D arrays, in chunks of about
+    ``_ROW_CHUNK`` nodes; grids, functions, monomials and shell weights are
+    elementwise, so each row holds the values it would hold alone.  Each
+    row's moment of each function against each monomial is one 1-D dot,
+    and the rows are added in t order, so the result does not depend on
+    the grouping.
     """
     t_edges = _insert_edges(geometric_edges(0.0, outer, t_min, ratio), [inner])
-    tg = panel_grid(t_edges, order)
-    r_top = math.sqrt(outer)
+    tg = panel_grid(t_edges[np.isfinite(t_edges)], order)
+    edges = _row_r_edges(tg.nodes, math.sqrt(outer), n_core, 6,
+                         (inner, outer))
+    n_edges = np.isfinite(edges).sum(axis=-1)
+    table = None
+    for n in np.unique(n_edges):
+        rows = np.flatnonzero(n_edges == n)
+        step = max(1, _ROW_CHUNK // ((n - 1) * order))
+        for idx in np.split(rows, range(step, rows.size, step)):
+            rg = panel_grid(edges[idx, :n], order)
+            t = np.repeat(tg.nodes[idx, None], rg.nodes.shape[-1], axis=-1)
+            shell = _shell(rg, d)
+            mono_vals = [m(t, rg.nodes) for m in monos]
+            vals = funcs(t, rg.nodes)
+            if table is None:
+                table = np.empty((tg.nodes.size, len(vals), len(monos)))
+            for f, v in enumerate(vals):
+                for j, m in enumerate(mono_vals):
+                    table[idx, f, j] = [s @ p for s, p in zip(shell, v * m)]
     out = 0.0
-    for t, wt in zip(tg.nodes, tg.weights):
-        breaks = [math.sqrt(v - t) for v in (inner, outer) if v > t]
-        rg = _row_r_grid(t, r_top, order, n_core, breaks=breaks)
-        shell = _shell(rg, d)
-        mono_vals = [m(t, rg.nodes) for m in monos]
-        rows = funcs(np.full_like(rg.nodes, t), rg.nodes)
-        out = out + wt * np.array([[shell @ (vals * m) for m in mono_vals]
-                                   for vals in rows])
+    for wt, row in zip(tg.weights, table):
+        out = out + wt * row
     return out
 
 
@@ -423,20 +469,49 @@ def _node_width(d: int, s_grid: Grid1D, n_theta: int) -> int:
     return s_grid.nodes.size * (n_theta if d == 2 else 1)
 
 
+def _radial_geometry(d: int, f_nodes: np.ndarray, s_grid: Grid1D,
+                     rho: np.ndarray, n_theta: int = _N_THETA) -> tuple:
+    """The part of the radial operator at output radii ``rho`` that no f
+    value enters; :func:`_radial_operator`'s ``op`` takes it.
+
+    d = 2: the distances |x - y| for |x| = rho, |y| = s at the Gauss-Legendre
+    nodes of the polar angle, shape (Nrho, Ns, n_theta), as the mask of
+    those within f's last node and the distances clipped to it.  d = 3: the
+    mask rho > 0, the shell limits s + rho and |s - rho| of those radii
+    clipped to f's last node, and the scale of each radius.
+    """
+    s = s_grid.nodes
+    top = float(f_nodes[-1])
+    if d == 2:
+        xt, _ = _leggauss(n_theta)
+        cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
+        r = rho[:, None, None]
+        dist = np.sqrt(np.maximum(
+            r ** 2 + s[None, :, None] ** 2
+            - 2.0 * r * s[None, :, None] * cos_theta[None, None, :], 0.0))
+        return dist <= top, np.clip(dist, 0.0, top)
+    pos = rho > 0
+    rp = rho[pos, None]
+    return (pos, np.clip(s + rp, 0.0, top), np.clip(np.abs(s - rp), 0.0, top),
+            np.where(pos, 2.0 * math.pi / np.where(pos, rho, 1.0),
+                     4.0 * math.pi))
+
+
 def _radial_operator(d: int, f_nodes: np.ndarray, f_vals: np.ndarray,
                      s_grid: Grid1D, n_theta: int = _N_THETA
-                     ) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+                     ) -> Callable[[tuple], tuple[np.ndarray, np.ndarray]]:
     """The f side of the radial convolution in R^d, d in {2, 3}.
 
     f is sampled at ``f_nodes`` (spline-interpolated, zero beyond the last
     node), as one profile (Nf,) or a stack (..., Nf).  The splines are built
-    once, one multi-column spline for a stack.  The returned ``op`` maps
-    output radii rho >= 0 to the operator M of shape (..., Nrho, Ns) with
-    (f_k * g)(rho) = M[k] @ g for any g sampled on ``s_grid``, in factored
-    form: op(rho) = (core, scale) with M = scale[:, None] * core * w s, the
-    s weights w and the radial measure s on the last axis.  correlate
-    multiplies the factors out; radial_convolve applies them one at a time,
-    in the order that fixes the rounding of the mollified kernels (and C1).
+    once, one multi-column spline for a stack.  The returned ``op`` maps the
+    :func:`_radial_geometry` of output radii rho >= 0 to the operator M of
+    shape (..., Nrho, Ns) with (f_k * g)(rho) = M[k] @ g for any g sampled
+    on ``s_grid``, in factored form: op(geometry) = (core, scale) with
+    M = scale[:, None] * core * w s, the s weights w and the radial measure
+    s on the last axis.  correlate multiplies the factors out;
+    radial_convolve applies them one at a time, in the order that fixes the
+    rounding of the mollified kernels (and C1).
 
     d = 3 uses the shell identity with the cumulative of u f(u):
         int f(|x-y|) g(|y|) dy
@@ -456,34 +531,26 @@ def _radial_operator(d: int, f_nodes: np.ndarray, f_vals: np.ndarray,
         return np.where(x <= top, value()(np.clip(x, 0.0, top)), 0.0)
 
     if d == 2:
-        xt, wt = _leggauss(n_theta)
-        cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
         # the full circle: twice the half-circle rule, as the integrand is
         # even in theta
-        wth = math.pi * wt
+        wth = math.pi * _leggauss(n_theta)[1]
 
-        def op(rho):
-            r = rho[:, None, None]
-            dist = np.sqrt(np.maximum(
-                r ** 2 + s[None, :, None] ** 2
-                - 2.0 * r * s[None, :, None] * cos_theta[None, None, :], 0.0))
-            return f_value(dist) @ wth, np.ones(rho.size)
+        def op(geometry):
+            inside, dist = geometry
+            return (np.where(inside, value()(dist), 0.0) @ wth,
+                    np.ones(dist.shape[0]))
         return op
 
     cum = CubicSpline(u, np.concatenate([np.zeros_like(f_vals[..., :1]),
                                          f_nodes * f_vals], axis=-1),
                       axis=-1).antiderivative()
 
-    def op(rho):
-        pos = rho > 0
-        rp = rho[pos, None]
-        shell = (cum(np.clip(s + rp, 0.0, top))
-                 - cum(np.clip(np.abs(s - rp), 0.0, top)))
-        scale = np.where(pos, 2.0 * math.pi / np.where(pos, rho, 1.0),
-                         4.0 * math.pi)
+    def op(geometry):
+        pos, hi, lo, scale = geometry
+        shell = cum(hi) - cum(lo)
         if pos.all():
             return shell, scale
-        core = np.empty(f_vals.shape[:-1] + (rho.size, s.size))
+        core = np.empty(f_vals.shape[:-1] + (pos.size, s.size))
         core[..., pos, :] = shell
         core[..., ~pos, :] = (s * f_value(s))[..., None, :]
         return core, scale
@@ -515,8 +582,8 @@ def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
     rho = _radii(rho)
     f_vals = np.asarray(f_vals, dtype=float)
     g_vals = np.asarray(g_vals)
-    op = _radial_operator(d, np.asarray(f_nodes, dtype=float), f_vals,
-                          s_grid, n_theta)
+    f_nodes = np.asarray(f_nodes, dtype=float)
+    op = _radial_operator(d, f_nodes, f_vals, s_grid, n_theta)
 
     ws_g = s_grid.weights * s_grid.nodes * g_vals
 
@@ -531,7 +598,8 @@ def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
     step = max(1, _F_BLOCK // (math.prod(f_vals.shape[:-1])
                                * _node_width(d, s_grid, n_theta)))
     for lo in range(0, rho.size, step):
-        out[..., lo:lo + step] = g_contract(*op(rho[lo:lo + step]))
+        out[..., lo:lo + step] = g_contract(*op(_radial_geometry(
+            d, f_nodes, s_grid, rho[lo:lo + step], n_theta)))
     return out
 
 
@@ -785,13 +853,15 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
 
     Radial in x; the t1 integral runs over A's native grid.  ``Bs`` must be
     non-empty and share one r grid, and ``rho_out`` must be finite and
-    >= 0 (else ``ValueError``).  The rows of A that meet some B's t support
-    go in blocks of at most ``_F_BLOCK`` operator entries.  Each block
-    builds one multi-column spline of its rows (scaled by A's t weights)
-    and one radial operator M (:func:`_radial_operator`), the f-side work
-    shared by every B; each B's slices at every t1 - t of the block (zero
-    outside its t support) form P of shape (Nt, b Ns), and one matmul
-    P @ M adds the block to that B's output.
+    >= 0 (else ``ValueError``).  The geometry of the radial operator at
+    ``rho_out`` (:func:`_radial_geometry`) is computed once.  The rows of A
+    that meet some B's t support go in blocks of at most ``_F_BLOCK``
+    operator entries.  Each block builds one multi-column spline of its
+    rows (scaled by A's t weights) and one radial operator M
+    (:func:`_radial_operator`), the f-side work shared by every B; each
+    B's slices at every t1 - t of the block (zero outside its t support)
+    form P of shape (Nt, b Ns), and one matmul P @ M adds the block to that
+    B's output.
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     rho_out = _radii(rho_out)
@@ -803,6 +873,7 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
     rows = max(1, _F_BLOCK // (rho_out.size
                                * _node_width(A.d, r_grid, _N_THETA)))
     ws = r_grid.weights * r_grid.nodes
+    geometry = _radial_geometry(A.d, A.r_grid.nodes, r_grid, rho_out)
     outs = [np.zeros((t_out.size, rho_out.size)) for _ in Bs]
     for start in range(0, A.t_grid.nodes.size, rows):
         lags = A.t_grid.nodes[start:start + rows] - t_out[:, None]
@@ -815,7 +886,7 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
         op = _radial_operator(A.d, A.r_grid.nodes,
                               A.t_grid.weights[idx, None] * A.vals[idx],
                               r_grid)
-        core, scale = op(rho_out)
+        core, scale = op(geometry)
         mat = (core * (scale[:, None] * ws)).transpose(0, 2, 1) \
             .reshape(-1, rho_out.size)
         lags = lags[:, live].ravel()

@@ -16,7 +16,8 @@ One engine advances every integration.  Members share one white-noise
 realisation, streamed slice by slice: only the window of spatial transforms
 that the temporal filters read is held, never the whole history.  Each
 mollification scale applies its own separable mollifier as a spectral FIR
-filter on that window, and all members advance in lockstep.  `run` is the
+filter on that window, one block of steps at a time (one real GEMM per
+block and scale), and all members advance in lockstep.  `run` is the
 one-member case; `epsilon_sweep` runs every scale and its half side by side,
 so cross-scale differences are recorded at matching times without storing
 trajectories.
@@ -148,6 +149,13 @@ class RunConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def validate(self, d: int, n_v: int = 1) -> None:
+        # a nan passes every comparison below (and turns the cutoff guard
+        # off); an infinite t_end has no step count
+        for name in ("dt", "t_end", "eps", "cutoff", "eta", "gamma",
+                     "noise_amplitude"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be "
+                                 "finite")
         if self.cutoff <= 0 or self.dt <= 0 or self.t_end <= 0:
             raise ValueError("cutoff, dt, and t_end must be positive")
         if self.n_space < 2:      # Lattice's rule, before the guard divides
@@ -325,20 +333,46 @@ def _norm_pair(x: np.ndarray) -> tuple[float, float]:
 # lockstep engine
 # ---------------------------------------------------------------------------
 
+# steps of one temporal-filter block: the forcing of B steps is one GEMM per
+# scale, reading the held noise window once instead of B times
+_FIR_BLOCK = 8
+
+
 class _FIRMollifier:
-    """Per-scale spectral mollification of a shared raw noise stream."""
+    """Per-scale spectral mollification of a shared raw noise stream.
+
+    The temporal half of the mollifier is a FIR over noise slices, applied
+    to a block of at most ``_FIR_BLOCK`` steps at once: one banded weight
+    matrix, clipped at slice 0 and at the lattice end, times the block's
+    slice window viewed as real, then the spatial profile transform.
+    """
 
     def __init__(self, lat: Lattice, eps: float, spec: MollifierSpec):
         self.wt = _temporal_weights(spec, eps, lat.dt)
         self.half = (len(self.wt) - 1) // 2
         self.rho_hat = mollifier_transform(spec, eps, lat.k_magnitudes())
+        self.n_time = lat.n_time
+        # row r weights slices i - half + r .. i + half + r of a block at i
+        self._band = np.zeros((_FIR_BLOCK, _FIR_BLOCK + 2 * self.half))
+        for r in range(_FIR_BLOCK):
+            self._band[r, r:r + len(self.wt)] = self.wt
 
-    def slice_hat(self, raw_hat: np.ndarray, i: int) -> np.ndarray:
+    def slice_hat(self, raw_hat: np.ndarray, i: int, b: int,
+                  first: int = 0) -> np.ndarray:
+        """Spectral forcing of steps i .. i + b - 1 (b <= ``_FIR_BLOCK``),
+        shape (b,) + raw_hat.shape[1:].
+
+        ``raw_hat[k]`` is the spatial rfftn of slice first + k; it must hold
+        slices max(0, i - half) .. min(n_time, i + b + half) - 1.
+        """
         lo = max(0, i - self.half)
-        hi = min(raw_hat.shape[0], i + self.half + 1)
-        w = self.wt[self.half - (i - lo): self.half + (hi - i)]
-        acc = np.tensordot(w, raw_hat[lo:hi], axes=(0, 0))
-        return acc * self.rho_hat
+        hi = min(self.n_time, i + b + self.half)
+        band = self._band[:b, lo - i + self.half:hi - i + self.half]
+        window = raw_hat[lo - first:hi - first]
+        out = (band @ window.view(float).reshape(hi - lo, -1)).view(complex)
+        out = out.reshape((b,) + window.shape[1:])
+        out *= self.rho_hat
+        return out
 
 
 def _noise_forcing(d: int, config: RunConfig, steps: int,
@@ -348,7 +382,9 @@ def _noise_forcing(d: int, config: RunConfig, steps: int,
 
     Returns the noise stream (read its checksum after the run) and
     forcing(i), mapping each scale to the amplitude-scaled spectral forcing
-    of step i; (None, None) without noise.
+    of step i; (None, None) without noise.  Steps go in blocks of
+    ``_FIR_BLOCK`` on a fixed grid: the first step of a block computes the
+    block's forcing for every scale.
     """
     if config.noise_amplitude == 0.0:
         return None, None
@@ -359,14 +395,23 @@ def _noise_forcing(d: int, config: RunConfig, steps: int,
                   t_end=(steps + pad) * config.dt)
     firs = {e: _FIRMollifier(lat, e, mspec) for e in scales}
     half = max(fir.half for fir in firs.values())
-    stream = NoiseStream(lat, config.seed, 2 * half + 1)
+    stream = NoiseStream(lat, config.seed, 2 * half + _FIR_BLOCK)
     amp = config.noise_amplitude
+    held: dict = {}          # scale -> forcing of steps start .. start + b - 1
+    start = 0
 
     def forcing(i: int) -> dict:
-        lo = max(0, i - half)
-        window = stream.window(lo, min(lat.n_time, i + half + 1))
-        return {e: amp * fir.slice_hat(window, i - lo)
-                for e, fir in firs.items()}
+        nonlocal start
+        if not held or not start <= i < start + _FIR_BLOCK:
+            held.clear()     # the old block goes before the next is built
+            start = i - i % _FIR_BLOCK
+            b = min(_FIR_BLOCK, steps - start)
+            lo = max(0, start - half)
+            window = stream.window(lo, min(lat.n_time, start + b + half))
+            for e, fir in firs.items():
+                held[e] = fir.slice_hat(window, start, b, lo)
+                held[e] *= amp
+        return {e: block[i - start] for e, block in held.items()}
 
     return stream, forcing
 
@@ -432,6 +477,7 @@ def _lockstep(members: dict, steps: int, cutoff: float,
         f_hats = forcing(i) if forcing else {}
         for m in members.values():
             m.step(f_hats.get(m.eps))
+        del f_hats      # frees a spent forcing block before the next is built
 
 
 def run(config: RunConfig, spec: SystemSpec) -> RunResult:

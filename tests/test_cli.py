@@ -408,7 +408,9 @@ def test_converge_grid_guard(outdir, tmp_path, capsys):
                      ("record_every = 2", "record_every = 0"),
                      ("seed = 1", "seed = -1"),
                      ("n_space = 16", "n_space = 0"),
-                     ("n_space = 16", "n_space = -4")):
+                     ("n_space = 16", "n_space = -4"),
+                     ("t_star = 4e-3", "t_star = nan"),
+                     ("t_star = 4e-3", "t_star = -1")):
         p.write_text(CFG.replace(old, new))
         assert main(["converge", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -432,6 +434,10 @@ def test_simulate_rejects_record_interval_below_one(outdir, tmp_path, capsys,
     ("snapshots = 4e-3", "snapshots = 2e-3 2.2e-3", "snapshot"),
     ("n_space = 16", "n_space = 0", "n_space"),
     ("n_space = 16", "n_space = -4", "n_space"),
+    ("dim = 2", "dim = 2\ncutoff = nan", "cutoff"),
+    ("seed = 1", "seed = 1\namplitude = nan", "amplitude"),
+    ("dt = 1e-3", "dt = nan", "dt"),
+    ("t_end = 4e-3", "t_end = inf", "t_end"),
 ])
 def test_simulate_rejects_bad_seed_and_snapshot_times(outdir, tmp_path,
                                                       capsys, old, new, frag):

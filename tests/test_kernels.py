@@ -233,15 +233,30 @@ def test_truncated_kernel_zeta_zero():
     assert abs(K.moment_residuals[0]) < 1e-6
 
 
-def _moments_one_function(func, d, monos):
-    # one row-wise quadrature pass per function, on the construction grid
-    t_edges = kernels._insert_edges(
-        geometric_edges(0.0, 1.0, 1e-9, 1.8), [0.5])
-    tg = panel_grid(t_edges, 10)
+def _insert_edges_loop(edges, points, eps=1e-12):
+    # the per-row rule: each point in turn, against the edges added so far
+    out = sorted(edges)
+    for p in points:
+        if out[0] + eps < p < out[-1] - eps and \
+                min(abs(p - e) for e in out) > eps:
+            out.append(p)
+    return sorted(out)
+
+
+def _moments_one_function(func, d, monos, order=10, t_min=1e-9, ratio=1.8,
+                          n_core=6):
+    # one row-wise quadrature pass per function, one t row at a time; the
+    # defaults are the construction grid
+    tg = panel_grid(_insert_edges_loop(
+        geometric_edges(0.0, 1.0, t_min, ratio), [0.5]), order)
     out = np.zeros(len(monos))
     for t, wt in zip(tg.nodes, tg.weights):
+        cut = min(6.0 * math.sqrt(max(t, 1e-300)), 1.0)
+        edges = list(np.linspace(0.0, cut, n_core + 1))
+        if cut < 1.0:
+            edges += list(np.linspace(cut, 1.0, 7)[1:])
         breaks = [math.sqrt(v - t) for v in (0.5, 1.0) if v > t]
-        rg = kernels._row_r_grid(t, 1.0, 10, 6, breaks=breaks)
+        rg = panel_grid(_insert_edges_loop(edges, breaks), order)
         shell = kernels._shell(rg, d)
         vals = func(np.full_like(rg.nodes, t), rg.nodes)
         for j, m in enumerate(monos):
@@ -266,6 +281,15 @@ def test_truncated_kernel_matches_four_pass_reference(d):
     K = build_truncated_kernel(d)
     assert K.bump_coeffs == coeffs
     assert K.moment_residuals == kernel_moments(ref)
+
+
+@pytest.mark.parametrize("d, zeta", [(2, 0), (3, 2)])
+def test_kernel_moments_match_per_row_loop(d, zeta):
+    # the verification pass against the loop, on kernel_moments' own grid
+    K = build_truncated_kernel(d, zeta=zeta)
+    monos = kernels._moment_monomials(zeta)
+    assert K.moment_residuals == _moments_one_function(
+        K, d, monos, order=9, t_min=1e-10, ratio=1.5, n_core=8)
 
 
 def test_truncated_kernel_rejects_bad_zeta():

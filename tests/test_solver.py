@@ -25,6 +25,7 @@ from fhnspde.solver import (
     RunConfig,
     SystemSpec,
     Stepper,
+    _FIR_BLOCK,
     _FIRMollifier,
     _noise_forcing,
     counterterms_for,
@@ -421,9 +422,39 @@ def test_fir_mollifier_matches_full_field_path():
     fir = _FIRMollifier(lat, 0.25, MollifierSpec(2))
     raw_hat = np.fft.rfftn(xi.values, axes=(1, 2))
     for i in (0, 3, 17, 30, 55, 59):
-        mine = np.fft.irfftn(fir.slice_hat(raw_hat, i), s=(16, 16),
+        mine = np.fft.irfftn(fir.slice_hat(raw_hat, i, 1)[0], s=(16, 16),
                              axes=(0, 1))
         assert np.max(np.abs(mine - ref.values[i])) < 1e-11
+
+
+@pytest.mark.parametrize("d, n_space, dt, n_time, scales", [
+    (2, 16, 1e-3, 61, (0.25, 0.125)),
+    (3, 8, 4e-3, 45, (0.5, 0.25)),
+])
+def test_blocked_fir_matches_per_step_reference(d, n_space, dt, n_time,
+                                                scales):
+    lat = Lattice(d=d, n_space=n_space, n_time=n_time, t_end=n_time * dt)
+    xi = sample_white_noise(lat, 5)
+    raw_hat = np.fft.rfftn(xi.values, axes=tuple(range(1, d + 1)))
+    assert n_time % _FIR_BLOCK
+    for e in scales:
+        fir = _FIRMollifier(lat, e, MollifierSpec(d))
+        # with taps on both sides, the first block is clipped at slice 0
+        # and the last one at n_time
+        assert fir.half > 0
+        for steps in (n_time, _FIR_BLOCK - 3):
+            for start in range(0, steps, _FIR_BLOCK):
+                b = min(_FIR_BLOCK, steps - start)
+                block = fir.slice_hat(raw_hat, start, b)
+                assert block.shape == (b,) + raw_hat.shape[1:]
+                for i in range(start, start + b):
+                    lo = max(0, i - fir.half)
+                    hi = min(n_time, i + fir.half + 1)
+                    w = fir.wt[fir.half - (i - lo):fir.half + (hi - i)]
+                    ref = np.tensordot(w, raw_hat[lo:hi], axes=(0, 0)) \
+                        * fir.rho_hat
+                    assert np.max(np.abs(block[i - start] - ref)) \
+                        <= 1e-13 * np.max(np.abs(ref)), (e, steps, i)
 
 
 @pytest.mark.parametrize("d, n_space, dt, steps, scales", [
@@ -445,8 +476,10 @@ def test_streamed_forcing_equals_whole_history_formula(d, n_space, dt, steps,
     for i in range(steps):
         got = forcing(i)
         for e, fir in firs.items():
-            assert np.array_equal(got[e], 0.7 * fir.slice_hat(raw_hat, i)), \
-                (i, e)
+            start = i - i % _FIR_BLOCK
+            block = fir.slice_hat(raw_hat, start, min(_FIR_BLOCK,
+                                                      steps - start))
+            assert np.array_equal(got[e], 0.7 * block[i - start]), (i, e)
     assert stream.checksum() == xi.checksum()
 
 
