@@ -33,7 +33,6 @@ from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "heat_kernel",
-    "heat_l2",
     "sphere_area",
     "Grid1D",
     "panel_grid",
@@ -82,11 +81,6 @@ def heat_kernel(t, r, d: int):
     np.copyto(out, (4.0 * math.pi * tp) ** (-d / 2.0)
               * np.exp(-np.square(r) / (4.0 * tp)), where=pos)
     return out
-
-
-def heat_l2(t: float, d: int) -> float:
-    """int G(t, x)^2 dx = (8 pi t)^(-d/2)  (exact)."""
-    return (8.0 * math.pi * t) ** (-d / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +442,9 @@ def build_truncated_kernel(d: int, zeta: int = 2, inner: float = 0.5,
 # Radial convolution
 # ---------------------------------------------------------------------------
 
-# f-side block budget: (f row, rho node, s node) triples of one operator
-# block, times the angular nodes in d = 2, where the integrand is sampled at
-# every (rho, s, theta).  The blocks of radial_convolve (over rho) and of
-# correlate (over the rows of A) are sized from it.
+# Block budget, in float entries, of the temporaries of one block: the
+# (rho, s, theta, column) spline samples of a radial_basis block over rho,
+# and the (row, s, rho) operator of a correlate block over the rows of A.
 _F_BLOCK = 2 ** 15
 _N_THETA = 24
 
@@ -464,97 +457,61 @@ def _radii(rho) -> np.ndarray:
     return rho
 
 
-def _node_width(d: int, s_grid: Grid1D, n_theta: int) -> int:
-    """Operator entries per (f row, rho node), counted against _F_BLOCK."""
-    return s_grid.nodes.size * (n_theta if d == 2 else 1)
+def _radial_basis(d: int, f_nodes: np.ndarray, s_grid: Grid1D,
+                  rho: np.ndarray, n_theta: int = _N_THETA) -> np.ndarray:
+    """The radial convolution in R^d, d in {2, 3}, as one linear operator.
 
-
-def _radial_geometry(d: int, f_nodes: np.ndarray, s_grid: Grid1D,
-                     rho: np.ndarray, n_theta: int = _N_THETA) -> tuple:
-    """The part of the radial operator at output radii ``rho`` that no f
-    value enters; :func:`_radial_operator`'s ``op`` takes it.
-
-    d = 2: the distances |x - y| for |x| = rho, |y| = s at the Gauss-Legendre
-    nodes of the polar angle, shape (Nrho, Ns, n_theta), as the mask of
-    those within f's last node and the distances clipped to it.  d = 3: the
-    mask rho > 0, the shell limits s + rho and |s - rho| of those radii
-    clipped to f's last node, and the scale of each radius.
-    """
-    s = s_grid.nodes
-    top = float(f_nodes[-1])
-    if d == 2:
-        xt, _ = _leggauss(n_theta)
-        cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
-        r = rho[:, None, None]
-        dist = np.sqrt(np.maximum(
-            r ** 2 + s[None, :, None] ** 2
-            - 2.0 * r * s[None, :, None] * cos_theta[None, None, :], 0.0))
-        return dist <= top, np.clip(dist, 0.0, top)
-    pos = rho > 0
-    rp = rho[pos, None]
-    return (pos, np.clip(s + rp, 0.0, top), np.clip(np.abs(s - rp), 0.0, top),
-            np.where(pos, 2.0 * math.pi / np.where(pos, rho, 1.0),
-                     4.0 * math.pi))
-
-
-def _radial_operator(d: int, f_nodes: np.ndarray, f_vals: np.ndarray,
-                     s_grid: Grid1D, n_theta: int = _N_THETA
-                     ) -> Callable[[tuple], tuple[np.ndarray, np.ndarray]]:
-    """The f side of the radial convolution in R^d, d in {2, 3}.
-
-    f is sampled at ``f_nodes`` (spline-interpolated, zero beyond the last
-    node), as one profile (Nf,) or a stack (..., Nf).  The splines are built
-    once, one multi-column spline for a stack.  The returned ``op`` maps the
-    :func:`_radial_geometry` of output radii rho >= 0 to the operator M of
-    shape (..., Nrho, Ns) with (f_k * g)(rho) = M[k] @ g for any g sampled
-    on ``s_grid``, in factored form: op(geometry) = (core, scale) with
-    M = scale[:, None] * core * w s, the s weights w and the radial measure
-    s on the last axis.  correlate multiplies the factors out;
-    radial_convolve applies them one at a time, in the order that fixes the
-    rounding of the mollified kernels (and C1).
-
-    d = 3 uses the shell identity with the cumulative of u f(u):
+    G of shape (Nf, Ns, Nrho) gives (f * g)(rho) = sum_j,s f_j G[j, s, rho]
+    g_s for any f sampled at ``f_nodes`` (spline-interpolated, zero beyond
+    the last node) and any g sampled on ``s_grid``.  A cubic spline with
+    fixed end conditions is linear in its node values, so G is built from
+    one multi-column spline of the identity (the cardinal splines), with
+    the s weights w s folded in.  This is the package's one radial
+    quadrature.  d = 3 uses the shell identity with the cumulative of u f(u):
         int f(|x-y|) g(|y|) dy
             = (2 pi / rho) int s g(s) [F(s + rho) - F(|s - rho|)] ds,
     F(R) = int_0^R u f(u) du; at rho = 0 it degenerates to
-    4 pi int s^2 f g.  d = 2 uses Gauss-Legendre in the polar angle.
+    4 pi int s^2 f g.  d = 2 uses Gauss-Legendre in the polar angle.  G is
+    built over blocks of rho whose spline samples hold about ``_F_BLOCK``
+    entries.
     """
-    s = s_grid.nodes
+    if d not in (2, 3):
+        raise ValueError("spatial dimension must be 2 or 3")
+    s, nf = s_grid.nodes, f_nodes.size
     top = float(f_nodes[-1])
     u = np.concatenate([[0.0], f_nodes])
-    @functools.cache
-    def value():   # the d = 2 rule and the d = 3 origin only
-        return CubicSpline(
-            u, np.concatenate([f_vals[..., :1], f_vals], axis=-1), axis=-1)
-
-    def f_value(x):
-        return np.where(x <= top, value()(np.clip(x, 0.0, top)), 0.0)
-
-    if d == 2:
-        # the full circle: twice the half-circle rule, as the integrand is
-        # even in theta
-        wth = math.pi * _leggauss(n_theta)[1]
-
-        def op(geometry):
-            inside, dist = geometry
-            return (np.where(inside, value()(dist), 0.0) @ wth,
-                    np.ones(dist.shape[0]))
-        return op
-
-    cum = CubicSpline(u, np.concatenate([np.zeros_like(f_vals[..., :1]),
-                                         f_nodes * f_vals], axis=-1),
-                      axis=-1).antiderivative()
-
-    def op(geometry):
-        pos, hi, lo, scale = geometry
-        shell = cum(hi) - cum(lo)
-        if pos.all():
-            return shell, scale
-        core = np.empty(f_vals.shape[:-1] + (pos.size, s.size))
-        core[..., pos, :] = shell
-        core[..., ~pos, :] = (s * f_value(s))[..., None, :]
-        return core, scale
-    return op
+    eye = np.eye(nf)
+    # f is held flat from its first node down to 0
+    value = CubicSpline(u, np.concatenate([eye[:1], eye]))
+    cum = CubicSpline(u, np.concatenate([np.zeros((1, nf)),
+                                         np.diag(f_nodes)])).antiderivative()
+    ws = s_grid.weights * s
+    xt, wt = _leggauss(n_theta)
+    cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
+    G = np.empty((nf, s.size, rho.size))
+    step = max(1, _F_BLOCK // (nf * s.size * (n_theta if d == 2 else 1)))
+    for lo in range(0, rho.size, step):
+        r = rho[lo:lo + step, None]
+        if d == 2:
+            dist = np.sqrt(np.maximum(
+                r[..., None] ** 2 + s[:, None] ** 2
+                - 2.0 * r[..., None] * s[:, None] * cos_theta, 0.0))
+            # the full circle: twice the half-circle rule, as the integrand
+            # is even in theta
+            wth = np.where(dist <= top, math.pi * wt, 0.0)
+            block = (wth[..., None, :]
+                     @ value(np.minimum(dist, top)))[..., 0, :]
+        else:
+            pos = r > 0
+            rp = np.where(pos, r, 1.0)
+            block = cum(np.minimum(s + rp, top))
+            block -= cum(np.minimum(np.abs(s - rp), top))
+            block *= (2.0 * math.pi / rp)[..., None]
+            block[~pos[:, 0]] = 4.0 * math.pi * s[:, None] * np.where(
+                s[:, None] <= top, value(np.minimum(s, top)), 0.0)
+        block *= ws[:, None]
+        G[..., lo:lo + step] = block.transpose(2, 1, 0)
+    return G
 
 
 def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
@@ -567,40 +524,17 @@ def radial_convolve(d: int, f_nodes, f_vals, s_grid: Grid1D, g_vals,
     stack shapes broadcast, and the result has one row of shape (Nrho,) per
     broadcast row: (Nrho,) for two single profiles, (m, Nrho) when either is
     a stack.  The output radii ``rho`` must be finite and >= 0, else
-    ``ValueError``.
-
-    This is the f-side operator of :func:`_radial_operator` (the package's
-    one radial quadrature: the d = 3 shell identity, the origin formula and
-    the d = 2 angular rule) contracted against g.  Its splines are built
-    once per call and shared by every row of g; the operator is evaluated
-    over blocks of rho nodes of at most ``_F_BLOCK`` entries: in d = 3 a
-    single f over a few hundred rho nodes is one block, and a tall f stack
-    goes a few rho nodes at a time.
+    ``ValueError``.  The operator of :func:`_radial_basis` contracted
+    against f and g.
     """
-    if d not in (2, 3):
-        raise ValueError("spatial dimension must be 2 or 3")
     rho = _radii(rho)
     f_vals = np.asarray(f_vals, dtype=float)
-    g_vals = np.asarray(g_vals)
-    f_nodes = np.asarray(f_nodes, dtype=float)
-    op = _radial_operator(d, f_nodes, f_vals, s_grid, n_theta)
-
-    ws_g = s_grid.weights * s_grid.nodes * g_vals
-
-    def g_contract(core, scale):
-        # (..., b, Ns) operator block against g: (..., b)
-        if core.ndim == 2:
-            return scale * (ws_g @ core.T)
-        return scale * (core @ ws_g[..., None])[..., 0]
-
-    out = np.empty(np.broadcast_shapes(f_vals.shape[:-1], g_vals.shape[:-1])
-                   + rho.shape)
-    step = max(1, _F_BLOCK // (math.prod(f_vals.shape[:-1])
-                               * _node_width(d, s_grid, n_theta)))
-    for lo in range(0, rho.size, step):
-        out[..., lo:lo + step] = g_contract(*op(_radial_geometry(
-            d, f_nodes, s_grid, rho[lo:lo + step], n_theta)))
-    return out
+    g_vals = np.asarray(g_vals, dtype=float)
+    G = _radial_basis(d, np.asarray(f_nodes, dtype=float), s_grid, rho,
+                      n_theta)
+    if g_vals.ndim == 1:
+        return f_vals @ (g_vals @ G)
+    return np.einsum("...j,...s,jsr->...r", f_vals, g_vals, G, optimize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -853,15 +787,13 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
 
     Radial in x; the t1 integral runs over A's native grid.  ``Bs`` must be
     non-empty and share one r grid, and ``rho_out`` must be finite and
-    >= 0 (else ``ValueError``).  The geometry of the radial operator at
-    ``rho_out`` (:func:`_radial_geometry`) is computed once.  The rows of A
-    that meet some B's t support go in blocks of at most ``_F_BLOCK``
-    operator entries.  Each block builds one multi-column spline of its
-    rows (scaled by A's t weights) and one radial operator M
-    (:func:`_radial_operator`), the f-side work shared by every B; each
-    B's slices at every t1 - t of the block (zero outside its t support)
-    form P of shape (Nt, b Ns), and one matmul P @ M adds the block to that
-    B's output.
+    >= 0 (else ``ValueError``).  The radial operator G of
+    :func:`_radial_basis` is built once.  The rows of A that meet some B's
+    t support go in blocks of about ``_F_BLOCK`` operator entries: the
+    block's rows, scaled by A's t weights, times G give its operator M of
+    shape (b Ns, Nrho); each B's slices at every t1 - t of the block (zero
+    outside its t support) form P of shape (Nt, b Ns), and one matmul
+    P @ M adds the block to that B's output.
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     rho_out = _radii(rho_out)
@@ -870,10 +802,9 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
     r_grid = Bs[0].r_grid
     if any(not np.array_equal(B.r_grid.nodes, r_grid.nodes) for B in Bs):
         raise ValueError("right kernels must share one r grid")
-    rows = max(1, _F_BLOCK // (rho_out.size
-                               * _node_width(A.d, r_grid, _N_THETA)))
-    ws = r_grid.weights * r_grid.nodes
-    geometry = _radial_geometry(A.d, A.r_grid.nodes, r_grid, rho_out)
+    G = _radial_basis(A.d, A.r_grid.nodes, r_grid, rho_out)
+    G = G.reshape(G.shape[0], -1)
+    rows = max(1, _F_BLOCK // G.shape[1])
     outs = [np.zeros((t_out.size, rho_out.size)) for _ in Bs]
     for start in range(0, A.t_grid.nodes.size, rows):
         lags = A.t_grid.nodes[start:start + rows] - t_out[:, None]
@@ -883,11 +814,7 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
         if not live.any():
             continue
         idx = start + np.flatnonzero(live)
-        op = _radial_operator(A.d, A.r_grid.nodes,
-                              A.t_grid.weights[idx, None] * A.vals[idx],
-                              r_grid)
-        core, scale = op(geometry)
-        mat = (core * (scale[:, None] * ws)).transpose(0, 2, 1) \
+        mat = ((A.t_grid.weights[idx, None] * A.vals[idx]) @ G) \
             .reshape(-1, rho_out.size)
         lags = lags[:, live].ravel()
         for out, B in zip(outs, Bs):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.special import erfc, exp1
 
 from fhnspde import kernels
@@ -23,7 +24,6 @@ from fhnspde.kernels import (
     g_eps_squared,
     geometric_edges,
     heat_kernel,
-    heat_l2,
     kernel_constants,
     kernel_moments,
     kq_exact,
@@ -73,7 +73,7 @@ def test_heat_l2_closed_form(d, t):
     g = panel_grid(geometric_edges(0.0, 10 * math.sqrt(t), 1e-4 * math.sqrt(t)),
                    10)
     val = radial_integral(heat_kernel(t, g.nodes, d) ** 2, g, d)
-    assert val == pytest.approx(heat_l2(t, d), rel=1e-9)
+    assert val == pytest.approx((8 * math.pi * t) ** (-d / 2), rel=1e-9)
 
 
 def test_heat_kernel_vanishes_for_negative_time():
@@ -133,6 +133,86 @@ def test_radial_convolution_gaussian_variance():
     var = 2 * t + sigma ** 2
     want = (2 * math.pi * var) ** (-d / 2) * np.exp(-rho ** 2 / (2 * var))
     assert np.max(np.abs(got - want) / want) < 1e-4
+
+
+def _direct_radial(d, f_nodes, f_row, s_nodes, s_weights, g_row, rho,
+                   n_theta):
+    # the radial rule written out for one f and one g, radius by radius,
+    # from a spline of f itself: f is held flat below its first node and
+    # is zero beyond its last
+    u = np.r_[0.0, f_nodes]
+    top = f_nodes[-1]
+    spline = CubicSpline(u, np.r_[f_row[0], f_row])
+
+    def f(x):
+        return np.where(x <= top, spline(np.minimum(x, top)), 0.0)
+
+    ws_g = s_weights * s_nodes * g_row
+    xt, wt = np.polynomial.legendre.leggauss(n_theta)
+    cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))      # theta in [0, pi]
+    cum = CubicSpline(u, np.r_[0.0, f_nodes * f_row]).antiderivative()
+    out = []
+    for r in rho:
+        if d == 2:
+            # |x - y| at each polar angle; the full circle is twice [0, pi]
+            dist = np.sqrt(np.maximum(
+                r * r + s_nodes[:, None] ** 2
+                - 2.0 * r * s_nodes[:, None] * cos_theta, 0.0))
+            out.append(ws_g @ (f(dist) @ (math.pi * wt)))
+        elif r == 0.0:
+            out.append(4.0 * math.pi * ws_g @ (s_nodes * f(s_nodes)))
+        else:
+            hi = np.minimum(s_nodes + r, top)
+            lo = np.minimum(np.abs(s_nodes - r), top)
+            out.append(2.0 * math.pi / r * ws_g @ (cum(hi) - cum(lo)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_convolve_matches_direct_quadrature(d):
+    # the one operator against the rule applied to f directly, for single
+    # profiles and stacks of f and of g; rho + s runs past f's last node
+    xg, wg = np.polynomial.legendre.leggauss(6)
+    edges = np.array([0.0, 0.02, 0.06, 0.15, 0.35, 0.6, 1.0])
+    half = 0.5 * np.diff(edges)[:, None]
+    f_nodes = ((0.5 * (edges[:-1] + edges[1:]))[:, None] + half * xg).ravel()
+    s_edges = np.linspace(0.0, 0.5, 5)
+    s_half = 0.5 * np.diff(s_edges)[:, None]
+    s_nodes = ((0.5 * (s_edges[:-1] + s_edges[1:]))[:, None]
+               + s_half * xg).ravel()
+    s_weights = (s_half * wg).ravel()
+    sg = Grid1D(s_nodes, s_weights)
+    rho = np.array([0.0, 0.01, 0.2, 0.55, 0.9])
+    fs = heat_kernel(np.array([0.02, 0.05])[:, None], f_nodes, d)
+    gs = np.array([(1.0 - 4.0 * s_nodes ** 2) ** 4,
+                   np.exp(-s_nodes / 0.1)])
+    n_theta = kernels._N_THETA
+
+    def check(got, f_rows, g_rows):
+        want = np.array([
+            _direct_radial(d, f_nodes, fr, s_nodes, s_weights, gr, rho,
+                           n_theta) for fr, gr in zip(f_rows, g_rows)])
+        assert np.all(want[:, 0] > 0) and np.all(want[:, -1] > 0)
+        np.testing.assert_allclose(got, want.reshape(np.shape(got)),
+                                   rtol=1e-13, atol=0)
+
+    check(radial_convolve(d, f_nodes, fs[0], sg, gs[0], rho),
+          fs[:1], gs[:1])
+    check(radial_convolve(d, f_nodes, fs, sg, gs[0], rho), fs, gs[[0, 0]])
+    check(radial_convolve(d, f_nodes, fs[0], sg, gs, rho), fs[[0, 0]], gs)
+    check(radial_convolve(d, f_nodes, fs, sg, gs, rho), fs, gs)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_radial_operators_reject_other_dimensions(d):
+    # the shell identity and the angular rule hold in d = 3 and d = 2 only
+    keps, _ = _keps_kq(3)
+    other = replace(keps, d=d)
+    with pytest.raises(ValueError, match="dimension"):
+        correlate(other, (keps,), np.array([0.0]), np.array([0.0, 0.1]))
+    with pytest.raises(ValueError, match="dimension"):
+        radial_convolve(d, keps.r_grid.nodes, keps.vals[0], keps.r_grid,
+                        keps.vals[0], np.array([0.0, 0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -462,20 +542,21 @@ def test_correlate_matches_per_row_reference(d):
                                    atol=1e-13 * np.max(np.abs(want)))
 
 
-def test_correlate_memory_does_not_grow_with_rows_of_A():
-    keps, _ = _keps_kq(3)
+@pytest.mark.parametrize("d", [2, 3])
+def test_correlate_memory_does_not_grow_with_rows_of_A(d):
+    keps, _ = _keps_kq(d)
 
     def resampled(n_panels):
         tg = panel_grid(np.linspace(*keps.t_support, n_panels + 1), 5)
         vals = keps(tg.nodes[:, None], keps.r_grid.nodes[None, :])
-        return MollifiedKernel(d=3, t_grid=tg, r_grid=keps.r_grid, vals=vals,
+        return MollifiedKernel(d=d, t_grid=tg, r_grid=keps.r_grid, vals=vals,
                                t_support=keps.t_support,
                                r_support=keps.r_support)
 
     t_out = np.linspace(0.0, 1.0, 30)
     rho = np.r_[0.0, keps.r_grid.nodes]
 
-    def peak(A):
+    def peak(A, rho):
         tracemalloc.start()
         try:
             correlate(A, (keps,), t_out, rho)
@@ -488,8 +569,15 @@ def test_correlate_memory_does_not_grow_with_rows_of_A():
     assert small.t_grid.nodes.size >= 2 * block
     assert large.t_grid.nodes.size == 2 * small.t_grid.nodes.size
     # the block budget fixes the buffers, not the rows of A
-    p_small, p_large = peak(small), peak(large)
+    p_small, p_large = peak(small, rho), peak(large, rho)
     assert p_large < 1.1 * p_small, (p_small, p_large)
+    # one call holds the operator G, (Nf, Ns, Nrho) doubles, and buffers of
+    # about _F_BLOCK entries; at 201 output radii G dominates (about 1.6 G
+    # in all), while building G in one step holds 28 G in d = 2 (the
+    # (rho, s, theta, column) spline samples) and 3 G in d = 3
+    rho = np.linspace(0.0, keps.r_support, 201)
+    g_bytes = 8 * keps.r_grid.nodes.size ** 2 * rho.size
+    assert peak(keps, rho) < 2.5 * g_bytes, (peak(keps, rho), g_bytes)
 
 
 def test_kernel_constants_origin_values_match_origin_correlation():
@@ -594,7 +682,8 @@ def test_kernel_constants_structure():
 
 
 # kernel_constants(d, 0.25, ...) recorded before correlate went blockwise
-# (level 0 spans several blocks of rows in d = 3)
+# (level 0 spans several blocks of rows in d = 3); (2, 0) recorded before
+# the radial convolution became one cardinal-spline operator
 _PINNED_CONSTANTS = {
     (3, 0): {
         "C1": 0.6380342602066432, "C2": 0.003827970704200851,
@@ -602,6 +691,13 @@ _PINNED_CONSTANTS = {
         (0, 0): 0.0019139853521004254, (0, 1): 2.9285828757820405e-05,
         (1, 1): 1.3947738477530424e-06, (0, 2): 4.959660320233209e-05,
         (1, 2): 2.80836192147854e-07, (2, 2): 1.5715797350942853e-06,
+    },
+    (2, 0): {
+        "C1": 1.0969922442780116, "C2": 0.018539928557151242,
+        "Q1_0": 0.01877994142075299, "Q2_0": 0.02027411810669522,
+        (0, 0): 0.009269964278575621, (0, 1): 6.169612539206679e-05,
+        (1, 1): 1.678447651229153e-05, (0, 2): 0.00020591884199580584,
+        (1, 2): -2.9074635245825998e-06, (2, 2): 6.318694534246388e-06,
     },
     (2, -1): {
         "C1": 1.1412044922894486, "C2": 0.017943867390539315,
