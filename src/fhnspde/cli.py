@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-import sympy
 
 from . import __version__
 from .hopf import coproduct
@@ -193,22 +192,10 @@ def parse_symbol_expr(text: str, d: int = 3
 
 
 def parse_nonlinearity(text: str, n_channels: int = 1) -> CubicPolynomial:
-    """Parse a polynomial in u and v (or v1..vn) to the coefficient record."""
+    """Parse a polynomial in u and v (or v1..vn) to the exact coefficient
+    record; the grammar is :func:`renorm._read_polynomial`'s."""
     try:
-        expr = sympy.sympify(text.replace("^", "**"), rational=True)
-    except (sympy.SympifyError, SyntaxError) as exc:
-        raise UsageError(f"cannot parse nonlinearity {text!r}: {exc}") from exc
-    if n_channels == 1:
-        expr = expr.subs(sympy.Symbol("v"), sympy.Symbol("v1"))
-    allowed = {sympy.Symbol("u")} | {sympy.Symbol(f"v{i}")
-                                     for i in range(1, n_channels + 1)}
-    stray = set(expr.free_symbols) - allowed
-    if stray:
-        names = "u, v" if n_channels == 1 else f"u, v1..v{n_channels}"
-        raise UsageError(
-            f"unknown variables {sorted(map(str, stray))}; expected {names}")
-    try:
-        return CubicPolynomial(expr, n_channels)
+        return CubicPolynomial(text, n_channels)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -428,8 +415,8 @@ def cmd_renorm_eq(args) -> int:
           f"c2 = {tuple(str(c) for c in eq.c2)}")
     print(f"C(eps) = {eq.C_eps}")
     print(f"renormalised drift: {eq.fhat_text()}")
-    u_sym = sympy.Symbol("u")
-    lin = sympy.expand(eq.Fhat).coeff(u_sym, 1)
+    import sympy        # loaded by renormalized_nonlinearity
+    lin = sympy.expand(eq.Fhat).coeff(sympy.Symbol("u"), 1)
     if lin != 0:
         print(f"collected linear term: [{lin}] u")
     if eq.obstruction:
@@ -550,6 +537,7 @@ def cmd_simulate(args) -> int:
     spec, config, extra = load_config(args.config)
     config.validate(spec.d, spec.Q.n)
     if extra["renorm_on"]:
+        spec.check_renormalisable()
         spec = replace(spec, renorm=counterterms_for(spec.F, spec.d,
                                                      config.eps))
     rd = RunDir("simulate", seed=config.seed)
@@ -591,6 +579,7 @@ def cmd_converge(args) -> int:
     # epsilon_sweep's check at its finest scale, before the run dir exists
     replace(config, eps=min(sweep["eps_list"]) / 2).validate(spec.d,
                                                              spec.Q.n)
+    spec.check_renormalisable()     # the sweep's renormalised mode
     t_star = sweep.get("t_star", 0.1)
     if not (math.isfinite(t_star) and t_star > 0):
         raise UsageError(f"t_star = {t_star!r} must be finite and positive")

@@ -781,19 +781,21 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
 # ---------------------------------------------------------------------------
 
 def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
-              t_out: np.ndarray, rho_out: np.ndarray) -> list[np.ndarray]:
+              t_out: np.ndarray, rho_out: np.ndarray,
+              G: Optional[np.ndarray] = None) -> list[np.ndarray]:
     """(A star B)(t, x) = int A(z1) B(z1 - z) dz1 on an output (t, r) grid
     for each B in ``Bs``; returns one (Nt, Nrho) array per B.
 
     Radial in x; the t1 integral runs over A's native grid.  ``Bs`` must be
     non-empty and share one r grid, and ``rho_out`` must be finite and
     >= 0 (else ``ValueError``).  The radial operator G of
-    :func:`_radial_basis` is built once.  The rows of A that meet some B's
-    t support go in blocks of about ``_F_BLOCK`` operator entries: the
-    block's rows, scaled by A's t weights, times G give its operator M of
-    shape (b Ns, Nrho); each B's slices at every t1 - t of the block (zero
-    outside its t support) form P of shape (Nt, b Ns), and one matmul
-    P @ M adds the block to that B's output.
+    :func:`_radial_basis` from A's r grid to ``rho_out`` is built once, or
+    passed in by a caller that already holds it.  The rows of A that meet
+    some B's t support go in blocks of about ``_F_BLOCK`` operator
+    entries: the block's rows, scaled by A's t weights, times G give its
+    operator M of shape (b Ns, Nrho); each B's slices at every t1 - t of
+    the block (zero outside its t support) form P of shape (Nt, b Ns), and
+    one matmul P @ M adds the block to that B's output.
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     rho_out = _radii(rho_out)
@@ -802,7 +804,8 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
     r_grid = Bs[0].r_grid
     if any(not np.array_equal(B.r_grid.nodes, r_grid.nodes) for B in Bs):
         raise ValueError("right kernels must share one r grid")
-    G = _radial_basis(A.d, A.r_grid.nodes, r_grid, rho_out)
+    if G is None:
+        G = _radial_basis(A.d, A.r_grid.nodes, r_grid, rho_out)
     G = G.reshape(G.shape[0], -1)
     rows = max(1, _F_BLOCK // G.shape[1])
     outs = [np.zeros((t_out.size, rho_out.size)) for _ in Bs]
@@ -880,8 +883,10 @@ def kernel_constants(d: int, eps: float,
         tg = res.graded(kernel.outer, eps ** 2)
         rg = res.graded(math.sqrt(kernel.outer), eps)
         t_out, r_out = np.r_[0.0, tg.nodes], np.r_[0.0, rg.nodes]
-    q0, q1 = correlate(keps, (keps, kq), t_out, r_out)
-    [q2] = correlate(kq, (kq,), t_out, r_out)
+    # both passes convolve on K_eps's r grid (K^Q_eps shares it): one G
+    G = _radial_basis(d, keps.r_grid.nodes, keps.r_grid, r_out)
+    q0, q1 = correlate(keps, (keps, kq), t_out, r_out, G)
+    [q2] = correlate(kq, (kq,), t_out, r_out, G)
     Q1_0, Q2_0 = float(q1[0, 0]), float(q2[0, 0])
 
     C2 = None

@@ -33,14 +33,16 @@ reporting the obstruction terms when it is not.
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 import itertools
 import math
+import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence, Union
-
-import sympy
 
 from .symbols import (
     ONE,
@@ -74,6 +76,26 @@ __all__ = [
     "RenormalizedEquation",
     "renormalized_nonlinearity",
 ]
+
+
+def _lazy_module(name: str):
+    """The module ``name``, executed on its first attribute access.
+
+    Importing sympy costs about 0.4 s and 32 MB, which the numeric commands
+    never use; ``importlib.util.LazyLoader`` defers that to the first use,
+    and the module object bound here stays the same before and after.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+sympy = _lazy_module("sympy")
 
 
 class UnsupportedSymbolError(ValueError):
@@ -408,80 +430,241 @@ def classify_chaos_zero(pattern: Symbol, d: int) -> ChaosZero:
 # Cubic nonlinearities
 # ---------------------------------------------------------------------------
 
-U_SYM = sympy.Symbol("u")
-
-
 def v_symbols(n_channels: int) -> tuple[sympy.Symbol, ...]:
     return tuple(sympy.Symbol(f"v{i}") for i in range(1, n_channels + 1))
 
 
-@dataclass(frozen=True)
+def _names(n_channels: int) -> tuple[str, ...]:
+    return ("u",) + tuple(f"v{i}" for i in range(1, n_channels + 1))
+
+
+def _poly_add(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _poly_mul(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _read_polynomial(text: str, n_channels: int) -> dict:
+    """The coefficient table ``{exponents: Fraction}`` of F given as text.
+
+    The grammar is Python's arithmetic, read through ``ast``: integer and
+    decimal literals, taken exactly from their digits (0.1 is 1/10), the
+    variables u and v1..vn (v for v1 when n = 1), parentheses, + - * /, and
+    ``**`` or ``^`` with an integer exponent.  Division is by constants
+    only, and a negative exponent needs a constant base.  A function of the
+    variables is not polynomial in them; any other name (pi, E, sqrt(2))
+    is an unknown variable.
+    """
+    src = text.replace("^", "**").strip()
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"cannot parse nonlinearity {text!r}: {exc}") \
+            from None
+    index = {name: i for i, name in enumerate(_names(n_channels))}
+    if n_channels == 1:
+        index["v"] = 1
+    # a function named on the variables is reported as not polynomial
+    # below; any other unknown name, a function of constants too, is stray
+    calls = {id(node.func): node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)}
+    stray = {node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id not in index
+             and not (id(node) in calls and any(
+                 isinstance(a, ast.Name) and a.id in index
+                 for arg in calls[id(node)].args for a in ast.walk(arg)))}
+    if stray:
+        names = ("u" if n_channels == 0 else "u, v" if n_channels == 1
+                 else f"u, v1..v{n_channels}")
+        raise ValueError(
+            f"unknown variables {sorted(stray)}; expected {names}")
+    zero = (0,) * (n_channels + 1)
+
+    def not_polynomial(node) -> ValueError:
+        return ValueError("not polynomial in (u, v): "
+                          + ast.get_source_segment(src, node))
+
+    def constant(node, owner) -> Fraction:
+        p = ev(node)
+        if not set(p) <= {zero}:
+            raise not_polynomial(owner)
+        return p.get(zero, Fraction(0))
+
+    def ev(node) -> dict:
+        if isinstance(node, ast.Constant) and type(node.value) in (int,
+                                                                   float):
+            c = Fraction(node.value if type(node.value) is int else
+                         ast.get_source_segment(src, node).replace("_", ""))
+            return {zero: c} if c else {}
+        if isinstance(node, ast.Name):
+            e = [0] * len(zero)
+            e[index[node.id]] = 1
+            return {tuple(e): Fraction(1)}
+        if isinstance(node, ast.UnaryOp) \
+                and isinstance(node.op, (ast.UAdd, ast.USub)):
+            sign = 1 if isinstance(node.op, ast.UAdd) else -1
+            return _poly_add({}, ev(node.operand), sign)
+        if isinstance(node, ast.BinOp):
+            if isinstance(node.op, (ast.Add, ast.Sub)):
+                return _poly_add(ev(node.left), ev(node.right),
+                                 1 if isinstance(node.op, ast.Add) else -1)
+            if isinstance(node.op, ast.Mult):
+                return _poly_mul(ev(node.left), ev(node.right))
+            if isinstance(node.op, ast.Div):
+                k = constant(node.right, node)
+                if k == 0:
+                    raise ZeroDivisionError("division by zero")
+                return {e: c / k for e, c in ev(node.left).items()}
+            if isinstance(node.op, ast.Pow):
+                base, k = ev(node.left), constant(node.right, node)
+                if k.denominator != 1:
+                    raise not_polynomial(node)
+                if set(base) <= {zero}:
+                    c = base.get(zero, Fraction(0)) ** int(k)
+                    return {zero: c} if c else {}
+                if k < 0:
+                    raise not_polynomial(node)
+                if k > 3:      # the power alone has degree > 3
+                    raise ValueError(
+                        "nonlinearity must have total degree <= 3")
+                out = {zero: Fraction(1)}
+                for _ in range(int(k)):
+                    out = _poly_mul(out, base)
+                return out
+        if isinstance(node, ast.Call):
+            raise not_polynomial(node)
+        raise ValueError(f"cannot parse nonlinearity {text!r}: unsupported "
+                         f"{ast.get_source_segment(src, node)!r}")
+
+    try:
+        return ev(tree.body)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"cannot parse nonlinearity {text!r}: {exc}") \
+            from None
+
+
+def _sympy_table(expr: object, n_channels: int) -> dict:
+    """The coefficient table of F given as a sympy expression."""
+    expr = sympy.expand(sympy.sympify(expr))
+    gens = (sympy.Symbol("u"), *v_symbols(n_channels))
+    stray = {s for s in expr.free_symbols
+             if s.name.startswith(("u", "v")) and s not in gens
+             and (s.name == "u" or s.name[1:].isdigit())}
+    if stray:
+        raise ValueError(
+            f"variables {sorted(map(str, stray))} outside the declared "
+            f"{n_channels} slow channel(s)")
+    try:
+        poly = sympy.Poly(expr, *gens)
+    except sympy.PolynomialError as exc:
+        raise ValueError(f"not polynomial in (u, v): {exc}") from None
+    return {e: Fraction(int(c.p), int(c.q)) if c.is_Rational else c
+            for e, c in poly.terms()}
+
+
+@dataclass(frozen=True, init=False)
 class CubicPolynomial:
     """Polynomial nonlinearity ``F(u, v_1..v_n)`` of total degree at most 3.
 
-    ``terms``: the ``(exponents, coefficient)`` pairs of its ``sympy.Poly``.
+    ``terms``: its ``(exponents, coefficient)`` pairs over (u, v1..vn) in
+    ``sympy.Poly``'s order, leading term first (the zero polynomial is one
+    zero term).  ``F`` is text, read by :func:`_read_polynomial` without
+    sympy, or a sympy expression.  Rational coefficients are exact
+    ``Fraction``s; only a sympy expression with symbolic coefficients
+    leaves sympy ones.  ``expr``, ``vs`` and calling F are the only uses of
+    sympy.
     """
 
-    expr: sympy.Expr
+    terms: tuple
     n_channels: int = 1
-    terms: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        if self.n_channels < 0:
+    def __init__(self, F: object, n_channels: int = 1) -> None:
+        if n_channels < 0:
             raise ValueError(
-                f"slow-channel count must be >= 0, got {self.n_channels}")
-        expr = sympy.expand(sympy.sympify(self.expr))
-        object.__setattr__(self, "expr", expr)
-        gens = (U_SYM, *v_symbols(self.n_channels))
-        stray = {s for s in expr.free_symbols
-                 if s.name.startswith(("u", "v")) and s not in gens
-                 and (s.name == "u" or s.name[1:].isdigit())}
-        if stray:
-            raise ValueError(
-                f"variables {sorted(map(str, stray))} outside the declared "
-                f"{self.n_channels} slow channel(s)")
-        try:
-            poly = sympy.Poly(expr, *gens)
-        except sympy.PolynomialError as exc:
-            raise ValueError(f"not polynomial in (u, v): {exc}") from None
-        if expr != 0 and poly.total_degree() > 3:
+                f"slow-channel count must be >= 0, got {n_channels}")
+        table = _read_polynomial(F, n_channels) if isinstance(F, str) \
+            else _sympy_table(F, n_channels)
+        table = {e: c for e, c in table.items() if c != 0}
+        if any(sum(e) > 3 for e in table):
             raise ValueError("nonlinearity must have total degree <= 3")
-        object.__setattr__(self, "terms", tuple(poly.terms()))
+        zero = ((0,) * (n_channels + 1), Fraction(0))
+        object.__setattr__(self, "terms", tuple(
+            sorted(table.items(), reverse=True)) or (zero,))
+        object.__setattr__(self, "n_channels", n_channels)
+
+    @property
+    def expr(self) -> sympy.Expr:
+        gens = (sympy.Symbol("u"), *self.vs)
+        return sympy.Add(*(sympy.sympify(c) * sympy.Mul(
+            *(g ** k for g, k in zip(gens, e))) for e, c in self.terms))
 
     @property
     def vs(self) -> tuple[sympy.Symbol, ...]:
         return v_symbols(self.n_channels)
 
-    def coefficient(self, p: int, q: Sequence[int] = ()) -> sympy.Expr:
+    def coefficient(self, p: int, q: Sequence[int] = ()):
         """Coefficient of the exact monomial ``u^p * v1^q1 * ...``."""
         exps = (p,) + tuple(q) + (0,) * (self.n_channels - len(tuple(q)))
-        return dict(self.terms).get(exps, sympy.Integer(0))
+        return dict(self.terms).get(exps, Fraction(0))
 
     @property
-    def gamma1(self) -> sympy.Expr:
+    def gamma1(self):
         return self.coefficient(3)
 
     @property
-    def beta1(self) -> sympy.Expr:
+    def beta1(self):
         return self.coefficient(2)
 
-    def gamma2(self, i: int = 1) -> sympy.Expr:
+    def gamma2(self, i: int = 1):
         q = [0] * self.n_channels
         q[i - 1] = 1
         return self.coefficient(2, q)
 
     def __call__(self, u, v=()):
-        subs = {U_SYM: u}
+        subs = {sympy.Symbol("u"): u}
         subs.update(dict(zip(self.vs, v)))
         return self.expr.subs(subs)
 
     def text(self) -> str:
-        return str(self.expr)
+        """``str(self.expr)``, rendered from the table when it is rational."""
+        if not all(isinstance(c, Fraction) for _, c in self.terms):
+            return str(self.expr)
+        # sympy's printer orders the variables by name (v10 before v2) and
+        # the terms lexicographically in them, leading term first
+        names = _names(self.n_channels)
+        order = sorted(range(len(names)), key=names.__getitem__)
+        names = [names[i] for i in order]
+        terms = sorted(((tuple(e[i] for i in order), c)
+                        for e, c in self.terms if c), reverse=True)
+        # ...except that a positive constant leads one negative c*x^k
+        if len(terms) == 2 and not any(terms[1][0]) and terms[1][1] > 0 \
+                and terms[0][1] < 0 and sum(map(bool, terms[0][0])) == 1:
+            terms.reverse()
+        out = ""
+        for e, c in terms:
+            factors = [n if k == 1 else f"{n}**{k}"
+                       for n, k in zip(names, e) if k]
+            if abs(c.numerator) != 1 or not factors:
+                factors.insert(0, str(abs(c.numerator)))
+            body = "*".join(factors)
+            if c.denominator != 1:
+                body += f"/{c.denominator}"
+            out += (" - " if c < 0 else " + ") + body
+        return "-" + out[3:] if out.startswith(" - ") else out[3:] or "0"
 
     @classmethod
     def standard_fhn(cls) -> "CubicPolynomial":
-        u, (v1,) = U_SYM, v_symbols(1)
-        return cls(u - u ** 3 - v1, 1)
+        return cls("u - u^3 - v", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -699,7 +882,7 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
         and all(vanishes(ci - F.gamma2(i + 1) * C_eps / 3)
                 for i, ci in enumerate(c2)))
 
-    Fhat = F.expr - c0 - c1 * U_SYM - sum(
+    Fhat = F.expr - c0 - c1 * sympy.Symbol("u") - sum(
         ci * vi for ci, vi in zip(c2, F.vs))
     return RenormalizedEquation(
         F=F, d=d, constants=dict(constants), c0=c0, c1=c1, c2=c2,

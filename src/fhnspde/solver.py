@@ -3,10 +3,10 @@
 The fast channel is advanced by a first-order exponential (ETD) integrator in
 Fourier space: the heat part is exact per mode, the nonlinearity enters
 through the phi1 weight, and cubic terms are evaluated pseudo-spectrally with
-2/3 dealiasing.  F and its counterterms are read once into a table of float
-coefficients and evaluated in Horner form in u by array products only, so
-sympy stays out of the time loop.  The slow channel is updated exactly per
-site for frozen u via the matrix series
+2/3 dealiasing.  F's exact coefficient table and its counterterms are read
+once into float coefficients and evaluated in Horner form in u by array
+products only; the solver never loads sympy.  The slow channel is updated
+exactly per site for frozen u via the matrix series
 Phi(dt, A) = sum dt^{m+1} A^m / (m+1)!, which needs no invertibility of A.
 A stochastic-convolution channel chi is co-integrated with the same mode
 weights, so u = chi + phi holds to rounding and remainder norms come for
@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import sympy
 from scipy.linalg import expm
 
 from .kernels import (
@@ -123,13 +122,18 @@ class SystemSpec:
             raise ValueError("formulation must be 'direct' or 'remainder'")
         if self.F.n_channels != self.Q.n:
             raise ValueError("nonlinearity channels != coupling channels")
-        if self.d == 3 and self.renorm is not None:
-            bad = [i for i in range(1, self.Q.n + 1)
-                   if sympy.simplify(self.F.gamma2(i)) != 0]
-            if bad:
-                raise ValueError(
-                    "d = 3 with renormalisation requires vanishing u^2 v_i "
-                    "coefficients; nonzero in channels %s" % bad)
+        if self.renorm is not None:
+            self.check_renormalisable()
+
+    def check_renormalisable(self) -> None:
+        """Raise unless the counterterms c0 + c1 u + c2.v renormalise F: in
+        d = 3 every u^2 v_i coefficient must vanish (exactly, on F's table).
+        Cheap, so callers check before computing any constant."""
+        bad = [i for i in range(1, self.Q.n + 1) if self.F.gamma2(i) != 0]
+        if self.d == 3 and bad:
+            raise ValueError(
+                "d = 3 with renormalisation requires vanishing u^2 v_i "
+                "coefficients; nonzero in channels %s" % bad)
 
 
 @dataclass(frozen=True)
@@ -595,6 +599,12 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if not eps_list:
         raise ValueError("empty scale list")
+    modes = tuple(modes)
+    if not modes or not set(modes) <= {"renormalised", "unrenormalised"}:
+        raise ValueError(f"modes {modes!r}: give one or both of "
+                         "'renormalised' and 'unrenormalised'")
+    if "renormalised" in modes:
+        spec.check_renormalisable()
     scales = sorted({e for e in eps_list} | {e / 2 for e in eps_list},
                     reverse=True)
     d = spec.d

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fhnspde.cli import (
     UsageError,
@@ -113,10 +115,67 @@ def test_parse_nonlinearity_coefficients():
     ("w + u", "unknown variables"),
     ("sin(u)", "not polynomial"),
     ("u*v1*v2", "unknown variables"),
+    ("1/u", "not polynomial"),
+    ("u^-1", "not polynomial"),
+    ("u^(1/2)", "not polynomial"),
+    ("2^u", "not polynomial"),
+    ("pi*u", "unknown variables"),
 ])
 def test_parse_nonlinearity_rejects(bad, frag):
     with pytest.raises(UsageError, match=frag):
         parse_nonlinearity(bad, 1)
+
+
+@st.composite
+def _nonlinearity_texts(draw):
+    """(n, text): sums of rational multiples of products of variables,
+    powers and linear factors, so factored forms and expansions beyond
+    degree 3 both occur."""
+    n = draw(st.sampled_from([0, 1, 2, 11]))
+    names = ["u"] + (["v", "v1"] if n == 1
+                     else [f"v{i}" for i in range(1, n + 1)])
+    num = st.one_of(
+        st.integers(0, 12).map(str),
+        st.builds("{}/{}".format, st.integers(0, 12), st.integers(1, 12)),
+        st.builds("{}.{}".format, st.integers(0, 3),
+                  st.sampled_from(["1", "25", "05", "5"])))
+    var = st.sampled_from(names)
+    linear = st.lists(
+        st.tuples(st.sampled_from(["+", "-"]), num, st.none() | var),
+        min_size=1, max_size=3).map(lambda ts: "(" + " ".join(
+            f"{s} {c}" + (f"*{x}" if x else "") for s, c, x in ts) + ")")
+    factor = var | linear | st.builds("{}^{}".format, var | linear,
+                                      st.integers(0, 3))
+    term = st.builds(
+        lambda s, c, fs, q: f"{s}{c}" + "".join("*" + f for f in fs) + q,
+        st.sampled_from(["", "-"]), num, st.lists(factor, max_size=3),
+        st.sampled_from(["", "/3", "/(2 - 1/2)"]))
+    terms = draw(st.lists(term, min_size=1, max_size=4))
+    return n, " + ".join(terms).replace("+ -", "- ")
+
+
+@given(_nonlinearity_texts())
+@example((1, "u*(1-u)*(u-0.1) - v"))
+@example((1, "1 - u"))
+@settings(max_examples=200, deadline=None)
+def test_parse_nonlinearity_matches_sympy(case):
+    # the exact table against sympy's reading of the same text, and the
+    # rendered text against sympy's printer (manifests and renorm_eq.json
+    # carry it)
+    n, text = case
+    gens = sympy.symbols(["u"] + [f"v{i}" for i in range(1, n + 1)])
+    expr = sympy.sympify(text.replace("^", "**"), rational=True)
+    if n == 1:
+        expr = expr.subs(sympy.Symbol("v"), gens[1])
+    want = sympy.Poly(expr, *gens)
+    if want.total_degree() > 3:
+        with pytest.raises(UsageError, match="degree"):
+            parse_nonlinearity(text, n)
+        return
+    F = parse_nonlinearity(text, n)
+    assert F.terms == tuple(want.terms())
+    assert all(isinstance(c, Fraction) for _, c in F.terms)
+    assert F.text() == str(sympy.expand(expr)) == str(F.expr)
 
 
 def test_parse_eps_list():
@@ -415,6 +474,26 @@ def test_converge_grid_guard(outdir, tmp_path, capsys):
         assert main(["converge", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (outdir / "converge").exists()
+
+
+def test_unrenormalisable_d3_system_fails_before_any_quadrature(
+        outdir, tmp_path, monkeypatch, capsys):
+    # d = 3 admits no counterterm for a u^2 v coefficient: converge and
+    # renormalised simulate refuse it before any constant is computed and
+    # before any run directory exists
+    import fhnspde.solver
+
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("kernel constants computed")
+
+    monkeypatch.setattr(fhnspde.solver, "kernel_constants", no_quadrature)
+    p = tmp_path / "d3.cfg"
+    p.write_text(CFG.replace("dim = 2", "dim = 3")
+                 .replace("F = u - u^3 + v", "F = u - u^3 + u^2*v"))
+    for sub in ("converge", "simulate"):
+        assert main([sub, "--config", str(p)]) == 1
+        assert "u^2 v_i" in capsys.readouterr().err
+        assert not (outdir / sub).exists()
 
 
 @pytest.mark.parametrize("every", ["0", "-3"])

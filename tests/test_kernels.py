@@ -591,6 +591,22 @@ def test_kernel_constants_origin_values_match_origin_correlation():
     assert c.Q2_0 == pytest.approx(float(q2[0, 0]), rel=1e-13)
 
 
+def test_kernel_constants_builds_one_correlation_operator(monkeypatch):
+    # the two correlation passes share the r grid of K_eps and the output
+    # radii, so one G serves both: one more besides the mollification's
+    basis, shapes = kernels._radial_basis, []
+
+    def counted(*args, **kwargs):
+        G = basis(*args, **kwargs)
+        shapes.append(G.shape)
+        return G
+
+    kernel = build_truncated_kernel(3)
+    monkeypatch.setattr(kernels, "_radial_basis", counted)
+    kernel_constants(3, 0.25, kernel=kernel, level=-1, full=True)
+    assert len(shapes) == 2
+
+
 # ---------------------------------------------------------------------------
 # slow-channel weight and kernel
 # ---------------------------------------------------------------------------

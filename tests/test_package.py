@@ -49,3 +49,32 @@ def test_cli_import_skips_scipy_signal_and_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def test_numeric_commands_never_execute_sympy(tmp_path):
+    # only renorm-eq runs the symbolic layer; F is read into an exact table
+    # without sympy, which the numeric commands never load (about 0.4 s and
+    # 32 MB at start-up)
+    root = Path(__file__).resolve().parents[1]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[grid]\nn_space = 16\ndt = 1e-4\nt_end = 2e-4\n"
+                   "[system]\ndim = {dim}\nF = u - u^3 - v\n"
+                   "[noise]\neps = 0.25\n"
+                   "[sweep]\neps_list = 2^-2\nt_star = 2e-4\n")
+    d3, d2 = tmp_path / "d3.cfg", tmp_path / "d2.cfg"
+    d3.write_text(cfg.read_text().format(dim=3))
+    d2.write_text(cfg.read_text().format(dim=2))
+    code = (
+        "import sys\n"
+        "from fhnspde.cli import main\n"
+        "rcs = [main(['constants', '--dim', '3', '--eps-list', '2^-3']),\n"
+        f"       main(['simulate', '--config', {str(d3)!r}]),\n"
+        f"       main(['converge', '--config', {str(d2)!r}])]\n"
+        "print(rcs, 'sympy.core' in sys.modules)\n"
+        "print(main(['renorm-eq', '--dim', '3', '--F', 'u - u^3 - v']))\n")
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               FHNSPDE_OUT=str(tmp_path / "out"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    lines = out.splitlines()
+    assert "[0, 0, 0] False" in lines and lines[-1] == "0", out

@@ -23,7 +23,7 @@ from fhnspde.renorm import (
     pair_family,
     renormalized_nonlinearity,
 )
-from fhnspde.renorm import U_SYM, v_symbols
+from fhnspde.renorm import v_symbols
 from fhnspde.solver import QSpec, SystemSpec
 from fhnspde.symbols import (
     ONE,
@@ -37,7 +37,7 @@ from fhnspde.symbols import (
 
 CT = common_trees(3)
 C1, C1p, C1pp, C2 = sympy.symbols("C1 C1p C1pp C2")
-U = U_SYM
+U = sympy.Symbol("u")
 V1, = v_symbols(1)
 
 

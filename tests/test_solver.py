@@ -19,7 +19,8 @@ from fhnspde.kernels import (
     mollify_kernel,
 )
 from fhnspde.noise import Lattice, mollify_noise, sample_white_noise
-from fhnspde.renorm import U_SYM, CubicPolynomial, v_symbols
+from fhnspde import solver
+from fhnspde.renorm import CubicPolynomial, v_symbols
 from fhnspde.solver import (
     QSpec,
     RunConfig,
@@ -35,6 +36,9 @@ from fhnspde.solver import (
     run,
     spectral_sigma,
 )
+
+
+U_SYM = sympy.Symbol("u")
 
 
 def _zero_F(n=1):
@@ -541,6 +545,21 @@ def test_epsilon_sweep_rejects_rough_exponents():
                         **bad)
         with pytest.raises(ValueError):
             epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.01)
+
+
+@pytest.mark.parametrize("modes", [("renormalized",), (),
+                                   ("unrenormalised", "both")])
+def test_epsilon_sweep_rejects_unknown_or_empty_modes(monkeypatch, modes):
+    # a misspelt mode would run unrenormalised dynamics under its label, and
+    # no mode would draw the whole noise for nothing: both fail first
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(solver, "_noise_forcing", no_noise)
+    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=1)
+    with pytest.raises(ValueError, match="modes"):
+        epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.01, modes=modes)
 
 
 def test_epsilon_sweep_honours_noise_amplitude():
