@@ -19,8 +19,8 @@ from .symbols import (  # noqa: F401
     StructureError,
     Symbol,
     SymbolTable,
-    canonicalize,
     enumerate_symbols,
+    from_text,
     homogeneity,
     xi_count,
 )

@@ -8,7 +8,8 @@ inventory of produced files.  The root defaults to ``./out`` and can be moved
 with the ``FHNSPDE_OUT`` environment variable.
 
 Exit codes: 0 on success, 2 when a quantity was computed but failed a
-requested tolerance check, 1 on usage or configuration errors.
+requested tolerance check, 1 when a command cannot run or stops (usage or
+configuration errors, a run that left the stable regime).
 """
 
 from __future__ import annotations
@@ -54,15 +55,9 @@ from .symbols import (
     Symbol,
     enumerate_symbols,
     display_name,
+    from_text,
     homogeneity,
-    integral,
-    ext,
-    monomial,
-    power,
-    product,
     to_text,
-    XI,
-    ONE,
 )
 
 __all__ = [
@@ -77,118 +72,14 @@ class UsageError(ValueError):
     """Bad flags, bad grammar, or an inconsistent configuration."""
 
 
-# ---------------------------------------------------------------------------
-# symbol expression grammar
-# ---------------------------------------------------------------------------
-#   expr    := factor ("*" factor)*
-#   factor  := atom ("^" uint)?
-#   atom    := "Xi" | "One" | "X" uint | "I(" expr ")" | "E" uint? "(" expr ")"
-#
-# The same grammar the pretty-printer emits; parse(print(tau)) == tau.
-
-_TOKEN = re.compile(r"\s*(Xi|One|X\d+|I\(|E\d*\(|\)|\*|\^\d+)")
-
-
-class _SymParser:
-    def __init__(self, text: str, d: int):
-        self.text = text
-        self.d = d
-        self.pos = 0
-        self.notes: list[str] = []
-
-    def error(self, msg: str) -> UsageError:
-        return UsageError(f"symbol syntax error at position {self.pos}: {msg}"
-                          f" in {self.text!r}")
-
-    def next_token(self, peek: bool = False) -> Optional[str]:
-        if self.pos >= len(self.text):
-            return None
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            stripped = self.text[self.pos:].strip()
-            if not stripped:
-                return None
-            raise self.error(f"unexpected input {stripped[:12]!r}")
-        if not peek:
-            self.pos = m.end()
-        return m.group(1)
-
-    def parse(self) -> Optional[Symbol]:
-        out = self.parse_expr()
-        tok = self.next_token()
-        if tok is not None:
-            raise self.error(f"trailing {tok!r}")
-        return out
-
-    def parse_expr(self) -> Optional[Symbol]:
-        factors = [self.parse_factor()]
-        while self.next_token(peek=True) == "*":
-            self.next_token()
-            factors.append(self.parse_factor())
-        if any(f is None for f in factors):
-            return None
-        return product(factors)
-
-    def parse_factor(self) -> Optional[Symbol]:
-        atom = self.parse_atom()
-        tok = self.next_token(peek=True)
-        if tok is not None and tok.startswith("^"):
-            self.next_token()
-            return power(atom, int(tok[1:]))
-        return atom
-
-    def parse_atom(self) -> Optional[Symbol]:
-        tok = self.next_token()
-        if tok is None:
-            raise self.error("unexpected end of input")
-        if tok == "Xi":
-            return XI
-        if tok == "One":
-            return ONE
-        if tok.startswith("X"):
-            idx = int(tok[1:])
-            if idx > self.d:
-                raise self.error(f"coordinate X{idx} outside dimension "
-                                 f"{self.d}")
-            k = [0] * (self.d + 1)
-            k[idx] = 1
-            return monomial(k, self.d)
-        if tok == "I(":
-            inner = self.parse_expr()
-            self.expect(")")
-            out = integral(inner)
-            if out is None and inner is not None:
-                self.notes.append(
-                    "I(%s) = 0: the integration symbol vanishes on the "
-                    "polynomial sector" % to_text(inner))
-            return out
-        if tok.startswith("E"):
-            channel = int(tok[1:-1]) if len(tok) > 2 else 1
-            inner = self.parse_expr()
-            self.expect(")")
-            out = ext(channel, inner, self.d)
-            if out is None and inner is not None:
-                self.notes.append(
-                    "E%d(%s) = 0: argument outside the (-2, 0) homogeneity "
-                    "sector" % (channel, to_text(inner)))
-            return out
-        raise self.error(f"unexpected {tok!r}")
-
-    def expect(self, want: str) -> None:
-        tok = self.next_token()
-        if tok != want:
-            raise self.error(f"expected {want!r}, found {tok!r}")
-
-
 def parse_symbol_expr(text: str, d: int = 3
                       ) -> tuple[Optional[Symbol], list[str]]:
-    """Parse grammar text to a canonical symbol (None = zero) plus notes."""
+    """Read grammar text to a canonical symbol (None = zero) plus notes;
+    the grammar is :func:`symbols.from_text`'s."""
     try:
-        p = _SymParser(text, d)
-        sym = p.parse()
+        return from_text(text, d)
     except StructureError as exc:
         raise UsageError(str(exc)) from exc
-    return sym, p.notes
 
 
 def parse_nonlinearity(text: str, n_channels: int = 1) -> CubicPolynomial:
@@ -221,13 +112,9 @@ class RunDir:
 
     def __init__(self, subcommand: str, seed: Optional[int] = None):
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        tag = f"{stamp}-{0 if seed is None else seed}"
-        self.path = output_root() / subcommand / tag
-        k = 1
-        while self.path.exists():
-            self.path = output_root() / subcommand / f"{tag}.{k}"
-            k += 1
-        self.path.mkdir(parents=True)
+        self._base = output_root() / subcommand
+        self._tag = f"{stamp}-{0 if seed is None else seed}"
+        self._path: Optional[Path] = None
         self.t0 = time.time()
         self.manifest: dict = {
             "tool_version": __version__,
@@ -236,6 +123,18 @@ class RunDir:
             "config": {},
             "constants": {},
         }
+
+    @property
+    def path(self) -> Path:
+        """The directory, made on first use: a command that fails before
+        it writes leaves none behind."""
+        if self._path is None:
+            path, k = self._base / self._tag, 1
+            while path.exists():
+                path, k = self._base / f"{self._tag}.{k}", k + 1
+            path.mkdir(parents=True)
+            self._path = path
+        return self._path
 
     def write_manifest(self) -> Path:
         self.manifest["elapsed_seconds"] = round(time.time() - self.t0, 3)
@@ -576,15 +475,9 @@ def cmd_converge(args) -> int:
     sweep = extra.get("sweep") or {}
     if not sweep.get("eps_list"):
         raise UsageError("converge needs a [sweep] section with eps_list")
-    # epsilon_sweep's check at its finest scale, before the run dir exists
-    replace(config, eps=min(sweep["eps_list"]) / 2).validate(spec.d,
-                                                             spec.Q.n)
-    spec.check_renormalisable()     # the sweep's renormalised mode
-    t_star = sweep.get("t_star", 0.1)
-    if not (math.isfinite(t_star) and t_star > 0):
-        raise UsageError(f"t_star = {t_star!r} must be finite and positive")
     rd = RunDir("converge", seed=config.seed)
-    rep = epsilon_sweep(spec, config, sweep["eps_list"], t_star=t_star)
+    rep = epsilon_sweep(spec, config, sweep["eps_list"],
+                        t_star=sweep.get("t_star", 0.1))
     rows = []
     for mode in rep.D:
         for ch in ("u", "v", "phi"):
@@ -678,11 +571,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # config-level inconsistencies from the library (eps vs grid etc.)
+    except (ValueError, RuntimeError) as exc:
+        # usage errors, inconsistent configurations and runs that left the
+        # stable regime
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

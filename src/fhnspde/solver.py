@@ -599,6 +599,8 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     if not eps_list:
         raise ValueError("empty scale list")
+    if not (math.isfinite(t_star) and t_star > 0):
+        raise ValueError(f"t_star = {t_star!r} must be finite and positive")
     modes = tuple(modes)
     if not modes or not set(modes) <= {"renormalised", "unrenormalised"}:
         raise ValueError(f"modes {modes!r}: give one or both of "

@@ -21,7 +21,9 @@ Legs are encoded here only: :func:`leg` builds I(Xi) (channel 0) or E_i(I(Xi))
 
 from __future__ import annotations
 
+import ast
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -42,9 +44,9 @@ __all__ = [
     "power",
     "leg",
     "leg_channel",
-    "canonicalize",
     "homogeneity",
     "xi_count",
+    "from_text",
     "TableRow",
     "SymbolTable",
     "enumerate_symbols",
@@ -148,7 +150,7 @@ class Symbol:
 
     Do not call the constructor directly for composite symbols; use
     :func:`monomial`, :func:`integral`, :func:`ext`, :func:`product` which
-    enforce canonical form (or :func:`canonicalize` for raw input).
+    enforce canonical form (or :func:`from_text` for grammar text).
     """
 
     tag: str
@@ -315,59 +317,6 @@ def leg_channel(sym: Symbol) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
-# Raw trees and canonicalisation
-# ---------------------------------------------------------------------------
-
-#: Raw expression nodes accepted by :func:`canonicalize`:
-#:   ("xi",) | ("one",) | ("x", k) | ("i", raw) | ("e", channel, raw)
-#:   | ("prod", (raw, ...)) | ("pow", raw, n)  -- or an already-built Symbol.
-Raw = Union[Symbol, tuple]
-
-
-def canonicalize(expr: Raw, d: int) -> Optional[Symbol]:
-    """Canonical form of a raw symbol tree, or None when the symbol is zero.
-
-    Idempotent: canonical symbols pass through unchanged (modulo re-checking
-    the d-dependent E-sector rule).
-    """
-    if isinstance(expr, Symbol):
-        if expr.tag == _XI:
-            return XI
-        if expr.tag == _ONE:
-            return ONE
-        if expr.tag == _MONO:
-            return monomial(expr.k, d)
-        if expr.tag == _INT:
-            return integral(canonicalize(expr.child, d))
-        if expr.tag == _EXT:
-            return ext(expr.channel, canonicalize(expr.child, d), d)
-        if expr.tag == _PROD:
-            return product(canonicalize(f, d) for f in expr.factors)
-        raise StructureError(f"unknown symbol tag {expr.tag!r}")
-    if not isinstance(expr, tuple) or not expr:
-        raise StructureError(f"not a raw symbol tree: {expr!r}")
-    head = expr[0]
-    if head == "xi":
-        return XI
-    if head == "one":
-        return ONE
-    if head == "x":
-        return monomial(expr[1], d)
-    if head == "i":
-        return integral(canonicalize(expr[1], d))
-    if head == "e":
-        return ext(expr[1], canonicalize(expr[2], d), d)
-    if head == "prod":
-        return product(canonicalize(f, d) for f in expr[1])
-    if head == "pow":
-        n = expr[2]
-        if not isinstance(n, int) or n < 0:
-            raise StructureError(f"bad power {n!r}")
-        return power(canonicalize(expr[1], d), n)
-    raise StructureError(f"unknown raw head {head!r}")
-
-
-# ---------------------------------------------------------------------------
 # Grading operations
 # ---------------------------------------------------------------------------
 
@@ -405,7 +354,7 @@ def xi_count(sym: Symbol) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Text form (canonical grammar; the CLI parser inverts this)
+# Text form (canonical grammar; from_text inverts to_text)
 # ---------------------------------------------------------------------------
 
 def _mono_text(k: tuple[int, ...]) -> str:
@@ -438,6 +387,68 @@ def to_text(sym: Symbol) -> str:
         base = to_text(f)
         parts.append(base if n == 1 else f"{base}^{n}")
     return "*".join(parts)
+
+
+def from_text(text: str, d: int) -> tuple[Optional[Symbol], list[str]]:
+    """Read :func:`to_text`'s grammar: the canonical symbol (None for zero)
+    and one note for each ``I`` or ``E`` that sends a non-zero argument to
+    zero.
+
+    The text is read through ``ast`` once ``^n`` is a power: the names
+    ``Xi``, ``One`` and ``X<i>`` (i <= d), ``*``, ``^`` with a non-negative
+    integer, and one-argument calls ``I(..)``, ``E(..)`` and ``E<i>(..)``.
+    """
+    def bad(what: str) -> StructureError:
+        return StructureError(f"cannot read symbol {text!r}: {what}")
+
+    # only ^ spells a power, and a parenthesis only opens I(..) or E<i>(..)
+    stray = re.search(r"\*\*|,|(?<!\w)\(|[^\x00-\x7f]", text)
+    if stray:
+        raise bad(f"unexpected {stray[0]!r}")
+    src = re.sub(r"\^(\d+)(?![\w.])", lambda m: f"**{int(m[1])}",
+                 " ".join(text.split()))
+    try:
+        tree = ast.parse(src, mode="eval")
+    except SyntaxError as exc:
+        raise bad(exc.msg) from None
+    notes: list[str] = []
+
+    def ev(node) -> Optional[Symbol]:
+        if isinstance(node, ast.Name) and node.id in ("Xi", "One"):
+            return XI if node.id == "Xi" else ONE
+        coord = isinstance(node, ast.Name) and re.fullmatch(r"X(\d+)",
+                                                            node.id)
+        if coord:
+            if int(coord[1]) > d:
+                raise bad(f"coordinate {node.id} outside dimension {d}")
+            return x_power(int(coord[1]), d)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            return product([ev(node.left), ev(node.right)])
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+                and isinstance(node.right, ast.Constant) \
+                and type(node.right.value) is int:
+            return power(ev(node.left), node.right.value)
+        head = isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+            and len(node.args) == 1 and not node.keywords \
+            and re.fullmatch(r"I|E(\d*)", node.func.id)
+        if head:
+            inner = ev(node.args[0])
+            if head[0] == "I":
+                out = integral(inner)
+                if out is None and inner is not None:
+                    notes.append("I(%s) = 0: the integration symbol vanishes "
+                                 "on the polynomial sector" % to_text(inner))
+                return out
+            channel = int(head[1] or 1)
+            out = ext(channel, inner, d)
+            if out is None and inner is not None:
+                notes.append("E%d(%s) = 0: argument outside the (-2, 0) "
+                             "homogeneity sector" % (channel, to_text(inner)))
+            return out
+        raise bad("unexpected %r" % ast.get_source_segment(
+            src, node).replace("**", "^"))
+
+    return ev(tree.body), notes
 
 
 # -- compact display codes for the common trees ------------------------------

@@ -49,9 +49,9 @@ def _run_dir(outdir, sub):
 @pytest.mark.parametrize("d", [2, 3])
 def test_round_trip_every_table_symbol(d):
     # parse(print(tau)) == tau over the whole graded table, E-decorations
-    # included
-    table = enumerate_symbols(d, Homogeneity(Fraction(1)), n_channels=2)
-    assert len(table.rows) > 10
+    # included; for d = 3 this is the benchmark's 1926-symbol table
+    table = enumerate_symbols(d, Homogeneity(Fraction(3, 2)), n_channels=2)
+    assert len(table.rows) == {2: 41, 3: 1926}[d]
     for row in table.rows:
         text = to_text(row.symbol)
         parsed, notes = parse_symbol_expr(text, d)
@@ -74,15 +74,20 @@ def test_parse_products_and_powers():
 def test_parse_zero_with_note():
     sym, notes = parse_symbol_expr("I(X1)", d=3)
     assert sym is None
-    assert len(notes) == 1 and "polynomial sector" in notes[0]
+    assert notes == ["I(X1) = 0: the integration symbol vanishes on the "
+                     "polynomial sector"]
 
-    sym, notes = parse_symbol_expr("E1(One)", d=3)
-    assert sym is None
-    assert any("homogeneity sector" in n for n in notes)
+    for text in ("E1(One)", "E(One)"):
+        sym, notes = parse_symbol_expr(text, d=3)
+        assert sym is None
+        assert notes == ["E1(One) = 0: argument outside the (-2, 0) "
+                         "homogeneity sector"]
 
     # zero factor annihilates the whole product
     sym, notes = parse_symbol_expr("I(X2)*Xi", d=3)
-    assert sym is None and notes
+    assert sym is None
+    assert notes == ["I(X2) = 0: the integration symbol vanishes on the "
+                     "polynomial sector"]
 
 
 @pytest.mark.parametrize("bad", [
@@ -92,6 +97,12 @@ def test_parse_zero_with_note():
     "",              # empty
     "Xi Xi",         # missing operator
     "I()",
+    "Xi**2",         # only ^ spells a power
+    "2*Xi",          # no coefficients
+    "I(Xi, Xi)",     # I takes one argument
+    "Xi^-1",         # negative power
+    "E0(Xi)",        # channels start at 1
+    "Xi^2^3",        # one power per factor
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(UsageError):
@@ -493,6 +504,24 @@ def test_unrenormalisable_d3_system_fails_before_any_quadrature(
     for sub in ("converge", "simulate"):
         assert main([sub, "--config", str(p)]) == 1
         assert "u^2 v_i" in capsys.readouterr().err
+        assert not (outdir / sub).exists()
+
+
+def test_failed_run_prints_error_and_leaves_no_run_dir(outdir, tmp_path,
+                                                      capsys):
+    # both configs pass the pre-checks and fail inside the run: a sweep
+    # that leaves the stable regime at once, a dimension the solver has
+    # no lattice for
+    p = tmp_path / "fail.cfg"
+    for sub, old, new, frag in (
+            ("converge", "dim = 2", "dim = 2\ncutoff = 1e-9",
+             "stable regime"),
+            ("simulate", "dim = 2", "dim = 4", "spatial dimension")):
+        p.write_text(CFG.replace(old, new)
+                     .replace("enabled = yes", "enabled = no"))
+        assert main([sub, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and frag in err
         assert not (outdir / sub).exists()
 
 

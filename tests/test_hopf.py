@@ -19,15 +19,16 @@ from fhnspde.hopf import (
 from fhnspde.symbols import (
     ONE,
     XI,
-    canonicalize,
     common_trees,
+    from_text,
     homogeneity,
+    integral,
     product,
     to_text,
     x_power,
 )
 
-from test_symbols import raw_symbols
+from test_symbols import symbol_texts
 
 CT3 = common_trees(3)
 CT2 = common_trees(2)
@@ -129,13 +130,13 @@ def test_coproduct_decorated_mirrors_plain():
     # E passes through the coproduct; RSoI is primitive like RSI
     assert coproduct(CT3["RSoI"], 3) == ts((CT3["RSoI"], PLUS_ONE))
     # I(Xi)*E(I(Xi)) * I(I(Xi)^2) has the same shape as RSWV with one leg swapped
-    sym = product([CT3["RSVo"], canonicalize(("i", CT3["RSV"]), 3)])
+    sym = product([CT3["RSVo"], integral(CT3["RSV"])])
     got = coproduct(sym, 3)
     assert got == ts((sym, PLUS_ONE), (CT3["RSVo"], P([J(CT3["RSV"])])))
 
 
 def test_monomial_coproduct_binomial():
-    x1sq = canonicalize(("x", (0, 2, 0, 0)), 3)
+    x1sq = x_power(1, 3, 2)
     got = coproduct(x1sq, 3)
     assert got == ts((x1sq, PLUS_ONE), (ONE, P(k=(0, 2, 0, 0))),
                      (x_power(1, 3), PX(1), 2))
@@ -159,10 +160,10 @@ def test_display_text():
 # Structural invariants
 # ---------------------------------------------------------------------------
 
-@given(raw_symbols())
+@given(symbol_texts())
 @settings(max_examples=120, deadline=None)
-def test_counit(raw):
-    tau = canonicalize(raw, 3)
+def test_counit(text):
+    tau = from_text(text, 3)[0]
     if tau is None:
         return
     unit_terms = {left: c for (left, right), c in coproduct(tau, 3).terms.items()
@@ -170,10 +171,10 @@ def test_counit(raw):
     assert unit_terms == {tau: Fraction(1)}
 
 
-@given(raw_symbols())
+@given(symbol_texts())
 @settings(max_examples=120, deadline=None)
-def test_grading_exact_per_term(raw):
-    tau = canonicalize(raw, 3)
+def test_grading_exact_per_term(text):
+    tau = from_text(text, 3)[0]
     if tau is None:
         return
     h = homogeneity(tau, 3)
@@ -183,10 +184,10 @@ def test_grading_exact_per_term(raw):
             assert homogeneity(left, 3) < h
 
 
-@given(raw_symbols(), raw_symbols())
+@given(symbol_texts(), symbol_texts())
 @settings(max_examples=80, deadline=None)
-def test_multiplicativity(raw_a, raw_b):
-    a, b = canonicalize(raw_a, 3), canonicalize(raw_b, 3)
+def test_multiplicativity(text_a, text_b):
+    a, b = from_text(text_a, 3)[0], from_text(text_b, 3)[0]
     if a is None or b is None:
         return
     ab = product([a, b])

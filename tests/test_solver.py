@@ -562,6 +562,21 @@ def test_epsilon_sweep_rejects_unknown_or_empty_modes(monkeypatch, modes):
         epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.01, modes=modes)
 
 
+@pytest.mark.parametrize("t_star", [math.nan, -1.0, 0.0, math.inf])
+def test_epsilon_sweep_rejects_bad_t_star(monkeypatch, t_star):
+    # t_star sets the step count: a NaN or infinite one has none and a
+    # non-positive one records nothing, so each fails before any noise
+    def no_noise(*args, **kwargs):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(solver, "_noise_forcing", no_noise)
+    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=1,
+                    noise_amplitude=0.0)
+    with pytest.raises(ValueError, match="t_star"):
+        epsilon_sweep(spec, cfg, [2 ** -3], t_star=t_star)
+
+
 def test_epsilon_sweep_honours_noise_amplitude():
     # without noise chi vanishes, so the remainder gap is the u gap
     spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())

@@ -13,11 +13,11 @@ from fhnspde.symbols import (
     Scaling,
     StructureError,
     Symbol,
-    canonicalize,
     common_trees,
     display_name,
     enumerate_symbols,
     ext,
+    from_text,
     homogeneity,
     integral,
     monomial,
@@ -169,18 +169,17 @@ def test_structure_errors():
 
 def test_canonicalize_raw_trees():
     d = 3
-    raw = ("prod", (("i", ("xi",)), ("pow", ("i", ("xi",)), 2)))
-    assert canonicalize(raw, d) == common_trees(d)["RSW"]
-    assert canonicalize(("x", (0, 0, 0, 0)), d) == ONE
-    assert canonicalize(("i", ("one",)), d) is None
-    assert canonicalize(("e", 1, ("i", ("xi",))), d) == common_trees(d)["RSoI"]
+    assert from_text("I(Xi)*I(Xi)^2", d) == (common_trees(d)["RSW"], [])
+    assert from_text("X1^0", d)[0] == ONE
+    assert from_text("I(One)", d)[0] is None
+    assert from_text("E1(I(Xi))", d)[0] == common_trees(d)["RSoI"]
     with pytest.raises(StructureError):
-        canonicalize(("bogus",), d)
+        from_text("bogus", d)
 
 
 def test_canonicalize_idempotent_on_symbols():
     for sym in common_trees(3).values():
-        assert canonicalize(sym, 3) == sym
+        assert from_text(to_text(sym), 3) == (sym, [])
 
 
 def test_xi_count():
@@ -275,33 +274,32 @@ def test_table_lookup():
 # Property tests
 # ---------------------------------------------------------------------------
 
-def raw_symbols(max_depth=3):
-    base = st.sampled_from([("xi",), ("one",), ("x", (0, 1, 0, 0)),
-                            ("x", (1, 0, 0, 0)), ("x", (0, 0, 2, 0))])
+def symbol_texts():
+    """Grammar text, canonical or not, that may read as zero."""
+    base = st.sampled_from(["Xi", "One", "X1", "X0", "X2^2"])
 
     def extend(children):
         return st.one_of(
-            st.tuples(st.just("i"), children),
-            st.tuples(st.just("e"), st.integers(1, 2), children),
-            st.builds(lambda fs: ("prod", tuple(fs)),
-                      st.lists(children, min_size=2, max_size=3)),
+            st.builds("I({})".format, children),
+            st.builds("E{}({})".format, st.integers(1, 2), children),
+            st.builds("*".join, st.lists(children, min_size=2, max_size=3)),
         )
 
     return st.recursive(base, extend, max_leaves=6)
 
 
-@given(raw_symbols())
+@given(symbol_texts())
 @settings(max_examples=200, deadline=None)
-def test_canonicalize_idempotent(raw):
-    sym = canonicalize(raw, 3)
+def test_canonicalize_idempotent(text):
+    sym = from_text(text, 3)[0]
     if sym is not None:
-        assert canonicalize(sym, 3) == sym
+        assert from_text(to_text(sym), 3) == (sym, [])
 
 
-@given(raw_symbols(), raw_symbols())
+@given(symbol_texts(), symbol_texts())
 @settings(max_examples=200, deadline=None)
 def test_homogeneity_additive_and_product_commutes(a, b):
-    sa, sb = canonicalize(a, 3), canonicalize(b, 3)
+    sa, sb = from_text(a, 3)[0], from_text(b, 3)[0]
     if sa is None or sb is None:
         return
     p = product([sa, sb])
@@ -312,10 +310,10 @@ def test_homogeneity_additive_and_product_commutes(a, b):
         assert xi_count(p) == xi_count(sa) + xi_count(sb)
 
 
-@given(raw_symbols())
+@given(symbol_texts())
 @settings(max_examples=100, deadline=None)
-def test_sort_key_total_order(raw):
-    sym = canonicalize(raw, 3)
+def test_sort_key_total_order(text):
+    sym = from_text(text, 3)[0]
     if sym is None:
         return
     assert not (sym < sym)
