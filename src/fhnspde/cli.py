@@ -95,10 +95,6 @@ def parse_nonlinearity(text: str, n_channels: int = 1) -> CubicPolynomial:
 # run directories and manifests
 # ---------------------------------------------------------------------------
 
-def output_root() -> Path:
-    return Path(os.environ.get("FHNSPDE_OUT", "out"))
-
-
 def _sha256(path: Path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -112,7 +108,7 @@ class RunDir:
 
     def __init__(self, subcommand: str, seed: Optional[int] = None):
         stamp = time.strftime("%Y%m%dT%H%M%S", time.gmtime())
-        self._base = output_root() / subcommand
+        self._base = Path(os.environ.get("FHNSPDE_OUT", "out")) / subcommand
         self._tag = f"{stamp}-{0 if seed is None else seed}"
         self._path: Optional[Path] = None
         self.t0 = time.time()

@@ -142,12 +142,19 @@ def panel_grid(edges: Sequence[float], order: int = 8) -> Grid1D:
                   (half * wg).reshape(shape))
 
 
-def _two_sided_edges(lo: float, hi: float, h_min: float,
-                     ratio: float = 2.0) -> np.ndarray:
-    """Edges on [lo, hi] (lo < 0 < hi) refined toward 0 from both sides."""
-    left = -geometric_edges(0.0, -lo, h_min, ratio)[::-1]
-    right = geometric_edges(0.0, hi, h_min, ratio)
-    return np.concatenate([left[:-1], right])
+def _graded_span(a: float, b: float, h_min: float,
+                 ratio: float = 2.0) -> np.ndarray:
+    """Panel edges on [a, b] refined toward u = 0, from both sides when
+    a < 0 < b, else toward the endpoint nearest it."""
+    if b - a <= h_min:
+        return np.array([a, b])
+    if a < 0.0 < b:
+        left = -geometric_edges(0.0, -a, h_min, ratio)[::-1]
+        return np.concatenate([left[:-1],
+                               geometric_edges(0.0, b, h_min, ratio)])
+    if a >= 0.0:
+        return a + geometric_edges(0.0, b - a, h_min, ratio)
+    return b - geometric_edges(0.0, b - a, h_min, ratio)[::-1]
 
 
 def _shell(grid: Grid1D, d: int) -> np.ndarray:
@@ -621,7 +628,7 @@ def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
     """
     t_half = rho.t_halfwidth * eps ** 2
     t_grid = panel_grid(
-        _two_sided_edges(-t_half, t_hi, res.frac * eps ** 2, res.ratio),
+        _graded_span(-t_half, t_hi, res.frac * eps ** 2, res.ratio),
         res.order)
     r_grid = res.graded(r_hi, eps)
 
@@ -706,18 +713,6 @@ def matrix_weight(A1: np.ndarray, A2: np.ndarray, channel: int,
     return Q
 
 
-def _graded_span(a: float, b: float, h_min: float,
-                 ratio: float = 2.0) -> np.ndarray:
-    """Panel edges on [a, b] refined toward u = 0 (or the endpoint nearest it)."""
-    if b - a <= h_min:
-        return np.array([a, b])
-    if a < 0.0 < b:
-        return _two_sided_edges(a, b, h_min, ratio)
-    if a >= 0.0:
-        return a + geometric_edges(0.0, b - a, h_min, ratio)
-    return b - geometric_edges(0.0, b - a, h_min, ratio)[::-1]
-
-
 def kq_exact(kernel: TruncatedKernel, Q: Callable, T: float = 0.5
              ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Unmollified K^Q(t, r) = int_0^{2T} Q(s) K(t - s, r) ds, pointwise.
@@ -760,7 +755,7 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
     eps_scale = max(keps.t_grid.nodes[0] - t_lo, 1e-12)
     h_min = eps_scale / 4.0
     res = _resolution(level)
-    t_grid = panel_grid(_two_sided_edges(t_lo, t_hi, eps_scale, res.ratio),
+    t_grid = panel_grid(_graded_span(t_lo, t_hi, eps_scale, res.ratio),
                         res.order)
     vals = np.zeros((t_grid.nodes.size, keps.r_grid.nodes.size))
     for i, ti in enumerate(t_grid.nodes):
@@ -926,16 +921,19 @@ class CounterTerms:
     C2_sys: tuple[float, ...]
     C_eps: float
 
+    def as_dict(self) -> dict:
+        return {"C0": self.C0, "C1": self.C1_sys, "C2": list(self.C2_sys),
+                "C_eps": self.C_eps}
+
 
 def assemble_C(beta1: float, gamma1: float, gamma2: Sequence[float],
-               consts: KernelConstants) -> CounterTerms:
+               C1: float, C2: float) -> CounterTerms:
     """Counterterms (-beta1/3, -gamma1, -gamma2_i/3) * C(eps).
 
-    C(eps) = 3 C1 + 9 gamma1 C2 in three dimensions (C2 = 2 int K Q0^2)
-    and 3 C1 in two.
+    C(eps) = 3 C1 + 9 gamma1 C2, with C2 = 2 int K Q0^2 in three dimensions
+    and C2 = 0.0 in two.
     """
-    C2 = consts.C2 if consts.C2 is not None else 0.0
-    C_eps = 3.0 * consts.C1 + 9.0 * float(gamma1) * C2
+    C_eps = 3.0 * C1 + 9.0 * float(gamma1) * C2
     return CounterTerms(C0=-float(beta1) / 3.0 * C_eps,
                         C1_sys=-float(gamma1) * C_eps,
                         C2_sys=tuple(-float(g) / 3.0 * C_eps for g in gamma2),

@@ -34,7 +34,6 @@ from scipy.linalg import expm
 
 from .kernels import (
     CounterTerms,
-    KernelConstants,
     MollifierSpec,
     TruncatedKernel,
     assemble_C,
@@ -153,6 +152,8 @@ class RunConfig:
     snapshot_times: tuple[float, ...] = ()
 
     def validate(self, d: int, n_v: int = 1) -> None:
+        if d not in (2, 3):
+            raise ValueError(f"spatial dimension d = {d} must be 2 or 3")
         # a nan passes every comparison below (and turns the cutoff guard
         # off); an infinite t_end has no step count
         for name in ("dt", "t_end", "eps", "cutoff", "eta", "gamma",
@@ -329,8 +330,12 @@ class Stepper:
                              axes=self.ax)
 
 
+def _l2(x: np.ndarray) -> float:
+    return math.sqrt(np.mean(np.square(x)))
+
+
 def _norm_pair(x: np.ndarray) -> tuple[float, float]:
-    return float(np.max(np.abs(x))), float(math.sqrt(np.mean(np.square(x))))
+    return float(np.max(np.abs(x))), _l2(x)
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +533,7 @@ def run(config: RunConfig, spec: SystemSpec) -> RunResult:
         "d": spec.d, "formulation": spec.formulation,
         "F": spec.F.text(), "A1": list(spec.Q.A1),
         "A2": [list(r) for r in spec.Q.A2], "taper_T": spec.Q.T,
-        "renorm": None if spec.renorm is None else {
-            "C0": float(spec.renorm.C0), "C1": float(spec.renorm.C1_sys),
-            "C2": [float(c) for c in spec.renorm.C2_sys],
-            "C_eps": float(spec.renorm.C_eps)},
+        "renorm": None if spec.renorm is None else spec.renorm.as_dict(),
         "n_space": config.n_space, "dt": config.dt, "t_end": config.t_end,
         "eps": config.eps, "seed": config.seed, "cutoff": config.cutoff,
         "eta": config.eta, "gamma": config.gamma,
@@ -560,15 +562,13 @@ def counterterms_for(spec_F: CubicPolynomial, d: int, eps: float,
         kernel = build_truncated_kernel(d)
     if d == 3:
         consts = kernel_constants(d, eps, kernel=kernel, full=True)
+        C1, C2 = consts.C1, consts.C2
     else:
-        keps = mollify_kernel(kernel, eps)
-        consts = KernelConstants(d=d, eps=eps, C1=keps.squared_integral(),
-                                 Q1_0=0.0, Q2_0=0.0)
-    beta1 = float(spec_F.beta1)
-    gamma1 = float(spec_F.gamma1)
+        C1, C2 = mollify_kernel(kernel, eps).squared_integral(), 0.0
     gamma2 = tuple(float(spec_F.gamma2(i))
                    for i in range(1, spec_F.n_channels + 1))
-    return assemble_C(beta1, gamma1, gamma2, consts)
+    return assemble_C(float(spec_F.beta1), float(spec_F.gamma1), gamma2,
+                      C1, C2)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +577,10 @@ def counterterms_for(spec_F: CubicPolynomial, d: int, eps: float,
 
 @dataclass
 class SweepReport:
+    """``D[mode][channel]``: (sup, L2) of x^eps - x^{eps/2} at t_star per
+    scale.  ``contraction``: ``"q_l1"``, the slow-channel kernel's L1 norm,
+    and ``"pairs"``, mapping (mode, eps, eps/2) to ``{"max_ratio": r}``."""
+
     eps: list
     t_star: float
     D: dict
@@ -593,10 +597,12 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     """Common-noise sweep: runs at every scale and its half, in lockstep.
 
     Reports D(eps) = ||x^eps - x^{eps/2}|| (sup and L2) at t_star for the
-    channels u, v, phi, for renormalised and unrenormalised dynamics, plus
-    the discrete slow-channel contraction data.
+    channels u, v, phi, for renormalised and unrenormalised dynamics in
+    ``spec.formulation``, read from the final states.  At record times only
+    the contraction ratio r is kept: the largest ||v^eps - v^{eps/2}||_2
+    over the running sup of ||u^eps - u^{eps/2}||_2.
     """
-    eps_list = sorted((float(e) for e in eps_list), reverse=True)
+    eps_list = sorted({float(e) for e in eps_list}, reverse=True)
     if not eps_list:
         raise ValueError("empty scale list")
     if not (math.isfinite(t_star) and t_star > 0):
@@ -626,27 +632,23 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     for mode in modes:
         for e in scales:
             renorm = constants[e] if mode == "renormalised" else None
-            st = Stepper(replace(spec, renorm=renorm, formulation="direct"),
-                         config.n_space, config.dt)
+            st = Stepper(replace(spec, renorm=renorm), config.n_space,
+                         config.dt)
             members[(mode, e)] = _Member(st, e, u0, v0)
 
-    # pairwise difference tracking at matching record times
-    pairs = [(e, e / 2) for e in eps_list]
-    track = {mode: {p: {"du": [], "dv": [], "dphi": [], "t": []}
-                    for p in pairs} for mode in modes}
+    pairs = {(mode, e, e / 2): (members[(mode, e)], members[(mode, e / 2)])
+             for mode in modes for e in eps_list}
+    du_sup = dict.fromkeys(pairs, 0.0)
+    max_ratio = dict.fromkeys(pairs, 0.0)
 
     def observe(i: int) -> None:
         if i % config.record_every and i != steps:
             return
-        for mode in modes:
-            for (ea, eb) in pairs:
-                sa, sb = members[(mode, ea)], members[(mode, eb)]
-                rec = track[mode][(ea, eb)]
-                rec["t"].append(i * config.dt)
-                rec["du"].append(_norm_pair(sa.u - sb.u))
-                rec["dv"].append(_norm_pair(sa.v - sb.v))
-                rec["dphi"].append(_norm_pair(
-                    (sa.u - sa.chi()) - (sb.u - sb.chi())))
+        for key, (sa, sb) in pairs.items():
+            du_sup[key] = max(du_sup[key], _l2(sa.u - sb.u))
+            if du_sup[key] > 0:
+                max_ratio[key] = max(max_ratio[key],
+                                     _l2(sa.v - sb.v) / du_sup[key])
 
     failed = _lockstep(members, steps, config.cutoff, forcing, observe)
     if failed:
@@ -654,34 +656,20 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
         raise RuntimeError("sweep run (%s, eps=%g) left the stable regime at "
                            "t=%g" % (mode, e, i * config.dt))
 
-    q_l1 = spec.Q.l1_norm()
     D = {mode: {"u": [], "v": [], "phi": []} for mode in modes}
-    contraction = {"q_l1": q_l1, "pairs": {}}
-    for mode in modes:
-        for p in pairs:
-            rec = track[mode][p]
-            D[mode]["u"].append(rec["du"][-1])
-            D[mode]["v"].append(rec["dv"][-1])
-            D[mode]["phi"].append(rec["dphi"][-1])
-            du_l2 = np.asarray([x[1] for x in rec["du"]])
-            dv_l2 = np.asarray([x[1] for x in rec["dv"]])
-            run_sup = np.maximum.accumulate(du_l2)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where(run_sup > 0, dv_l2 / np.maximum(
-                    run_sup, 1e-300), 0.0)
-            contraction["pairs"][(mode,) + p] = {
-                "t": np.asarray(rec["t"]),
-                "dv_l2": dv_l2, "du_running_sup": run_sup,
-                "max_ratio": float(np.max(ratio)),
-            }
+    for (mode, _, _), (sa, sb) in pairs.items():
+        D[mode]["u"].append(_norm_pair(sa.u - sb.u))
+        D[mode]["v"].append(_norm_pair(sa.v - sb.v))
+        D[mode]["phi"].append(_norm_pair(
+            (sa.u - sa.chi()) - (sb.u - sb.chi())))
+    contraction = {"q_l1": spec.Q.l1_norm(), "pairs": {
+        k: {"max_ratio": r} for k, r in max_ratio.items()}}
     manifest = {
         "eps_list": eps_list, "scales": scales, "t_star": t_star,
         "seed": config.seed, "n_space": config.n_space, "dt": config.dt,
-        "F": spec.F.text(), "modes": list(modes),
-        "constants": {e: {"C0": float(c.C0), "C1": float(c.C1_sys),
-                          "C2": [float(x) for x in c.C2_sys],
-                          "C_eps": float(c.C_eps)}
-                      for e, c in constants.items()},
+        "F": spec.F.text(), "formulation": spec.formulation,
+        "modes": list(modes),
+        "constants": {e: c.as_dict() for e, c in constants.items()},
     }
     return SweepReport(eps=eps_list, t_star=t_star, D=D,
                        contraction=contraction,

@@ -414,6 +414,13 @@ eps_list = 2^-2
 t_star = 4e-3
 """
 
+# a dimension outside {2, 3}, with and without counterterms: one message
+# from RunConfig.validate, whichever command and layer would meet it first
+BAD_DIM_CFGS = {
+    f"dim-{dim}-renorm-{on}": CFG.replace("dim = 2", f"dim = {dim}")
+    .replace("enabled = yes", f"enabled = {on}")
+    for dim in (1, 4) for on in ("yes", "no")}
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -485,6 +492,11 @@ def test_converge_grid_guard(outdir, tmp_path, capsys):
         assert main(["converge", "--config", str(p)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (outdir / "converge").exists()
+    for text in BAD_DIM_CFGS.values():
+        p.write_text(text)
+        assert main(["converge", "--config", str(p)]) == 1
+        assert "must be 2 or 3" in capsys.readouterr().err
+        assert not (outdir / "converge").exists()
 
 
 def test_unrenormalisable_d3_system_fails_before_any_quadrature(
@@ -509,9 +521,8 @@ def test_unrenormalisable_d3_system_fails_before_any_quadrature(
 
 def test_failed_run_prints_error_and_leaves_no_run_dir(outdir, tmp_path,
                                                       capsys):
-    # both configs pass the pre-checks and fail inside the run: a sweep
-    # that leaves the stable regime at once, a dimension the solver has
-    # no lattice for
+    # a sweep that passes the pre-checks and leaves the stable regime at
+    # once; a dimension the solver has no lattice for, refused up front
     p = tmp_path / "fail.cfg"
     for sub, old, new, frag in (
             ("converge", "dim = 2", "dim = 2\ncutoff = 1e-9",
@@ -546,11 +557,13 @@ def test_simulate_rejects_record_interval_below_one(outdir, tmp_path, capsys,
     ("seed = 1", "seed = 1\namplitude = nan", "amplitude"),
     ("dt = 1e-3", "dt = nan", "dt"),
     ("t_end = 4e-3", "t_end = inf", "t_end"),
-])
+] + [pytest.param(None, text, "must be 2 or 3", id=name)
+     for name, text in BAD_DIM_CFGS.items()])
 def test_simulate_rejects_bad_seed_and_snapshot_times(outdir, tmp_path,
                                                       capsys, old, new, frag):
+    # old = None: ``new`` is the whole config
     p = tmp_path / "bad.cfg"
-    p.write_text(CFG.replace(old, new))
+    p.write_text(new if old is None else CFG.replace(old, new))
     assert main(["simulate", "--config", str(p)]) == 1
     assert frag in capsys.readouterr().err
     assert not (outdir / "simulate").exists()

@@ -14,7 +14,6 @@ from fhnspde.kernels import (
     BoundCheck,
     CounterTerms,
     Grid1D,
-    KernelConstants,
     KernelConstructionError,
     MollifiedKernel,
     MollifierSpec,
@@ -750,9 +749,7 @@ def test_kernel_constants_error_estimate():
 
 
 def test_assemble_counterterms():
-    consts = KernelConstants(d=3, eps=0.1, C1=2.0, Q1_0=0.1, Q2_0=0.1,
-                             C2=0.01)
-    ct = assemble_C(beta1=1.5, gamma1=3.0, gamma2=(0.6,), consts=consts)
+    ct = assemble_C(beta1=1.5, gamma1=3.0, gamma2=(0.6,), C1=2.0, C2=0.01)
     C_eps = 3 * 2.0 + 9 * 3.0 * 0.01
     assert ct.C_eps == pytest.approx(C_eps, rel=1e-14)
     assert ct.C0 == pytest.approx(-1.5 / 3 * C_eps, rel=1e-14)
@@ -761,8 +758,7 @@ def test_assemble_counterterms():
 
 
 def test_assemble_counterterms_d2_has_no_C2_part():
-    consts = KernelConstants(d=2, eps=0.1, C1=1.2, Q1_0=0.0, Q2_0=0.0)
-    ct = assemble_C(1.0, 2.0, (1.0, 0.5), consts)
+    ct = assemble_C(1.0, 2.0, (1.0, 0.5), C1=1.2, C2=0.0)
     assert ct.C_eps == pytest.approx(3.6, rel=1e-14)
     assert len(ct.C2_sys) == 2
 

@@ -1,5 +1,6 @@
 """Package-level invariants of the public API."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -78,3 +79,26 @@ def test_numeric_commands_never_execute_sympy(tmp_path):
                          capture_output=True, text=True).stdout
     lines = out.splitlines()
     assert "[0, 0, 0] False" in lines and lines[-1] == "0", out
+
+
+def test_every_parameter_is_read():
+    # a parameter that its function never reads is a dead knob: callers
+    # pass it and believe it acts (self and cls are exempt)
+    src = Path(fhnspde.__file__).resolve().parent
+    unread = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [a.vararg, a.kwarg] if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "lambda")
+            unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert not unread, unread

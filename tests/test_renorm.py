@@ -6,7 +6,7 @@ import random
 import pytest
 import sympy
 
-from fhnspde.kernels import KernelConstants, assemble_C
+from fhnspde.kernels import assemble_C
 
 from fhnspde.renorm import (
     Combo,
@@ -415,9 +415,8 @@ def test_hand_written_counterterm_rules_match_derivation(d, n, seed):
 
     assert eq.factorized == (d == 2 or not any(gamma2))
     assert eq.proportional or not eq.factorized
-    want = assemble_C(float(F.beta1), float(F.gamma1), gamma2,
-                      KernelConstants(d=d, eps=0.1, C1=C1, Q1_0=0.0, Q2_0=0.0,
-                                      C2=C2 if d == 3 else None))
+    want = assemble_C(float(F.beta1), float(F.gamma1), gamma2, C1,
+                      C2 if d == 3 else 0.0)
     assert float(-eq.c0) == pytest.approx(want.C0, rel=1e-12, abs=1e-12)
     assert float(-eq.c1) == pytest.approx(want.C1_sys, rel=1e-12, abs=1e-12)
     assert [float(-c) for c in eq.c2] == pytest.approx(

@@ -523,9 +523,47 @@ def test_epsilon_sweep_structure_and_contraction():
     for data in rep.contraction["pairs"].values():
         assert data["max_ratio"] <= bound
     assert 2 ** -3 in rep.constants
+    # pinned: (sup, L2) per mode and channel, and the contraction ratios
+    # (running sup of ||du||_2 against ||dv||_2 over six record times)
+    want_D = {
+        "renormalised": {
+            "u": (0.47108036292285804, 0.15642308550840303),
+            "v": (0.0016478658113256994, 0.00045958365103686315),
+            "phi": (0.01286759218188993, 0.006356330020671165)},
+        "unrenormalised": {
+            "u": (0.4792708696710377, 0.1563541028750062),
+            "v": (0.0014632194876316174, 0.0004362665614843575),
+            "phi": (0.006113810369297701, 0.002164111759598953)}}
+    for mode, chans in want_D.items():
+        for ch, want in chans.items():
+            assert rep.D[mode][ch][0] == pytest.approx(want, rel=1e-12)
+    assert rep.contraction["pairs"] == {
+        ("renormalised", 2 ** -3, 2 ** -4):
+            {"max_ratio": pytest.approx(0.0028327399621058016, rel=1e-12)},
+        ("unrenormalised", 2 ** -3, 2 ** -4):
+            {"max_ratio": pytest.approx(0.002699326396749276, rel=1e-12)}}
     rep2 = epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.02)
     assert rep2.noise_checksum == rep.noise_checksum
     assert rep2.D["renormalised"]["u"] == rep.D["renormalised"]["u"]
+
+
+def test_epsilon_sweep_honours_formulation():
+    # the remainder formulation evolves phi = u - chi: the same D to
+    # rounding, and the manifest names the formulation that ran (a repeated
+    # scale is one pair)
+    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=31,
+                    record_every=8)
+    direct = epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.02)
+    rem = epsilon_sweep(replace(spec, formulation="remainder"), cfg,
+                        [2 ** -3, 2 ** -3], t_star=0.02)
+    assert rem.eps == [2 ** -3] and len(rem.contraction["pairs"]) == 2
+    assert direct.manifest["formulation"] == "direct"
+    assert rem.manifest["formulation"] == "remainder"
+    for mode in direct.D:
+        for ch in ("u", "v", "phi"):
+            np.testing.assert_allclose(rem.D[mode][ch], direct.D[mode][ch],
+                                       rtol=0, atol=1e-10)
 
 
 def test_epsilon_sweep_guards_fine_scales():
