@@ -472,8 +472,10 @@ def cmd_converge(args) -> int:
     if not sweep.get("eps_list"):
         raise UsageError("converge needs a [sweep] section with eps_list")
     rd = RunDir("converge", seed=config.seed)
+    modes = ("renormalised", "unrenormalised") if extra["renorm_on"] \
+        else ("unrenormalised",)
     rep = epsilon_sweep(spec, config, sweep["eps_list"],
-                        t_star=sweep.get("t_star", 0.1))
+                        t_star=sweep.get("t_star", 0.1), modes=modes)
     rows = []
     for mode in rep.D:
         for ch in ("u", "v", "phi"):

@@ -28,8 +28,6 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline, RectBivariateSpline
-from scipy.special import gamma as gamma_fn
 
 __all__ = [
     "heat_kernel",
@@ -68,7 +66,7 @@ __all__ = [
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^d."""
-    return 2.0 * math.pi ** (d / 2.0) / gamma_fn(d / 2.0)
+    return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
 def heat_kernel(t, r, d: int):
@@ -168,12 +166,100 @@ def radial_integral(vals: np.ndarray, grid: Grid1D, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Cubic splines
+# ---------------------------------------------------------------------------
+
+class _Spline:
+    """Piecewise polynomial along axis 0, for any number of columns.
+
+    ``c`` of shape (k, n - 1, *cols) holds, on [x_i, x_{i+1}], the
+    coefficients of (x - x_i)^(k-1), ..., (x - x_i)^0.  Arguments are
+    clamped to [x_0, x_{n-1}], as FITPACK clamps.
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x, self.c = x, c
+
+    @classmethod
+    def not_a_knot(cls, x, y) -> "_Spline":
+        """The not-a-knot cubic interpolant of y (n >= 4 rows) at nodes x.
+
+        It is the s = 0 spline of FITPACK, whose knots are x[2:-2].  The
+        node slopes solve the tridiagonal system of continuous second
+        derivatives, with third-derivative continuity at x_1 and x_{n-2}.
+        """
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        col = (slice(None),) + (None,) * (y.ndim - 1)
+        dx = np.diff(x)
+        slope = np.diff(y, axis=0) / dx[col]
+        n = x.size
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        sub = np.r_[0.0, dx[1:], d1]                   # row i: s_{i-1}
+        diag = np.r_[dx[1], 2.0 * (dx[:-1] + dx[1:]), dx[-2]]
+        sup = np.r_[d0, dx[:-1], 0.0]                  # row i: s_{i+1}
+        rhs = np.empty_like(y)
+        rhs[0] = ((dx[0] + 2.0 * d0) * dx[1] * slope[0]
+                  + dx[0] ** 2 * slope[1]) / d0
+        rhs[1:-1] = 3.0 * (dx[1:][col] * slope[:-1]
+                           + dx[:-1][col] * slope[1:])
+        rhs[-1] = (dx[-1] ** 2 * slope[-2]
+                   + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        # Thomas elimination, then back substitution, over all columns
+        for i in range(1, n):
+            m = sub[i] / diag[i - 1]
+            diag[i] -= m * sup[i - 1]
+            rhs[i] -= m * rhs[i - 1]
+        s = rhs
+        s[-1] /= diag[-1]
+        for i in range(n - 2, -1, -1):
+            s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
+        t = (s[:-1] + s[1:] - 2.0 * slope) / dx[col]
+        return cls(x, np.stack([t / dx[col], (slope - s[:-1]) / dx[col] - t,
+                                s[:-1], y[:-1]]))
+
+    def antiderivative(self) -> "_Spline":
+        """The integral from x_0, one degree higher."""
+        k = self.c.shape[0]
+        col = (slice(None),) + (None,) * (self.c.ndim - 2)
+        c = np.empty((k + 1,) + self.c.shape[1:])
+        c[:k] = self.c / np.arange(k, 0, -1)[col + (None,)]
+        c[k] = 0.0
+        h = np.diff(self.x)[col]
+        piece = c[0] * h
+        for ck in c[1:k]:
+            piece = (piece + ck) * h
+        c[k, 1:] = np.cumsum(piece[:-1], axis=0)
+        return _Spline(self.x, c)
+
+    def __call__(self, xq, column=None) -> np.ndarray:
+        """Values at ``xq``: shape xq.shape + cols, or xq.shape when
+        ``column`` (an integer array broadcast with ``xq``) picks one
+        column per point.  One coefficient row is gathered at a time."""
+        xq = np.clip(np.asarray(xq, dtype=float), self.x[0], self.x[-1])
+        i = np.clip(np.searchsorted(self.x, xq, side="right") - 1,
+                    0, self.x.size - 2)
+        h = xq - self.x[i]
+        if column is None:
+            at = i
+            h = h.reshape(h.shape + (1,) * (self.c.ndim - 2))
+        else:
+            at = (i, column)
+        out = self.c[0][at] * h
+        for ck in self.c[1:-1]:
+            out += ck[at]
+            out *= h
+        out += self.c[-1][at]
+        return out
+
+
+# ---------------------------------------------------------------------------
 # Mollifiers
 # ---------------------------------------------------------------------------
 
 def _bump_norm_x(d: int) -> float:
     # int_{|x| <= 1/2} (1 - 4 |x|^2)^4 dx = pi^(d/2) * 4! / (2^d Gamma(d/2+5))
-    return math.pi ** (d / 2.0) * 24.0 / (2 ** d * gamma_fn(d / 2.0 + 5))
+    return math.pi ** (d / 2.0) * 24.0 / (2 ** d * math.gamma(d / 2.0 + 5))
 
 
 @dataclass(frozen=True)
@@ -230,8 +316,8 @@ class MollifierSpec:
 
     @staticmethod
     def _gauss_norm_1d(sigma: float, half: float) -> float:
-        from scipy.special import erf
-        return sigma * math.sqrt(2 * math.pi) * erf(half / (sigma * math.sqrt(2)))
+        return sigma * math.sqrt(2 * math.pi) \
+            * math.erf(half / (sigma * math.sqrt(2)))
 
     def scaled_t(self, tau, eps: float) -> np.ndarray:
         return self.t_profile(np.asarray(tau) / eps ** 2) / eps ** 2
@@ -489,9 +575,9 @@ def _radial_basis(d: int, f_nodes: np.ndarray, s_grid: Grid1D,
     u = np.concatenate([[0.0], f_nodes])
     eye = np.eye(nf)
     # f is held flat from its first node down to 0
-    value = CubicSpline(u, np.concatenate([eye[:1], eye]))
-    cum = CubicSpline(u, np.concatenate([np.zeros((1, nf)),
-                                         np.diag(f_nodes)])).antiderivative()
+    value = _Spline.not_a_knot(u, np.concatenate([eye[:1], eye]))
+    cum = _Spline.not_a_knot(u, np.concatenate(
+        [np.zeros((1, nf)), np.diag(f_nodes)])).antiderivative()
     ws = s_grid.weights * s
     xt, wt = _leggauss(n_theta)
     cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
@@ -585,18 +671,20 @@ class MollifiedKernel:
     vals: np.ndarray                      # (Nt, Nr)
     t_support: tuple[float, float]
     r_support: float
-    _spline: RectBivariateSpline = field(init=False, repr=False)
+    _t_spline: _Spline = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._spline = RectBivariateSpline(
-            self.t_grid.nodes, self.r_grid.nodes, self.vals, kx=3, ky=3)
+        # the bicubic not-a-knot interpolant is the t spline of each r
+        # column, then the r spline across the columns
+        self._t_spline = _Spline.not_a_knot(self.t_grid.nodes, self.vals)
 
     def __call__(self, t, r) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        tt = np.clip(t, self.t_grid.nodes[0], self.t_grid.nodes[-1])
-        rr = np.clip(r, self.r_grid.nodes[0], self.r_grid.nodes[-1])
-        out = self._spline(tt, rr, grid=False)
+        t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(r, dtype=float))
+        times, row = np.unique(t, return_inverse=True)
+        across = _Spline.not_a_knot(self.r_grid.nodes,
+                                    self._t_spline(times).T)
+        out = across(r, row.reshape(t.shape))
         mask = ((t >= self.t_support[0]) & (t <= self.t_support[1])
                 & (r <= self.r_support))
         return np.where(mask, out, 0.0)
@@ -607,10 +695,7 @@ class MollifiedKernel:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.zeros((t.size, self.r_grid.nodes.size))
         inside = (t >= self.t_support[0]) & (t <= self.t_support[1])
-        # one grid evaluation on the times sorted, rows scattered back
-        order = np.argsort(t[inside])
-        out[np.flatnonzero(inside)[order]] = self._spline(
-            t[inside][order], self.r_grid.nodes)
+        out[inside] = self._t_spline(t[inside])
         return out
 
     def squared_integral(self) -> float:

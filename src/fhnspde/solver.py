@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .kernels import (
     CounterTerms,
@@ -279,9 +278,11 @@ class Stepper:
         self.dealias = np.ones_like(self.decay)
         for a in lat._k_mesh():
             self.dealias *= (np.abs(a) <= n_space / 3.0)
-        self.expA = expm(dt * np.asarray(spec.Q.A2, dtype=float))
-        self.phiA1 = phi_series(dt, np.asarray(spec.Q.A2, dtype=float)) \
-            @ np.asarray(spec.Q.A1, dtype=float)
+        A2 = np.asarray(spec.Q.A2, dtype=float)
+        phi = phi_series(dt, A2)
+        # e^{dt A2} = I + A2 Phi(dt, A2)
+        self.expA = np.eye(spec.Q.n) + A2 @ phi
+        self.phiA1 = phi @ np.asarray(spec.Q.A1, dtype=float)
         # self._a[p] lists the nonzero terms (coefficient, v-channel
         # factors) of the u^p coefficient, e.g. (2.0, (0, 0, 1)) = 2 v1^2 v2
         a: list[dict] = [{} for _ in range(4)]
@@ -322,8 +323,14 @@ class Stepper:
         return self.decay * u_hat + self.gain * n_hat
 
     def step_v(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
-        out = np.tensordot(self.expA, v, axes=(1, 0))
-        return out + self.phiA1.reshape((-1,) + (1,) * self.spec.d) * u
+        """v_i <- sum_j expA[i, j] v_j + phiA1[i] u, channel by channel."""
+        out = np.empty_like(v)
+        for i, row in enumerate(self.expA):
+            np.multiply(row[0], v[0], out=out[i])
+            for j in range(1, row.size):
+                out[i] += row[j] * v[j]
+            out[i] += self.phiA1[i] * u
+        return out
 
     def to_real(self, u_hat: np.ndarray) -> np.ndarray:
         return np.fft.irfftn(u_hat, s=(self.n_space,) * self.spec.d,

@@ -474,6 +474,25 @@ def test_converge_outputs(outdir, config_file, capsys):
         assert float(r["D_sup"]) >= float(r["D_l2"]) >= 0.0
 
 
+def test_converge_honours_renorm_switch(tmp_path, monkeypatch, capsys):
+    # [renorm] enabled = no sweeps the unrenormalised dynamics only, with
+    # the same rows as the run with both modes
+    rows = {}
+    for flag in ("yes", "no"):
+        p = tmp_path / f"{flag}.cfg"
+        p.write_text(CFG.replace("enabled = yes", f"enabled = {flag}"))
+        monkeypatch.setenv("FHNSPDE_OUT", str(tmp_path / flag))
+        assert main(["converge", "--config", str(p)]) == 0
+        rd = _run_dir(tmp_path / flag, "converge")
+        with (rd / "converge.csv").open() as fh:
+            rows[flag] = list(csv.DictReader(fh))
+    capsys.readouterr()
+    assert {r["mode"] for r in rows["yes"]} == {"renormalised",
+                                                "unrenormalised"}
+    assert rows["no"] == [r for r in rows["yes"]
+                          if r["mode"] == "unrenormalised"]
+
+
 def test_converge_grid_guard(outdir, tmp_path, capsys):
     # partner scale eps/2 would fall below two grid spacings; a negative
     # cutoff, a record interval below one or a seed outside the generator's

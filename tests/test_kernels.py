@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 from scipy.special import erfc, exp1
 
 from fhnspde import kernels
@@ -391,6 +391,55 @@ def test_mollified_kernel_support_and_consistency():
     [q0] = correlate(keps, (keps,), np.array([0.0]), np.array([0.0]))
     q00 = float(q0[0, 0])
     assert q00 == pytest.approx(c1, rel=1e-4)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spline_matches_scipy_not_a_knot(d):
+    # the package's cubic spline against scipy's CubicSpline on the kernel
+    # grids _radial_basis fits it on: nodes [0, r nodes], several columns
+    # (cardinal splines and kernel rows), values and antiderivative
+    keps = mollify_kernel(build_truncated_kernel(d), 2.0 ** -3)
+    u = np.r_[0.0, keps.r_grid.nodes]
+    f = keps.vals[np.any(keps.vals, axis=1)][::7].T   # flat down to 0
+    rows = np.c_[np.r_[f[:1], f], np.eye(u.size)[:, ::5]]
+    ours = kernels._Spline.not_a_knot(u, rows)
+    ref = CubicSpline(u, rows)
+    x = np.r_[u, np.linspace(0.0, u[-1], 2001)]
+    scale = np.max(np.abs(rows), axis=0)
+    assert np.max(np.abs(ours(x) - ref(x)) / scale) < 1e-14
+    got = ours.antiderivative()(x)
+    want = ref.antiderivative()(x)
+    assert np.max(np.abs(got - want) / np.max(np.abs(want), axis=0)) < 1e-14
+    # arguments are clamped to the node range, not extrapolated
+    np.testing.assert_array_equal(ours(np.array([-1.0, u[-1] + 1.0])),
+                                  ours(np.array([0.0, u[-1]])))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_mollified_kernel_matches_rect_bivariate_spline(d):
+    # pointwise values and profile rows against FITPACK's bicubic s = 0
+    # spline, which clamps to the node range; the samples reach below the
+    # first t node, beyond the last r node and outside the support
+    keps, kq = _keps_kq(d)
+    rng = np.random.default_rng(5)
+    for B in (keps, kq):
+        tn, rn = B.t_grid.nodes, B.r_grid.nodes
+        ref = RectBivariateSpline(tn, rn, B.vals, kx=3, ky=3)
+        t = np.r_[rng.uniform(B.t_support[0] - 0.05, B.t_support[1] + 0.05,
+                              3000), B.t_support[0], tn[0], B.t_support[1]]
+        r = np.r_[rng.uniform(0.0, B.r_support + 0.05, 3000), 0.0,
+                  rn[-1], B.r_support]
+        inside = ((t >= B.t_support[0]) & (t <= B.t_support[1])
+                  & (r <= B.r_support))
+        want = np.where(inside, ref(np.clip(t, tn[0], tn[-1]),
+                                    np.clip(r, rn[0], rn[-1]), grid=False),
+                        0.0)
+        scale = np.max(np.abs(B.vals))
+        assert np.max(np.abs(B(t, r) - want)) < 1e-14 * scale
+        assert np.any(~inside) and np.any(t[inside] < tn[0])
+        ts = np.sort(t[(t >= B.t_support[0]) & (t <= B.t_support[1])])
+        rows = ref(np.clip(ts, tn[0], tn[-1]), rn)
+        assert np.max(np.abs(B.profile(ts) - rows)) < 1e-14 * scale
 
 
 def test_profile_rows_match_pointwise_evaluation():

@@ -38,6 +38,7 @@ from fhnspde.noise import (
     wick_cube,
     wick_square,
 )
+from fhnspde import noise
 from fhnspde.renorm import CubicPolynomial
 from fhnspde.solver import QSpec, Stepper, SystemSpec
 
@@ -144,6 +145,18 @@ def test_white_noise_pairing_isometry():
 # ---------------------------------------------------------------------------
 # radial Fourier transforms
 # ---------------------------------------------------------------------------
+
+def test_j0_matches_scipy_bit_for_bit():
+    # the d = 2 transform basis is the Cephes J0 that scipy.special.j0
+    # runs: same value in every bit, across both branches (x <= 5 and the
+    # asymptotic form) and the small-argument series below 1e-5
+    from scipy.special import j0
+    x = np.r_[np.linspace(0.0, 600.0, 1_200_001),
+              np.random.default_rng(2).uniform(0.0, 600.0, 200_000),
+              np.geomspace(1e-12, 5.0, 10_000), 5.0, np.nextafter(5.0, 6.0),
+              1e-5, -3.0]
+    np.testing.assert_array_equal(noise._j0(x), j0(x))
+
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_radial_fourier_truncated_gaussian(d):

@@ -41,12 +41,13 @@ def test_benchmark_tracer_targets_resolve():
 
 
 def test_cli_import_skips_scipy_signal_and_stats():
-    # scipy.signal (and the scipy.stats it loads) costs every command about
-    # 0.7 s and 23 MB at start-up; only noise.mollify_noise needs it
+    # importing scipy costs every command about 0.4 s and 45 MB at start-up;
+    # the package holds its own splines, J0 and matrix exponential, and only
+    # noise.mollify_noise (no command calls it) imports scipy.signal
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = ("import sys, fhnspde.cli; print(' '.join(m for m in sys.modules "
-            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+            "if m.startswith('scipy')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
@@ -55,7 +56,8 @@ def test_cli_import_skips_scipy_signal_and_stats():
 def test_numeric_commands_never_execute_sympy(tmp_path):
     # only renorm-eq runs the symbolic layer; F is read into an exact table
     # without sympy, which the numeric commands never load (about 0.4 s and
-    # 32 MB at start-up)
+    # 32 MB at start-up); constants in d = 3, a d = 3 run and a d = 2 sweep
+    # leave no scipy module behind either
     root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nn_space = 16\ndt = 1e-4\nt_end = 2e-4\n"
@@ -68,17 +70,18 @@ def test_numeric_commands_never_execute_sympy(tmp_path):
     code = (
         "import sys\n"
         "from fhnspde.cli import main\n"
-        "rcs = [main(['constants', '--dim', '3', '--eps-list', '2^-3']),\n"
+        "rcs = [main(['constants', '--dim', '3', '--eps-list', '2^-4']),\n"
         f"       main(['simulate', '--config', {str(d3)!r}]),\n"
         f"       main(['converge', '--config', {str(d2)!r}])]\n"
-        "print(rcs, 'sympy.core' in sys.modules)\n"
+        "print(rcs, 'sympy.core' in sys.modules,\n"
+        "      [m for m in sys.modules if m.startswith('scipy')])\n"
         "print(main(['renorm-eq', '--dim', '3', '--F', 'u - u^3 - v']))\n")
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                FHNSPDE_OUT=str(tmp_path / "out"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     lines = out.splitlines()
-    assert "[0, 0, 0] False" in lines and lines[-1] == "0", out
+    assert "[0, 0, 0] False []" in lines and lines[-1] == "0", out
 
 
 def test_every_parameter_is_read():

@@ -60,6 +60,33 @@ def test_phi_series_matches_closed_form():
     assert np.max(np.abs(phi_series(dt, A) - ref)) < 1e-14
 
 
+def test_stepper_expA_matches_expm():
+    # e^{dt A2} as I + A2 Phi(dt, A2), from the series the slow update
+    # already needs
+    Q = QSpec(A1=(0.4, -0.3), A2=((-2.0, 1.5), (0.5, -0.1)))
+    st = Stepper(SystemSpec(d=2, F=_zero_F(2), Q=Q), 8, 1e-3)
+    ref = expm(1e-3 * np.array(Q.A2))
+    assert np.max(np.abs(st.expA - ref)) < 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_step_v_matches_tensordot(n):
+    # the channel-by-channel update is the matrix product it replaces:
+    # bit for bit with one channel, to rounding with two
+    Q = _scalar_Q() if n == 1 else QSpec(A1=(0.4, -0.3),
+                                         A2=((-2.0, 1.5), (0.5, -0.1)))
+    st = Stepper(SystemSpec(d=2, F=_zero_F(n), Q=Q), 64, 1e-3)
+    rng = np.random.default_rng(n)
+    v, u = rng.normal(size=(n, 64, 64)), rng.normal(size=(64, 64))
+    want = np.tensordot(st.expA, v, axes=(1, 0)) \
+        + st.phiA1.reshape(-1, 1, 1) * u
+    got = st.step_v(v, u)
+    if n == 1:
+        np.testing.assert_array_equal(got, want)
+    else:
+        assert np.max(np.abs(got - want)) < 1e-15 * np.max(np.abs(want))
+
+
 def test_phi_series_singular_matrix():
     # nilpotent block: Phi = dt I + dt^2 A / 2 exactly
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
