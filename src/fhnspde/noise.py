@@ -6,14 +6,16 @@ through a counter-based generator, so ensemble members, grid slices, and
 re-runs are bit-for-bit reproducible regardless of traversal or chunking;
 `NoiseStream` draws the slices one at a time, holding only a window.
 
-Mollification happens in two factors, mirroring the separable mollifier:
-direct convolution in time, Fourier multiplication by the radial profile
-transform in space (which on the torus is automatically the periodised
-convolution).  The one stochastic convolution here, `kernel_convolution`, is
-direct space-time convolution with a compactly supported kernel slice stack;
-it also yields exact discrete covariance predictions, used as the
-lattice-adjusted centring constants for Wick powers.  The heat semigroup's
-exact per-mode Ornstein-Uhlenbeck recursion is the solver's step.
+Mollification has one path, `_FIRMollifier`, in two factors mirroring the
+separable mollifier: a FIR over the time slices of the spatial transforms,
+then Fourier multiplication by the radial profile transform (which on the
+torus is automatically the periodised convolution).  The solver's engine
+runs it on a streamed window, `mollify_noise` on a whole field.  The one
+stochastic convolution here, `kernel_convolution`, is direct space-time
+convolution with a compactly supported kernel slice stack; it also yields
+exact discrete covariance predictions, used as the lattice-adjusted
+centring constants for Wick powers.  The heat semigroup's exact per-mode
+Ornstein-Uhlenbeck recursion is the solver's step.
 """
 
 from __future__ import annotations
@@ -378,24 +380,66 @@ def _temporal_weights(spec: MollifierSpec, eps: float, dt: float
     return out
 
 
+# steps of one temporal-filter block: the forcing of B steps is one GEMM per
+# scale, reading the held noise window once instead of B times
+_FIR_BLOCK = 8
+
+
+class _FIRMollifier:
+    """The one mollifier: rho_eps * xi at one scale, on the spatial
+    transforms of the noise slices.
+
+    The temporal half of the mollifier is a FIR over noise slices, applied
+    to a block of at most ``_FIR_BLOCK`` steps at once: one banded weight
+    matrix, clipped at slice 0 and at the lattice end, times the block's
+    slice window viewed as real, then the spatial profile transform.
+    """
+
+    def __init__(self, lat: Lattice, eps: float, spec: MollifierSpec):
+        self.wt = _temporal_weights(spec, eps, lat.dt)
+        self.half = (len(self.wt) - 1) // 2
+        self.rho_hat = mollifier_transform(spec, eps, lat.k_magnitudes())
+        self.n_time = lat.n_time
+        # row r weights slices i - half + r .. i + half + r of a block at i
+        self._band = np.zeros((_FIR_BLOCK, _FIR_BLOCK + 2 * self.half))
+        for r in range(_FIR_BLOCK):
+            self._band[r, r:r + len(self.wt)] = self.wt
+
+    def slice_hat(self, raw_hat: np.ndarray, i: int, b: int,
+                  first: int = 0) -> np.ndarray:
+        """Spectral forcing of steps i .. i + b - 1 (b <= ``_FIR_BLOCK``),
+        shape (b,) + raw_hat.shape[1:].
+
+        ``raw_hat[k]`` is the spatial rfftn of slice first + k; it must hold
+        slices max(0, i - half) .. min(n_time, i + b + half) - 1.
+        """
+        lo = max(0, i - self.half)
+        hi = min(self.n_time, i + b + self.half)
+        band = self._band[:b, lo - i + self.half:hi - i + self.half]
+        window = raw_hat[lo - first:hi - first]
+        out = (band @ window.view(float).reshape(hi - lo, -1)).view(complex)
+        out = out.reshape((b,) + window.shape[1:])
+        out *= self.rho_hat
+        return out
+
+
 def mollify_noise(xi: NoiseField, eps: float,
                   spec: Optional[MollifierSpec] = None) -> Field:
-    """Discrete rho_eps * xi: direct in time, Fourier (periodised) in space."""
-    # deferred: scipy.signal (and the scipy.stats it loads) is a large import
-    from scipy.signal import fftconvolve
+    """Discrete rho_eps * xi: the engine's FIR, one block of slices at a
+    time over the whole field."""
     lat = xi.lattice
     if eps < 2.0 * lat.dx:
         raise ResolutionError(
             "eps=%g below the lattice guard 2*dx=%g" % (eps, 2 * lat.dx))
     spec = spec or MollifierSpec(lat.d)
-    wt = _temporal_weights(spec, eps, lat.dt)
-    shape = (len(wt),) + (1,) * lat.d
-    smooth_t = fftconvolve(xi.values, wt.reshape(shape), mode="same", axes=0)
-    rho_hat = mollifier_transform(spec, eps, lat.k_magnitudes())
-    spectral = np.fft.rfftn(smooth_t, axes=tuple(range(1, lat.d + 1)))
-    out = np.fft.irfftn(spectral * rho_hat,
-                        s=(lat.n_space,) * lat.d,
-                        axes=tuple(range(1, lat.d + 1)))
+    fir = _FIRMollifier(lat, eps, spec)
+    ax = tuple(range(1, lat.d + 1))
+    raw_hat = np.fft.rfftn(xi.values, axes=ax)
+    out = np.empty(lat.shape)
+    for i in range(0, lat.n_time, _FIR_BLOCK):
+        b = min(_FIR_BLOCK, lat.n_time - i)
+        out[i:i + b] = np.fft.irfftn(fir.slice_hat(raw_hat, i, b),
+                                     s=lat.shape[1:], axes=ax)
     return Field(lattice=lat, values=out,
                  meta={"eps": eps, "kind": spec.kind, "seed": xi.seed})
 
@@ -410,8 +454,8 @@ def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice
 
     Returns (taus, K_hat) with K_hat[j] on the rfftn frequency lattice; the
     torus aliasing of integer frequencies is exactly the periodisation of
-    the compactly supported kernel.  The oscillatory quadrature matrix is
-    shared across slices.
+    the compactly supported kernel.  One evaluation of K covers every lag,
+    and one product with the oscillatory quadrature matrix transforms them.
     """
     t_lo, t_hi = kernel.t_support
     m0 = int(math.floor(t_lo / lattice.dt))
@@ -423,13 +467,8 @@ def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice
     flat = np.round(mags.ravel(), 9)
     uniq, inverse = np.unique(flat, return_inverse=True)
     s, w, basis, jac = _fourier_bessel(uniq, kernel.r_support, lattice.d, 48)
-    mat = basis * (jac * w)
-    hats = np.zeros((len(taus),) + mags.shape)
-    for j, tau in enumerate(taus):
-        vals = kernel(tau, s)
-        if np.any(vals):
-            hats[j] = (mat @ vals)[inverse].reshape(mags.shape)
-    return taus, hats
+    hats = kernel(taus[:, None], s) @ (basis * (jac * w)).T
+    return taus, hats[:, inverse].reshape((len(taus),) + mags.shape)
 
 
 def kernel_convolution(xi: Union[Field, NoiseField],

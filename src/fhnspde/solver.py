@@ -15,9 +15,9 @@ free.
 One engine advances every integration.  Members share one white-noise
 realisation, streamed slice by slice: only the window of spatial transforms
 that the temporal filters read is held, never the whole history.  Each
-mollification scale applies its own separable mollifier as a spectral FIR
-filter on that window, one block of steps at a time (one real GEMM per
-block and scale), and all members advance in lockstep.  `run` is the
+mollification scale applies its own separable mollifier as the spectral FIR
+filter of `noise` on that window, one block of steps at a time (one real
+GEMM per block and scale), and all members advance in lockstep.  `run` is the
 one-member case; `epsilon_sweep` runs every scale and its half side by side,
 so cross-scale differences are recorded at matching times without storing
 trajectories.
@@ -46,9 +46,9 @@ from .noise import (
     Lattice,
     NoiseStream,
     counter_gaussians,
-    mollifier_transform,
     sample_white_noise,  # noqa: F401  (unused; perfbench's tests trace it)
-    _temporal_weights,
+    _FIR_BLOCK,
+    _FIRMollifier,
 )
 from .renorm import CubicPolynomial
 
@@ -348,48 +348,6 @@ def _norm_pair(x: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # lockstep engine
 # ---------------------------------------------------------------------------
-
-# steps of one temporal-filter block: the forcing of B steps is one GEMM per
-# scale, reading the held noise window once instead of B times
-_FIR_BLOCK = 8
-
-
-class _FIRMollifier:
-    """Per-scale spectral mollification of a shared raw noise stream.
-
-    The temporal half of the mollifier is a FIR over noise slices, applied
-    to a block of at most ``_FIR_BLOCK`` steps at once: one banded weight
-    matrix, clipped at slice 0 and at the lattice end, times the block's
-    slice window viewed as real, then the spatial profile transform.
-    """
-
-    def __init__(self, lat: Lattice, eps: float, spec: MollifierSpec):
-        self.wt = _temporal_weights(spec, eps, lat.dt)
-        self.half = (len(self.wt) - 1) // 2
-        self.rho_hat = mollifier_transform(spec, eps, lat.k_magnitudes())
-        self.n_time = lat.n_time
-        # row r weights slices i - half + r .. i + half + r of a block at i
-        self._band = np.zeros((_FIR_BLOCK, _FIR_BLOCK + 2 * self.half))
-        for r in range(_FIR_BLOCK):
-            self._band[r, r:r + len(self.wt)] = self.wt
-
-    def slice_hat(self, raw_hat: np.ndarray, i: int, b: int,
-                  first: int = 0) -> np.ndarray:
-        """Spectral forcing of steps i .. i + b - 1 (b <= ``_FIR_BLOCK``),
-        shape (b,) + raw_hat.shape[1:].
-
-        ``raw_hat[k]`` is the spatial rfftn of slice first + k; it must hold
-        slices max(0, i - half) .. min(n_time, i + b + half) - 1.
-        """
-        lo = max(0, i - self.half)
-        hi = min(self.n_time, i + b + self.half)
-        band = self._band[:b, lo - i + self.half:hi - i + self.half]
-        window = raw_hat[lo - first:hi - first]
-        out = (band @ window.view(float).reshape(hi - lo, -1)).view(complex)
-        out = out.reshape((b,) + window.shape[1:])
-        out *= self.rho_hat
-        return out
-
 
 def _noise_forcing(d: int, config: RunConfig, steps: int,
                    scales: Sequence[float]

@@ -5,9 +5,12 @@ import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import fhnspde
 
@@ -42,8 +45,8 @@ def test_benchmark_tracer_targets_resolve():
 
 def test_cli_import_skips_scipy_signal_and_stats():
     # importing scipy costs every command about 0.4 s and 45 MB at start-up;
-    # the package holds its own splines, J0 and matrix exponential, and only
-    # noise.mollify_noise (no command calls it) imports scipy.signal
+    # the package holds its own splines, J0, matrix exponential and noise
+    # mollifier, and imports no scipy anywhere
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     code = ("import sys, fhnspde.cli; print(' '.join(m for m in sys.modules "
@@ -51,6 +54,37 @@ def test_cli_import_skips_scipy_signal_and_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == []
+
+
+def test_package_never_imports_scipy():
+    # scipy is a test oracle only: no module of the package imports it, at
+    # any depth (a deferred import inside a function counts)
+    src = Path(fhnspde.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in mods
+                      if m == "scipy" or m.startswith("scipy.")]
+    assert not found, found
+
+
+def test_scipy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")      # Python 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(pyproject.read_text())["project"]
+
+    def names(reqs):
+        return {re.split(r"[<>=!~;\[ ]", r, maxsplit=1)[0].lower()
+                for r in reqs}
+
+    assert names(project["dependencies"]) == {"numpy", "sympy"}
+    assert "scipy" in names(project["optional-dependencies"]["test"])
 
 
 def test_numeric_commands_never_execute_sympy(tmp_path):

@@ -18,7 +18,13 @@ from fhnspde.kernels import (
     build_truncated_kernel,
     mollify_kernel,
 )
-from fhnspde.noise import Lattice, mollify_noise, sample_white_noise
+from fhnspde.noise import (
+    Lattice,
+    _temporal_weights,
+    mollifier_transform,
+    mollify_noise,
+    sample_white_noise,
+)
 from fhnspde import solver
 from fhnspde.renorm import CubicPolynomial, v_symbols
 from fhnspde.solver import (
@@ -446,16 +452,32 @@ def test_nonlinearity_matches_lambdified_cubic(case):
 # sweep machinery
 # ---------------------------------------------------------------------------
 
-def test_fir_mollifier_matches_full_field_path():
-    lat = Lattice(d=2, n_space=16, n_time=60, t_end=60 / 256)
+@pytest.mark.parametrize("d, n_space, n_time, slices", [
+    (2, 16, 60, (0, 3, 17, 30, 55, 59)),
+    (3, 8, 45, (0, 3, 17, 30, 40, 44)),
+], ids=["d2", "d3"])
+def test_fir_mollifier_matches_full_field_path(d, n_space, n_time, slices):
+    # an independent reference: the direct temporal convolution of the
+    # whole field (fftconvolve), then the spatial profile transform
+    from scipy.signal import fftconvolve
+    lat = Lattice(d=d, n_space=n_space, n_time=n_time, t_end=n_time / 256)
+    spec = MollifierSpec(d)
+    ax = tuple(range(1, d + 1))
     xi = sample_white_noise(lat, 77)
-    ref = mollify_noise(xi, 0.25)
-    fir = _FIRMollifier(lat, 0.25, MollifierSpec(2))
-    raw_hat = np.fft.rfftn(xi.values, axes=(1, 2))
-    for i in (0, 3, 17, 30, 55, 59):
-        mine = np.fft.irfftn(fir.slice_hat(raw_hat, i, 1)[0], s=(16, 16),
-                             axes=(0, 1))
-        assert np.max(np.abs(mine - ref.values[i])) < 1e-11
+    wt = _temporal_weights(spec, 0.25, lat.dt)
+    smooth_t = fftconvolve(xi.values, wt.reshape((-1,) + (1,) * d),
+                           mode="same", axes=0)
+    ref = np.fft.irfftn(np.fft.rfftn(smooth_t, axes=ax) * mollifier_transform(
+        spec, 0.25, lat.k_magnitudes()), s=lat.shape[1:], axes=ax)
+    field = mollify_noise(xi, 0.25).values
+    fir = _FIRMollifier(lat, 0.25, spec)
+    assert fir.half > 0
+    raw_hat = np.fft.rfftn(xi.values, axes=ax)
+    for i in slices:
+        mine = np.fft.irfftn(fir.slice_hat(raw_hat, i, 1)[0],
+                             s=lat.shape[1:], axes=tuple(range(d)))
+        assert np.max(np.abs(mine - ref[i])) < 1e-11, i
+        assert np.max(np.abs(field[i] - ref[i])) < 1e-11, i
 
 
 @pytest.mark.parametrize("d, n_space, dt, n_time, scales", [
