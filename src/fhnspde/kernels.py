@@ -53,6 +53,7 @@ __all__ = [
     "correlate",
     "KernelConstants",
     "kernel_constants",
+    "counterterm_constants",
     "CounterTerms",
     "assemble_C",
     "BoundCheck",
@@ -484,7 +485,8 @@ def _kernel_moments(funcs: Callable, d: int, outer: float,
                          (inner, outer))
     n_edges = np.isfinite(edges).sum(axis=-1)
     table = None
-    for n in np.unique(n_edges):
+    # the counts present, sorted (np.unique would import numpy.ma)
+    for n in np.flatnonzero(np.bincount(n_edges)):
         rows = np.flatnonzero(n_edges == n)
         step = max(1, _ROW_CHUNK // ((n - 1) * order))
         for idx in np.split(rows, range(step, rows.size, step)):
@@ -834,23 +836,50 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
     In the variable u = t - s the integrand K_eps(u, .) carries all its fine
     structure at scales >= eps^2 near u = 0 (mollification floors the heat
     peak width), so the per-row u grids are graded toward 0.
+
+    One linear operator on the coefficients c of K_eps's t spline: on its
+    interval j, K_eps(u, .) = sum_k c[k, j] (u - x_j)^(3-k), so row i is
+    sum_{j,k} S[i, j, k] c[k, j] with S[i, j, k] the sum of a (u - x_j)^(3-k)
+    over the row's u nodes in interval j, a = weight * Q(t_i - u).  The u
+    nodes lie inside K_eps's t support, clamped to the spline's nodes as
+    :class:`_Spline` clamps.  The panels of every row form one stacked
+    :func:`panel_grid` call; rows that meet no support stay exactly zero.
     """
-    t_lo = keps.t_support[0]
-    t_hi = keps.t_support[1] + 2.0 * T
+    t_lo, t_top = keps.t_support
+    t_hi = t_top + 2.0 * T
     eps_scale = max(keps.t_grid.nodes[0] - t_lo, 1e-12)
     h_min = eps_scale / 4.0
     res = _resolution(level)
     t_grid = panel_grid(_graded_span(t_lo, t_hi, eps_scale, res.ratio),
                         res.order)
+    lo = np.maximum(t_grid.nodes - 2.0 * T, t_lo)
+    hi = np.minimum(t_grid.nodes, t_top)
+    live = np.flatnonzero(hi > lo)
+    spans = [_graded_span(lo[i], hi[i], h_min, res.ratio) for i in live]
+    n_edges = np.array([e.size for e in spans], dtype=np.intp)
+    edges, ends = np.concatenate(spans + [np.zeros(0)]), np.cumsum(n_edges)
+    # one (left, right) edge pair per panel of every span
+    g = panel_grid(np.stack([np.delete(edges, ends - 1),
+                             np.delete(edges, ends - n_edges)], axis=-1),
+                   res.order)
+    row = np.repeat(np.arange(live.size), (n_edges - 1) * res.order)
+    u, a = g.nodes.ravel(), g.weights.ravel()
+    a *= np.asarray(Q(t_grid.nodes[live][row] - u), dtype=float)
+    spline = keps._t_spline
+    x, n = spline.x, spline.x.size
+    u = np.clip(u, x[0], x[-1])
+    j = np.clip(np.searchsorted(x, u, side="right") - 1, 0, n - 2)
+    h = u - x[j]
+    terms = np.empty((4, u.size))             # a h^0, a h^1, a h^2, a h^3
+    terms[0] = a
+    for k in range(1, 4):
+        np.multiply(terms[k - 1], h, out=terms[k])
+    at = (row * (n - 1) + j) * 4 + np.arange(3, -1, -1)[:, None]
+    S = np.bincount(at.ravel(), terms.ravel(),
+                    minlength=live.size * (n - 1) * 4)
     vals = np.zeros((t_grid.nodes.size, keps.r_grid.nodes.size))
-    for i, ti in enumerate(t_grid.nodes):
-        lo = max(ti - 2.0 * T, keps.t_support[0])
-        hi = min(ti, keps.t_support[1])
-        if hi <= lo:
-            continue
-        g = panel_grid(_graded_span(lo, hi, h_min, res.ratio), res.order)
-        qs = np.asarray(Q(ti - g.nodes), dtype=float)
-        vals[i] = (g.weights * qs) @ keps.profile(g.nodes)
+    vals[live] = S.reshape(live.size, 4 * (n - 1)) \
+        @ spline.c.transpose(1, 0, 2).reshape(4 * (n - 1), -1)
     return MollifiedKernel(d=keps.d, t_grid=t_grid, r_grid=keps.r_grid,
                            vals=vals, t_support=(t_lo, t_hi),
                            r_support=keps.r_support)
@@ -929,6 +958,19 @@ class KernelConstants:
                 "errors": self.errors}
 
 
+def _support_quadrature(kernel: TruncatedKernel, eps: float, level: int
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The output grids of the correlation functions on the kernel support,
+    each after a node at the origin, and the weights w of int K q on them
+    without the origin (q[1:, 1:]), at accuracy ``level``."""
+    res = _resolution(level)
+    tg = res.graded(kernel.outer, eps ** 2)
+    rg = res.graded(math.sqrt(kernel.outer), eps)
+    w = (tg.weights[:, None] * _shell(rg, kernel.d)
+         * kernel(tg.nodes[:, None], rg.nodes[None, :]))
+    return np.r_[0.0, tg.nodes], np.r_[0.0, rg.nodes], w
+
+
 def kernel_constants(d: int, eps: float,
                      kernel: Optional[TruncatedKernel] = None,
                      rho: Optional[MollifierSpec] = None,
@@ -958,11 +1000,8 @@ def kernel_constants(d: int, eps: float,
     kq = kq_kernel(keps, Q, T, level)
     C1 = keps.squared_integral()
     t_out = r_out = np.zeros(1)
-    if full:   # the kernel-support grids, each after a node at the origin
-        res = _resolution(level)
-        tg = res.graded(kernel.outer, eps ** 2)
-        rg = res.graded(math.sqrt(kernel.outer), eps)
-        t_out, r_out = np.r_[0.0, tg.nodes], np.r_[0.0, rg.nodes]
+    if full:
+        t_out, r_out, w = _support_quadrature(kernel, eps, level)
     # both passes convolve on K_eps's r grid (K^Q_eps shares it): one G
     G = _radial_basis(d, keps.r_grid.nodes, keps.r_grid, r_out)
     q0, q1 = correlate(keps, (keps, kq), t_out, r_out, G)
@@ -972,8 +1011,6 @@ def kernel_constants(d: int, eps: float,
     C2 = None
     I: dict = {}
     if full:
-        w = (tg.weights[:, None] * _shell(rg, d)
-             * kernel(tg.nodes[:, None], rg.nodes[None, :]))
         qs = [q[1:, 1:] for q in (q0, q1, q2)]
         I = {(i, j): float(np.sum(w * qs[i] * qs[j]))
              for j in range(3) for i in range(j + 1)}
@@ -991,6 +1028,25 @@ def kernel_constants(d: int, eps: float,
             out.errors.update({f"I{i}{j}": abs(I[(i, j)] - fine.I[(i, j)])
                                for (i, j) in I})
     return out
+
+
+def counterterm_constants(kernel: TruncatedKernel, eps: float
+                          ) -> tuple[float, float]:
+    """C1 and C2 of the counterterm C(eps) = 3 C1 + 9 gamma1 C2 alone.
+
+    C2 = 2 int K Q0^2 in three dimensions, from one correlation pass of K_eps
+    against itself on :func:`kernel_constants`' grids, so neither K^Q_eps
+    nor Q1, Q2 is computed; C2 = 0.0 otherwise.  Equal to the C1 and C2 of
+    ``kernel_constants(3, eps, kernel=kernel, full=True)``.
+    """
+    keps = mollify_kernel(kernel, eps)
+    C1 = keps.squared_integral()
+    if kernel.d != 3:
+        return C1, 0.0
+    t_out, r_out, w = _support_quadrature(kernel, eps, 0)
+    [q0] = correlate(keps, (keps,), t_out, r_out)
+    q0 = q0[1:, 1:]
+    return C1, 2.0 * float(np.sum(w * q0 * q0))      # 2 I00, as there
 
 
 # ---------------------------------------------------------------------------

@@ -178,16 +178,26 @@ def counter_gaussians(seed: int, start: int, count: int) -> np.ndarray:
     contiguous range can be regenerated in isolation.
     """
     w = _raw_words(seed, 2 * start, 2 * count)
-    u1 = ((w[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53  # (0, 1]
-    u2 = (w[1::2] >> np.uint64(11)) * 2.0 ** -53                   # [0, 1)
-    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+    w >>= np.uint64(11)
+    w[0::2] += np.uint64(1)
+    # sqrt(-2 log u1) cos(2 pi u2) step by step in place, bit for bit
+    r = np.multiply(w[0::2], 2.0 ** -53)                           # (0, 1]
+    theta = np.multiply(w[1::2], 2.0 ** -53)                       # [0, 1)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * math.pi
+    np.cos(theta, out=theta)
+    r *= theta
+    return r
 
 
 def _white_slice(lattice: Lattice, seed: int, i: int) -> np.ndarray:
     """Time slice i of the white noise, flattened."""
     size = lattice.n_space ** lattice.d
-    sigma = 1.0 / math.sqrt(lattice.cell_volume)
-    return sigma * counter_gaussians(seed, i * size, size)
+    xi = counter_gaussians(seed, i * size, size)
+    xi *= 1.0 / math.sqrt(lattice.cell_volume)
+    return xi
 
 
 def sample_white_noise(lattice: Lattice, seed: int) -> NoiseField:
@@ -240,8 +250,8 @@ class NoiseStream:
                 self._first = lo
             xi = _white_slice(self.lattice, self.seed, self._end)
             self._sha.update(np.ascontiguousarray(xi, dtype="<f8"))
-            self._hat[self._end - self._first] = np.fft.rfftn(
-                xi.reshape(self.lattice.shape[1:]))
+            np.fft.rfftn(xi.reshape(self.lattice.shape[1:]),
+                         out=self._hat[self._end - self._first])
             self._end += 1
         return self._hat[lo - self._first:hi - self._first]
 
@@ -369,9 +379,11 @@ def _temporal_weights(spec: MollifierSpec, eps: float, dt: float
     m = int(math.floor(half / dt + 0.5)) + 1
     cell_edges = dt * (np.arange(-m, m + 2) - 0.5)
     support = np.linspace(-half, half, 33)
-    edges = np.unique(np.concatenate([
+    edges = np.sort(np.concatenate([
         cell_edges, support[(support > cell_edges[0])
                             & (support < cell_edges[-1])]]))
+    # distinct edges, as np.unique gives them without importing numpy.ma
+    edges = edges[np.r_[True, edges[1:] != edges[:-1]]]
     g = panel_grid(list(edges), 6)
     vals = g.weights * spec.scaled_t(g.nodes, eps)
     cells = np.clip(np.round(g.nodes / dt).astype(int) + m, 0, 2 * m)

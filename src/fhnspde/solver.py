@@ -37,9 +37,8 @@ from .kernels import (
     TruncatedKernel,
     assemble_C,
     build_truncated_kernel,
-    kernel_constants,
+    counterterm_constants,
     matrix_weight,
-    mollify_kernel,
     panel_grid,
 )
 from .noise import (
@@ -520,16 +519,12 @@ def counterterms_for(spec_F: CubicPolynomial, d: int, eps: float,
                      ) -> CounterTerms:
     """Scale-dependent counterterms for a nonlinearity.
 
-    In two dimensions only C1 enters, so the correlation-function pipeline
-    is skipped entirely.
+    Only C1 and, in three dimensions, C2 enter (see
+    :func:`counterterm_constants`): no slow-channel kernel is built.
     """
     if kernel is None:
         kernel = build_truncated_kernel(d)
-    if d == 3:
-        consts = kernel_constants(d, eps, kernel=kernel, full=True)
-        C1, C2 = consts.C1, consts.C2
-    else:
-        C1, C2 = mollify_kernel(kernel, eps).squared_integral(), 0.0
+    C1, C2 = counterterm_constants(kernel, eps)
     gamma2 = tuple(float(spec_F.gamma2(i))
                    for i in range(1, spec_F.n_channels + 1))
     return assemble_C(float(spec_F.beta1), float(spec_F.gamma1), gamma2,

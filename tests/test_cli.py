@@ -528,7 +528,8 @@ def test_unrenormalisable_d3_system_fails_before_any_quadrature(
     def no_quadrature(*args, **kwargs):
         raise AssertionError("kernel constants computed")
 
-    monkeypatch.setattr(fhnspde.solver, "kernel_constants", no_quadrature)
+    monkeypatch.setattr(fhnspde.solver, "counterterm_constants",
+                        no_quadrature)
     p = tmp_path / "d3.cfg"
     p.write_text(CFG.replace("dim = 2", "dim = 3")
                  .replace("F = u - u^3 + v", "F = u - u^3 + u^2*v"))

@@ -729,6 +729,53 @@ def test_kq_kernel_approaches_exact():
     assert prev < 2e-3 * abs(float(KQ0(np.array(t), np.array(r))))
 
 
+def _kq_per_row(keps, Q, T, level):
+    # the reference: one graded u grid per output row, with K_eps's t spline
+    # evaluated at that row's own nodes
+    t_lo, t_hi = keps.t_support[0], keps.t_support[1] + 2.0 * T
+    eps_scale = max(keps.t_grid.nodes[0] - t_lo, 1e-12)
+    h_min = eps_scale / 4.0
+    res = kernels._resolution(level)
+    t_grid = panel_grid(kernels._graded_span(t_lo, t_hi, eps_scale,
+                                             res.ratio), res.order)
+    vals = np.zeros((t_grid.nodes.size, keps.r_grid.nodes.size))
+    for i, ti in enumerate(t_grid.nodes):
+        lo = max(ti - 2.0 * T, keps.t_support[0])
+        hi = min(ti, keps.t_support[1])
+        if hi <= lo:
+            continue
+        g = panel_grid(kernels._graded_span(lo, hi, h_min, res.ratio),
+                       res.order)
+        qs = np.asarray(Q(ti - g.nodes), dtype=float)
+        vals[i] = (g.weights * qs) @ keps.profile(g.nodes)
+    return t_grid, vals
+
+
+_KQ_WEIGHTS = {
+    "ou": ou_weight(1.0, 1.0, 0.5),
+    "matrix": matrix_weight([1.0, 0.5], [[-1.0, 0.3], [0.2, -2.0]], 1, 0.5),
+}
+
+
+@pytest.mark.parametrize("weight", sorted(_KQ_WEIGHTS))
+@pytest.mark.parametrize("level", [-1, 0, 1])
+@pytest.mark.parametrize("d", [2, 3])
+def test_kq_kernel_matches_per_row_reference(d, level, weight):
+    # one contraction over the spline coefficients gives the per-row
+    # quadrature to rounding; rows the reference leaves zero stay exact zeros
+    keps = mollify_kernel(build_truncated_kernel(d), 0.25, level=level)
+    Q = _KQ_WEIGHTS[weight]
+    kq = kq_kernel(keps, Q, 0.5, level)
+    t_grid, want = _kq_per_row(keps, Q, 0.5, level)
+    assert np.array_equal(kq.t_grid.nodes, t_grid.nodes)
+    assert kq.t_support == (keps.t_support[0], keps.t_support[1] + 1.0)
+    assert np.any(want)
+    np.testing.assert_allclose(kq.vals, want, rtol=1e-13,
+                               atol=1e-13 * np.max(np.abs(want)))
+    zero = ~np.any(want, axis=1)
+    assert not np.any(kq.vals[zero])
+
+
 # ---------------------------------------------------------------------------
 # constants
 # ---------------------------------------------------------------------------

@@ -71,6 +71,24 @@ def test_counter_gaussians_chunk_independent():
     assert not np.array_equal(counter_gaussians(98, 0, 500), whole)
 
 
+def _box_muller_formula(seed, start, count):
+    # the reference: the Box-Muller map in one expression per value
+    w = noise._raw_words(seed, 2 * start, 2 * count)
+    u1 = ((w[0::2] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    u2 = (w[1::2] >> np.uint64(11)) * 2.0 ** -53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3, 5, 1001, 2 ** 20 + 3])
+def test_counter_gaussians_match_formula_bit_for_bit(start):
+    # the in-place Box-Muller steps give the formula's values exactly, at
+    # starts off the four-word Philox blocks and at several sizes
+    for count in (0, 1, 2, 7, 4096, 32768 + 5):
+        got = counter_gaussians(17, start, count)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, _box_muller_formula(17, start, count))
+
+
 def test_counter_gaussians_moments():
     z = counter_gaussians(7, 0, 1_000_000)
     assert abs(float(np.mean(z))) < 3e-3

@@ -91,7 +91,8 @@ def test_numeric_commands_never_execute_sympy(tmp_path):
     # only renorm-eq runs the symbolic layer; F is read into an exact table
     # without sympy, which the numeric commands never load (about 0.4 s and
     # 32 MB at start-up); constants in d = 3, a d = 3 run and a d = 2 sweep
-    # leave no scipy module behind either
+    # leave no scipy module behind either, nor numpy.ma, which np.unique
+    # imports when called without return_*
     root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nn_space = 16\ndt = 1e-4\nt_end = 2e-4\n"
@@ -108,14 +109,15 @@ def test_numeric_commands_never_execute_sympy(tmp_path):
         f"       main(['simulate', '--config', {str(d3)!r}]),\n"
         f"       main(['converge', '--config', {str(d2)!r}])]\n"
         "print(rcs, 'sympy.core' in sys.modules,\n"
-        "      [m for m in sys.modules if m.startswith('scipy')])\n"
+        "      [m for m in sys.modules if m.startswith('scipy')],\n"
+        "      'numpy.ma' in sys.modules)\n"
         "print(main(['renorm-eq', '--dim', '3', '--F', 'u - u^3 - v']))\n")
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                FHNSPDE_OUT=str(tmp_path / "out"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     lines = out.splitlines()
-    assert "[0, 0, 0] False []" in lines and lines[-1] == "0", out
+    assert "[0, 0, 0] False [] False" in lines and lines[-1] == "0", out
 
 
 def test_every_parameter_is_read():

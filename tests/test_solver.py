@@ -12,10 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from fhnspde import kernels
 from fhnspde.kernels import (
     CounterTerms,
     MollifierSpec,
+    assemble_C,
     build_truncated_kernel,
+    kernel_constants,
     mollify_kernel,
 )
 from fhnspde.noise import (
@@ -377,6 +380,27 @@ def test_counterterms_standard_fhn_2d():
     assert ct.C0 == 0.0
     assert ct.C2_sys == (0.0,)
     assert ct.C1_sys == pytest.approx(ct.C_eps)
+
+
+def test_d3_counterterms_compute_only_c1_and_c2(monkeypatch):
+    # C(eps) reads C1 and C2 = 2 int K Q0^2 alone: no K^Q_eps is built, and
+    # the constants are those of the full kernel_constants call
+    F = CubicPolynomial.standard_fhn()
+    K = build_truncated_kernel(3)
+    full = kernel_constants(3, 0.25, kernel=K, full=True)
+    gamma2 = tuple(float(F.gamma2(i)) for i in range(1, F.n_channels + 1))
+    want = assemble_C(float(F.beta1), float(F.gamma1), gamma2, full.C1,
+                      full.C2)
+
+    def no_kq(*args, **kwargs):
+        raise AssertionError("K^Q_eps built")
+
+    monkeypatch.setattr(kernels, "kq_kernel", no_kq)
+    got = counterterms_for(F, 3, 0.25, kernel=K)
+    assert float(F.gamma1) != 0.0       # C2 enters C(eps)
+    assert got.C_eps == pytest.approx(want.C_eps, rel=1e-14, abs=0.0)
+    assert kernels.counterterm_constants(K, 0.25) == pytest.approx(
+        (full.C1, full.C2), rel=1e-14, abs=0.0)
 
 
 def test_renormalised_drift_adds_linear_term():
