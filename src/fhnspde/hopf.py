@@ -27,12 +27,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .symbols import (
     ONE,
     XI,
     Homogeneity,
+    Linear,
     Scaling,
     StructureError,
     Symbol,
@@ -139,60 +140,27 @@ def plus_homogeneity(p: PlusElem, d: int) -> Homogeneity:
 # Tensor sums
 # ---------------------------------------------------------------------------
 
-class TensorSum:
+class TensorSum(Linear):
     """Finite linear combination of ``symbol x plus-elem`` with exact weights."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[Mapping[tuple[Symbol, PlusElem],
-                                               Fraction]] = None) -> None:
-        self.terms: dict[tuple[Symbol, PlusElem], Fraction] = {}
-        if terms:
-            for key, c in terms.items():
-                self._add(key, Fraction(c))
-
-    def _add(self, key: tuple[Symbol, PlusElem], c: Fraction) -> None:
-        new = self.terms.get(key, Fraction(0)) + c
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-
-    def __add__(self, other: "TensorSum") -> "TensorSum":
-        out = TensorSum(self.terms)
-        for key, c in other.terms.items():
-            out._add(key, c)
-        return out
-
-    def scaled(self, c: Union[int, Fraction]) -> "TensorSum":
-        c = Fraction(c)
-        if not c:
-            return TensorSum()
-        return TensorSum({k: v * c for k, v in self.terms.items()})
-
-    def __mul__(self, other: "TensorSum") -> "TensorSum":
-        out = TensorSum()
-        for (l1, r1), c1 in self.terms.items():
-            for (l2, r2), c2 in other.terms.items():
-                left = product([l1, l2])
-                if left is None:
-                    continue
-                out._add((left, r1 * r2), c1 * c2)
-        return out
+    @staticmethod
+    def _pair_product(a: tuple[Symbol, PlusElem], b: tuple[Symbol, PlusElem]
+                      ) -> Optional[tuple[Symbol, PlusElem]]:
+        left = product([a[0], b[0]])
+        return None if left is None else (left, a[1] * b[1])
 
     def map_left(self, fn: Callable[[Symbol], Optional[Symbol]]) -> "TensorSum":
         out = TensorSum()
         for (left, right), c in self.terms.items():
             new_left = fn(left)
             if new_left is not None:
-                out._add((new_left, right), c)
+                out._accumulate((new_left, right), c)
         return out
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, TensorSum) and self.terms == other.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def sorted_terms(self) -> list[tuple[Symbol, PlusElem, Fraction]]:
         items = [(l, r, c) for (l, r), c in self.terms.items()]
@@ -260,7 +228,7 @@ def coproduct(tau: Symbol, d: int) -> TensorSum:
     if tau.tag == "mono":
         out = TensorSum()
         for l, m, c in _splits(tau.k):
-            out._add((monomial(l), PlusElem(k=m)), Fraction(c))
+            out.add((monomial(l), PlusElem(k=m)), c)
         return out
     if tau.tag == "int":
         child = tau.child
@@ -274,7 +242,7 @@ def coproduct(tau: Symbol, d: int) -> TensorSum:
             j = JSymbol(k=n, tau=child)
             for l, m, c in _splits(n):
                 w = Fraction(c, _factorial(n))
-                out._add((monomial(l), PlusElem(k=m, js=(j,))), w)
+                out.add((monomial(l), PlusElem(k=m, js=(j,))), w)
         return out
     if tau.tag == "ext":
         ch = tau.channel

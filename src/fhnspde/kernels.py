@@ -47,7 +47,7 @@ __all__ = [
     "g_eps_squared",
     "kq_exact",
     "kq_kernel",
-    "ou_weight",
+    "phi_series",
     "matrix_weight",
     "smooth_taper",
     "correlate",
@@ -770,14 +770,20 @@ def smooth_taper(s, T: float) -> np.ndarray:
     return np.where(s < 0, 0.0, 1.0 - step)
 
 
-def ou_weight(decay: float, gain: float = 1.0,
-              T: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
-    """Scalar relaxation weight Q(s) = gain * exp(-decay s), tapered at 2T."""
-    def Q(s):
-        s = np.asarray(s, dtype=float)
-        return gain * np.exp(-decay * np.clip(s, 0.0, None)) \
-            * smooth_taper(s, T)
-    return Q
+def phi_series(dt: float, A: np.ndarray, tol: float = 1e-16) -> np.ndarray:
+    """Phi(dt, A) = sum_{m>=0} dt^{m+1} A^m / (m+1)!  (works for singular A).
+
+    e^{dt A} = I + A Phi(dt, A) is the package's one matrix exponential.
+    """
+    A = np.asarray(A, dtype=float)
+    term = dt * np.eye(A.shape[0])
+    out = term.copy()
+    for m in range(1, 200):
+        term = term @ (dt * A) / (m + 1)
+        out += term
+        if np.max(np.abs(term)) <= tol * max(np.max(np.abs(out)), 1e-300):
+            break
+    return out
 
 
 def matrix_weight(A1: np.ndarray, A2: np.ndarray, channel: int,
@@ -785,18 +791,34 @@ def matrix_weight(A1: np.ndarray, A2: np.ndarray, channel: int,
     """Channel weight Q_i(s) = (e^{s A2} A1)_i, tapered at 2T.
 
     ``A1`` is the (n,) coupling of the fast variable into the slow channels,
-    ``A2`` the (n, n) relaxation matrix (eigendecomposed once).
+    ``A2`` the (n, n) relaxation matrix, any real one (defective included).
+    For s = k h + r with 0 <= r < h, e^{s A2} A1 = e^{r A2} E^k A1: the
+    vectors E^k A1 of the exact step E = e^{h A2}, |h A2|_1 <= 1/2, are
+    tabulated once up to s = 2T with the Taylor coefficients of e^{r A2}
+    on each, so Q evaluates one polynomial in r per point.
     """
     A1 = np.atleast_1d(np.asarray(A1, dtype=float))
     A2 = np.atleast_2d(np.asarray(A2, dtype=float))
-    lam, P = np.linalg.eig(A2)
-    c = np.linalg.solve(P, A1.astype(complex))
+    norm = float(np.max(np.sum(np.abs(A2), axis=0)))
+    h = min(2.0 * T, 0.5 / norm) if norm else 2.0 * T
+    step = np.eye(len(A1)) + A2 @ phi_series(h, A2)
+    ys = [A1]
+    for _ in range(math.ceil(2.0 * T / h)):
+        ys.append(step @ ys[-1])
+    terms = [np.array(ys)]
+    for m in range(1, 17):          # |r A2|_1 <= 1/2: 2^-17/17! < 1e-19
+        terms.append(terms[-1] @ A2.T / m)
+    coef = [t[:, channel] for t in terms]
 
     def Q(s):
         s = np.asarray(s, dtype=float)
-        es = np.exp(np.multiply.outer(np.clip(s, 0.0, None), lam))
-        vals = np.real(es @ (P[channel, :] * c))
-        return vals * smooth_taper(s, T)
+        sc = np.clip(s, 0.0, 2.0 * T)
+        k = (sc / h).astype(int)
+        r = sc - k * h
+        out = coef[-1][k]
+        for c in coef[-2::-1]:
+            out = out * r + c[k]
+        return out * smooth_taper(s, T)
     return Q
 
 
@@ -993,7 +1015,7 @@ def kernel_constants(d: int, eps: float,
     """
     kernel = kernel or build_truncated_kernel(d)
     rho = rho or MollifierSpec(d)
-    Q = Q or ou_weight(1.0, 1.0, T)
+    Q = Q or matrix_weight([1.0], [[-1.0]], 0, T)
     full = d == 3 if full is None else full
 
     keps = mollify_kernel(kernel, eps, rho, level)
@@ -1153,7 +1175,7 @@ def verify_appendix_bounds(d: int, eps_list: Sequence[float],
         raise ValueError("a trend needs at least two distinct scales")
     kernel = build_truncated_kernel(d)
     rho = MollifierSpec(d)
-    Q = ou_weight(1.0, 1.0, T)
+    Q = matrix_weight([1.0], [[-1.0]], 0, T)
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     KQ0 = kq_exact(kernel, Q, T)
 

@@ -47,6 +47,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 from .symbols import (
     ONE,
     Homogeneity,
+    Linear,
     Symbol,
     display_name,
     ext,
@@ -106,31 +107,20 @@ class UnsupportedSymbolError(ValueError):
 # Linear combinations of symbols with sympy scalars
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _pair_product(a: Symbol, b: Symbol) -> Optional[Symbol]:
-    # the same factor pairs recur across powers and derivation layers
-    return product([a, b])
-
-
-class Combo:
+class Combo(Linear):
     """Finite linear combination of symbols with commutative scalar weights."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Optional[Mapping[Symbol, object]] = None) -> None:
-        self.terms: dict[Symbol, sympy.Expr] = {}
-        if terms:
-            for sym, c in terms.items():
-                self.add(sym, c)
+    @staticmethod
+    def _coerce(c: object) -> sympy.Expr:
+        return sympy.sympify(c)
 
-    def add(self, sym: Symbol, c: object) -> None:
-        # structural accumulation only; a coefficient that cancels in a
-        # non-structural way survives until expanded() normalises it
-        c = self.terms.get(sym, sympy.Integer(0)) + sympy.sympify(c)
-        if c == 0:
-            self.terms.pop(sym, None)
-        else:
-            self.terms[sym] = c
+    @staticmethod
+    @lru_cache(maxsize=None)
+    def _pair_product(a: Symbol, b: Symbol) -> Optional[Symbol]:
+        # the same factor pairs recur across powers and derivation layers
+        return product([a, b])
 
     def expanded(self) -> "Combo":
         """Normal form: expanded coefficients, exact zeros dropped."""
@@ -139,27 +129,6 @@ class Combo:
             c = sympy.expand(c)
             if c != 0:
                 out.terms[sym] = c
-        return out
-
-    def __add__(self, other: "Combo") -> "Combo":
-        out = Combo(self.terms)
-        for sym, c in other.terms.items():
-            out.add(sym, c)
-        return out
-
-    def scaled(self, c: object) -> "Combo":
-        c = sympy.sympify(c)
-        if c == 0:
-            return Combo()
-        return Combo({s: v * c for s, v in self.terms.items()})
-
-    def __mul__(self, other: "Combo") -> "Combo":
-        out = Combo()
-        for s1, c1 in self.terms.items():
-            for s2, c2 in other.terms.items():
-                p = _pair_product(s1, s2)
-                if p is not None:
-                    out.add(p, c1 * c2)
         return out
 
     def coeff(self, sym: Symbol) -> sympy.Expr:
@@ -171,9 +140,6 @@ class Combo:
         keys = set(self.terms) | set(other.terms)
         return all(sympy.expand(self.coeff(k) - other.coeff(k)) == 0
                    for k in keys)
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __iter__(self) -> Iterator[tuple[Symbol, sympy.Expr]]:
         return iter(sorted(self.terms.items(),
@@ -438,20 +404,14 @@ def _names(n_channels: int) -> tuple[str, ...]:
     return ("u",) + tuple(f"v{i}" for i in range(1, n_channels + 1))
 
 
-def _poly_add(a: dict, b: dict, sign: int = 1) -> dict:
-    out = dict(a)
-    for e, c in b.items():
-        out[e] = out.get(e, 0) + sign * c
-    return {e: c for e, c in out.items() if c}
+class _Table(Linear):
+    """A polynomial's coefficients by exponent tuple, as F is read."""
 
+    __slots__ = ()
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, 0) + ca * cb
-    return {e: c for e, c in out.items() if c}
+    @staticmethod
+    def _pair_product(a: tuple, b: tuple) -> tuple:
+        return tuple(x + y for x, y in zip(a, b))
 
 
 def _read_polynomial(text: str, n_channels: int) -> dict:
@@ -495,51 +455,51 @@ def _read_polynomial(text: str, n_channels: int) -> dict:
                           + ast.get_source_segment(src, node))
 
     def constant(node, owner) -> Fraction:
-        p = ev(node)
+        p = ev(node).terms
         if not set(p) <= {zero}:
             raise not_polynomial(owner)
         return p.get(zero, Fraction(0))
 
-    def ev(node) -> dict:
+    def ev(node) -> _Table:
         if isinstance(node, ast.Constant) and type(node.value) in (int,
                                                                    float):
             c = Fraction(node.value if type(node.value) is int else
                          ast.get_source_segment(src, node).replace("_", ""))
-            return {zero: c} if c else {}
+            return _Table({zero: c})
         if isinstance(node, ast.Name):
             e = [0] * len(zero)
             e[index[node.id]] = 1
-            return {tuple(e): Fraction(1)}
+            return _Table({tuple(e): 1})
         if isinstance(node, ast.UnaryOp) \
                 and isinstance(node.op, (ast.UAdd, ast.USub)):
             sign = 1 if isinstance(node.op, ast.UAdd) else -1
-            return _poly_add({}, ev(node.operand), sign)
+            return ev(node.operand).scaled(sign)
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, (ast.Add, ast.Sub)):
-                return _poly_add(ev(node.left), ev(node.right),
-                                 1 if isinstance(node.op, ast.Add) else -1)
+                sign = 1 if isinstance(node.op, ast.Add) else -1
+                return ev(node.left) + ev(node.right).scaled(sign)
             if isinstance(node.op, ast.Mult):
-                return _poly_mul(ev(node.left), ev(node.right))
+                return ev(node.left) * ev(node.right)
             if isinstance(node.op, ast.Div):
                 k = constant(node.right, node)
                 if k == 0:
                     raise ZeroDivisionError("division by zero")
-                return {e: c / k for e, c in ev(node.left).items()}
+                return ev(node.left).scaled(1 / k)
             if isinstance(node.op, ast.Pow):
                 base, k = ev(node.left), constant(node.right, node)
                 if k.denominator != 1:
                     raise not_polynomial(node)
-                if set(base) <= {zero}:
-                    c = base.get(zero, Fraction(0)) ** int(k)
-                    return {zero: c} if c else {}
+                if set(base.terms) <= {zero}:
+                    return _Table({zero: base.terms.get(zero, Fraction(0))
+                                   ** int(k)})
                 if k < 0:
                     raise not_polynomial(node)
                 if k > 3:      # the power alone has degree > 3
                     raise ValueError(
                         "nonlinearity must have total degree <= 3")
-                out = {zero: Fraction(1)}
+                out = _Table({zero: 1})
                 for _ in range(int(k)):
-                    out = _poly_mul(out, base)
+                    out = out * base
                 return out
         if isinstance(node, ast.Call):
             raise not_polynomial(node)
@@ -547,7 +507,7 @@ def _read_polynomial(text: str, n_channels: int) -> dict:
                          f"{ast.get_source_segment(src, node)!r}")
 
     try:
-        return ev(tree.body)
+        return ev(tree.body).terms
     except ZeroDivisionError as exc:
         raise ValueError(f"cannot parse nonlinearity {text!r}: {exc}") \
             from None

@@ -40,6 +40,7 @@ from .kernels import (
     counterterm_constants,
     matrix_weight,
     panel_grid,
+    phi_series,
 )
 from .noise import (
     Lattice,
@@ -200,19 +201,6 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # building blocks
 # ---------------------------------------------------------------------------
-
-def phi_series(dt: float, A: np.ndarray, tol: float = 1e-16) -> np.ndarray:
-    """Phi(dt, A) = sum_{m>=0} dt^{m+1} A^m / (m+1)!  (works for singular A)."""
-    A = np.asarray(A, dtype=float)
-    term = dt * np.eye(A.shape[0])
-    out = term.copy()
-    for m in range(1, 200):
-        term = term @ (dt * A) / (m + 1)
-        out += term
-        if np.max(np.abs(term)) <= tol * max(np.max(np.abs(out)), 1e-300):
-            break
-    return out
-
 
 def spectral_sigma(d: int, n_space: int, exponent: float) -> np.ndarray:
     """(1+|k|)^{exponent/2} on the rfftn frequency lattice."""
@@ -413,10 +401,11 @@ class _Member:
         return self._chi
 
     def failure(self, cutoff: float) -> Optional[str]:
-        if not np.all(np.isfinite(self.u)):
+        # one reduction: max propagates NaN, and inf is not finite either
+        peak = float(np.max(np.abs(self.u)))
+        if not math.isfinite(peak):
             return "nonfinite"
-        return "cutoff-hit" if float(np.max(np.abs(self.u))) > cutoff \
-            else None
+        return "cutoff-hit" if peak > cutoff else None
 
     def step(self, f_hat: Optional[np.ndarray]) -> None:
         st = self.st
@@ -521,9 +510,12 @@ def counterterms_for(spec_F: CubicPolynomial, d: int, eps: float,
 
     Only C1 and, in three dimensions, C2 enter (see
     :func:`counterterm_constants`): no slow-channel kernel is built.
+    A ``kernel`` must be built for dimension ``d``.
     """
     if kernel is None:
         kernel = build_truncated_kernel(d)
+    elif kernel.d != d:
+        raise ValueError(f"kernel is built for d = {kernel.d}, not d = {d}")
     C1, C2 = counterterm_constants(kernel, eps)
     gamma2 = tuple(float(spec_F.gamma2(i))
                    for i in range(1, spec_F.n_channels + 1))

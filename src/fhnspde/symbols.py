@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "StructureError",
@@ -44,6 +44,7 @@ __all__ = [
     "power",
     "leg",
     "leg_channel",
+    "Linear",
     "homogeneity",
     "xi_count",
     "from_text",
@@ -314,6 +315,61 @@ def leg_channel(sym: Symbol) -> Optional[int]:
     if sym.tag == _EXT and sym.child.tag == _INT and sym.child.child.tag == _XI:
         return sym.channel
     return None
+
+
+# ---------------------------------------------------------------------------
+# Linear combinations
+# ---------------------------------------------------------------------------
+
+class Linear:
+    """Finite linear combination: ``terms`` maps basis elements to non-zero
+    coefficients.  A subclass says how a coefficient is read (``_coerce``)
+    and how two basis elements multiply (a static ``_pair_product``, None
+    for zero); sums, scaling and products follow."""
+
+    __slots__ = ("terms",)
+    _coerce = Fraction
+
+    def __init__(self, terms: Optional[Mapping] = None) -> None:
+        self.terms: dict = {}
+        for key, c in (terms or {}).items():
+            self.add(key, c)
+
+    def add(self, key, c) -> None:
+        self._accumulate(key, self._coerce(c))
+
+    def _accumulate(self, key, c) -> None:
+        # c is read already; the accumulation is structural: a coefficient
+        # that cancels only after simplification stays until normalised
+        if key in self.terms:
+            c = self.terms[key] + c
+        if c == 0:
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = c
+
+    def __add__(self, other: "Linear") -> "Linear":
+        out = type(self)()
+        out.terms = dict(self.terms)
+        for key, c in other.terms.items():
+            out._accumulate(key, c)
+        return out
+
+    def scaled(self, c) -> "Linear":
+        c = self._coerce(c)       # by zero, every product drops out
+        return type(self)({k: v * c for k, v in self.terms.items()})
+
+    def __mul__(self, other: "Linear") -> "Linear":
+        out = type(self)()
+        for a, ca in self.terms.items():
+            for b, cb in other.terms.items():
+                p = self._pair_product(a, b)
+                if p is not None:
+                    out._accumulate(p, ca * cb)
+        return out
+
+    def __len__(self) -> int:
+        return len(self.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from fhnspde.kernels import (
     kq_kernel,
     matrix_weight,
     mollify_kernel,
-    ou_weight,
     panel_grid,
     radial_convolve,
     radial_integral,
@@ -37,6 +36,8 @@ from fhnspde.kernels import (
     sphere_area,
     verify_appendix_bounds,
 )
+
+OU = matrix_weight([1.0], [[-1.0]], 0, 0.5)     # the default slow weight
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +519,7 @@ def test_correlate_windowed_heat_oracle(d):
 
 def _keps_kq(d):
     keps = mollify_kernel(build_truncated_kernel(d), 0.25, level=-1)
-    return keps, kq_kernel(keps, ou_weight(1.0, 1.0, 0.5), 0.5, level=-1)
+    return keps, kq_kernel(keps, OU, 0.5, level=-1)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -674,12 +675,12 @@ def test_smooth_taper_profile():
         assert abs(left - right) < 1e-4
 
 
-def test_ou_weight_matches_matrix_weight_scalar():
+def test_matrix_weight_scalar_is_tapered_exponential():
     T = 0.5
-    q1 = ou_weight(1.7, 2.5, T)
-    q2 = matrix_weight(np.array([2.5]), np.array([[-1.7]]), 0, T)
-    s = np.linspace(0.0, 1.0, 41)
-    assert np.allclose(q1(s), q2(s), rtol=1e-12, atol=1e-12)
+    q = matrix_weight(np.array([2.5]), np.array([[-1.7]]), 0, T)
+    s = np.linspace(-0.2, 1.2, 57)
+    want = 2.5 * np.exp(-1.7 * np.clip(s, 0.0, None)) * smooth_taper(s, T)
+    assert np.allclose(q(s), want, rtol=2e-15, atol=0.0)
 
 
 def test_matrix_weight_two_channels():
@@ -692,6 +693,40 @@ def test_matrix_weight_two_channels():
         for s in (0.0, 0.2, 0.45):
             want = (expm(s * A2) @ A1)[ch]
             assert q(np.array(s)) == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("A1, A2, channel, at_half", [
+    # cascade: Q_1(s) = s e^-s
+    ([1.0, 0.0], [[-1.0, 0.0], [1.0, -1.0]], 1, 0.5 * math.exp(-0.5)),
+    # Jordan block: Q_0(s) = (1 + s/2) e^-s
+    ([1.0, 0.5], [[-1.0, 1.0], [0.0, -1.0]], 0, 1.25 * math.exp(-0.5)),
+], ids=["cascade", "jordan"])
+def test_matrix_weight_defective(A1, A2, channel, at_half):
+    # a defective A2 has no eigenvector basis; e^{s A2} A1 still holds
+    from scipy.linalg import expm
+    T = 0.5
+    s = np.linspace(0.0, 2 * T, 201)
+    for ch in (0, 1):
+        want = np.array([(expm(x * np.array(A2)) @ A1)[ch] for x in s]) \
+            * smooth_taper(s, T)
+        got = matrix_weight(A1, A2, ch, T)(s)
+        assert np.max(np.abs(got - want)) < 1e-12
+    assert matrix_weight(A1, A2, channel, T)(0.5) == pytest.approx(
+        at_half, rel=1e-15)
+
+
+def test_matrix_weight_stiff_jordan_block():
+    # e^{s A2} = e^{-30 s} [[1, 5 s], [0, 1]]: relative accuracy down to
+    # e^-30 near s = 2T, where the steps E^k A1 compound (the taper is 0
+    # at 2T itself)
+    T = 0.5
+    s = np.linspace(0.0, 2 * T, 201)[:-1]
+    A1, A2 = [1.0, 0.5], [[-30.0, 5.0], [0.0, -30.0]]
+    want = np.exp(-30.0 * s) * smooth_taper(s, T) \
+        * np.stack([1.0 + 2.5 * s, np.full_like(s, 0.5)])
+    for ch in (0, 1):
+        got = matrix_weight(A1, A2, ch, T)(s)
+        assert np.max(np.abs(got - want[ch]) / want[ch]) < 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -716,7 +751,7 @@ def test_kq_exact_window_oracle(d):
 def test_kq_kernel_approaches_exact():
     d, T = 3, 0.5
     K = build_truncated_kernel(d)
-    Q = ou_weight(1.0, 1.0, T)
+    Q = OU
     KQ0 = kq_exact(K, Q, T)
     t, r = 0.3, 0.2
     prev = None
@@ -752,7 +787,7 @@ def _kq_per_row(keps, Q, T, level):
 
 
 _KQ_WEIGHTS = {
-    "ou": ou_weight(1.0, 1.0, 0.5),
+    "ou": OU,
     "matrix": matrix_weight([1.0, 0.5], [[-1.0, 0.3], [0.2, -2.0]], 1, 0.5),
 }
 

@@ -119,6 +119,17 @@ def test_qspec_l1_norm_scalar_ou():
     assert abs(q.l1_norm() - ref) < 1e-6
 
 
+def test_qspec_l1_norm_defective_coupling():
+    # A2 is a Jordan block: Q_0(s) = (1 + s/2) e^-s and Q_1(s) = e^-s / 2,
+    # tapered; Q_0 has the larger mass
+    q = QSpec(A1=(1.0, 0.5), A2=((-1.0, 1.0), (0.0, -1.0)))
+    s = np.linspace(0.0, 2 * q.T, 200001)
+    f = (1.0 + s / 2) * np.exp(-s) * kernels.smooth_taper(s, q.T)
+    ref = float(np.sum((f[1:] + f[:-1]) / 2) * (s[1] - s[0]))
+    assert q.l1_norm() == pytest.approx(ref, rel=1e-9)
+    assert round(q.l1_norm(), 5) == 0.61247
+
+
 def test_system_rejects_channel_mismatch():
     with pytest.raises(ValueError):
         SystemSpec(d=2, F=_zero_F(2), Q=_scalar_Q())
@@ -277,6 +288,22 @@ def test_cutoff_triggers_immediately_for_tiny_threshold():
         == sample_white_noise(lat, cfg.seed).checksum()
 
 
+@pytest.mark.parametrize("u0, t_star", [
+    (lambda x, y: 1e120 + 0 * x, 1e-3),     # u^3 overflows: NaN after a step
+    (lambda x, y: np.where(x + y == 0, np.inf, 0.0), 0.0),
+    (lambda x, y: np.where(x + y == 0, np.nan, 0.0), 0.0),
+])
+def test_nonfinite_field_ends_the_run(u0, t_star):
+    # not a cutoff hit: the cutoff is finite but no finite field reaches it
+    spec = SystemSpec(d=2, F=CubicPolynomial("u^3", 1), Q=_scalar_Q())
+    cfg = RunConfig(n_space=16, dt=1e-3, t_end=0.01, eps=0.25, seed=3,
+                    cutoff=1e308, u0=u0)
+    with np.errstate(all="ignore"):
+        res = run(cfg, spec)
+    assert res.termination == "nonfinite"
+    assert res.t_star == t_star
+
+
 def koper_system(eps1: float = 0.1, k: float = -10.0) -> SystemSpec:
     """Two slow channels with the singular drift matrix of the Koper family."""
     F = CubicPolynomial(sympy.sympify("3*u + v1 - u**3"), 2)
@@ -380,6 +407,12 @@ def test_counterterms_standard_fhn_2d():
     assert ct.C0 == 0.0
     assert ct.C2_sys == (0.0,)
     assert ct.C1_sys == pytest.approx(ct.C_eps)
+
+
+def test_counterterms_reject_kernel_of_other_dimension():
+    with pytest.raises(ValueError, match="d = 2, not d = 3"):
+        counterterms_for(CubicPolynomial.standard_fhn(), 3, 0.25,
+                         kernel=build_truncated_kernel(2))
 
 
 def test_d3_counterterms_compute_only_c1_and_c2(monkeypatch):
