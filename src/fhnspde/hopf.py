@@ -27,6 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from .symbols import (
@@ -37,12 +38,12 @@ from .symbols import (
     Scaling,
     StructureError,
     Symbol,
+    _symbol_product,
     display_name,
     ext,
     homogeneity,
     integral,
     monomial,
-    product,
     to_text,
 )
 
@@ -148,7 +149,7 @@ class TensorSum(Linear):
     @staticmethod
     def _pair_product(a: tuple[Symbol, PlusElem], b: tuple[Symbol, PlusElem]
                       ) -> Optional[tuple[Symbol, PlusElem]]:
-        left = product([a[0], b[0]])
+        left = _symbol_product(a[0], b[0])
         return None if left is None else (left, a[1] * b[1])
 
     def map_left(self, fn: Callable[[Symbol], Optional[Symbol]]) -> "TensorSum":
@@ -220,8 +221,11 @@ def _factorial(k: tuple[int, ...]) -> int:
     return out
 
 
+@lru_cache(maxsize=None)
 def coproduct(tau: Symbol, d: int) -> TensorSum:
-    """Structure-group coproduct of a canonical symbol in dimension d."""
+    """Structure-group coproduct of a canonical symbol in dimension d,
+    memoised per (symbol, d): the returned ``TensorSum`` is shared, so
+    callers must not mutate it (``+``, ``*``, ``map_left`` build new sums)."""
     sc = Scaling(d)
     if tau.tag in ("one", "xi"):
         return _tensor(tau)
@@ -232,10 +236,9 @@ def coproduct(tau: Symbol, d: int) -> TensorSum:
         return out
     if tau.tag == "int":
         child = tau.child
-        inner = coproduct(child, d).map_left(integral)
+        out = coproduct(child, d).map_left(integral)
         # recentering tail: J_k(child) survives iff |k|_s < |child| + 2
         bound = homogeneity(child, d) + Homogeneity(2)
-        out = inner
         for n in _multiindices_upto(int(bound.r) + 1, d):
             if not (Homogeneity(sc.degree(n)) < bound):
                 continue

@@ -141,19 +141,21 @@ def panel_grid(edges: Sequence[float], order: int = 8) -> Grid1D:
                   (half * wg).reshape(shape))
 
 
-def _graded_span(a: float, b: float, h_min: float,
-                 ratio: float = 2.0) -> np.ndarray:
+def _graded_span(a: float, b: float, h_min: float, ratio: float = 2.0,
+                 steps: Optional[np.ndarray] = None) -> np.ndarray:
     """Panel edges on [a, b] refined toward u = 0, from both sides when
-    a < 0 < b, else toward the endpoint nearest it."""
+    a < 0 < b, else toward the endpoint nearest it.  A side of length L is,
+    bit for bit, ``geometric_edges(0, L, h_min, ratio)``: the ``steps`` (its
+    partial sums) below L, then L; callers cutting many spans share steps."""
     if b - a <= h_min:
         return np.array([a, b])
+    if steps is None:
+        steps = geometric_edges(0.0, b - a, h_min, ratio)[:-1]
+    lengths = (-a, b) if a < 0.0 < b else (b - a,)
+    sides = [np.append(steps[:np.searchsorted(steps, x)], x) for x in lengths]
     if a < 0.0 < b:
-        left = -geometric_edges(0.0, -a, h_min, ratio)[::-1]
-        return np.concatenate([left[:-1],
-                               geometric_edges(0.0, b, h_min, ratio)])
-    if a >= 0.0:
-        return a + geometric_edges(0.0, b - a, h_min, ratio)
-    return b - geometric_edges(0.0, b - a, h_min, ratio)[::-1]
+        return np.concatenate([-sides[0][:0:-1], sides[1]])
+    return a + sides[0] if a >= 0.0 else b - sides[0][::-1]
 
 
 def _shell(grid: Grid1D, d: int) -> np.ndarray:
@@ -877,7 +879,8 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
     lo = np.maximum(t_grid.nodes - 2.0 * T, t_lo)
     hi = np.minimum(t_grid.nodes, t_top)
     live = np.flatnonzero(hi > lo)
-    spans = [_graded_span(lo[i], hi[i], h_min, res.ratio) for i in live]
+    steps = geometric_edges(0.0, t_hi - t_lo, h_min, res.ratio)[:-1]
+    spans = [_graded_span(lo[i], hi[i], h_min, steps=steps) for i in live]
     n_edges = np.array([e.size for e in spans], dtype=np.intp)
     edges, ends = np.concatenate(spans + [np.zeros(0)]), np.cumsum(n_edges)
     # one (left, right) edge pair per panel of every span

@@ -41,7 +41,6 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .symbols import (
@@ -49,6 +48,7 @@ from .symbols import (
     Homogeneity,
     Linear,
     Symbol,
+    _symbol_product,
     display_name,
     ext,
     homogeneity,
@@ -116,11 +116,7 @@ class Combo(Linear):
     def _coerce(c: object) -> sympy.Expr:
         return sympy.sympify(c)
 
-    @staticmethod
-    @lru_cache(maxsize=None)
-    def _pair_product(a: Symbol, b: Symbol) -> Optional[Symbol]:
-        # the same factor pairs recur across powers and derivation layers
-        return product([a, b])
+    _pair_product = staticmethod(_symbol_product)
 
     def expanded(self) -> "Combo":
         """Normal form: expanded coefficients, exact zeros dropped."""

@@ -290,6 +290,12 @@ def product(factors: Iterable[Optional[Symbol]]) -> Optional[Symbol]:
     return Symbol(_PROD, factors=tuple(rest))
 
 
+@lru_cache(maxsize=None)
+def _symbol_product(a: Symbol, b: Symbol) -> Optional[Symbol]:
+    # one cache: the same factor pairs recur across coproducts and powers
+    return product([a, b])
+
+
 def power(base: Optional[Symbol], n: int) -> Optional[Symbol]:
     """n-fold product of ``base`` (n >= 0; n = 0 gives the unit)."""
     if n < 0:
@@ -323,9 +329,9 @@ def leg_channel(sym: Symbol) -> Optional[int]:
 
 class Linear:
     """Finite linear combination: ``terms`` maps basis elements to non-zero
-    coefficients.  A subclass says how a coefficient is read (``_coerce``)
-    and how two basis elements multiply (a static ``_pair_product``, None
-    for zero); sums, scaling and products follow."""
+    coefficients.  Subclasses give ``_coerce`` (how a coefficient is read)
+    and a static ``_pair_product`` (None for zero; symbols multiply through
+    the one cached ``_symbol_product``); sums, scaling and products follow."""
 
     __slots__ = ("terms",)
     _coerce = Fraction

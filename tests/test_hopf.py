@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from fhnspde.cli import main
 from fhnspde.hopf import (
     PLUS_ONE,
     Character,
@@ -19,7 +20,9 @@ from fhnspde.hopf import (
 from fhnspde.symbols import (
     ONE,
     XI,
+    Homogeneity,
     common_trees,
+    enumerate_symbols,
     from_text,
     homogeneity,
     integral,
@@ -124,6 +127,16 @@ def test_coproduct_d2_picks_up_gradient_terms():
                       P([J(ct["RSW"], d=2, i=i)], d=2)))
         terms.append((ct["RSV"], PX(i, [J(ct["RSW"], d=2, i=i)], d=2)))
     assert coproduct(ct["RSWW"], 2) == ts(*terms)
+
+
+def test_coproduct_cache_keys_on_dimension():
+    # alternate d on one symbol: each value is the one its own d computes
+    tau = CT2["RSWW"]
+    got = [(d, coproduct(tau, d)) for d in (2, 3, 2, 3)]
+    assert got[0][1] != got[1][1]
+    for d, value in got:
+        coproduct.cache_clear()
+        assert value == coproduct(tau, d)
 
 
 def test_coproduct_decorated_mirrors_plain():
@@ -238,3 +251,28 @@ def test_tensor_sum_algebra():
     assert (t + t.scaled(-1)) == TensorSum()
     assert t.scaled(2).terms[(XI, PLUS_ONE)] == 2
     assert TensorSum().text() == "0"
+
+
+def test_shared_coproducts_survive_every_use(tmp_path, monkeypatch, capsys):
+    # coproduct is memoised, so every caller below holds the shared values:
+    # none of these uses may change them
+    monkeypatch.setenv("FHNSPDE_OUT", str(tmp_path))
+    rows = enumerate_symbols(3, Homogeneity(Fraction(1, 2)), n_channels=2).rows
+    assert len(rows) == 421
+    held = [(row.symbol, coproduct(row.symbol, 3)) for row in rows]
+    texts = [t.text() for _, t in held]
+    js = {j for _, t in held for (_, right) in t.terms for j in right.js}
+    g = Character(j_values={j: Fraction(1, 3) for j in js},
+                  point=(0.5, -1.0, 2.0, 0.25))
+    for i, (sym, t) in enumerate(held):
+        group_action(g, sym, 3)
+        is_primitive_for_group(sym, 3)
+        t * held[i - 1][1]
+        t + t.scaled(-1)
+        t.map_left(integral)
+        if i % 60 == 0:
+            assert main(["coproduct", to_text(sym), "--dim", "3"]) == 0
+    capsys.readouterr()
+    coproduct.cache_clear()
+    assert [t.text() for _, t in held] == texts
+    assert [coproduct(sym, 3).text() for sym, _ in held] == texts
