@@ -596,8 +596,9 @@ class TableRow:
 class SymbolTable:
     """Generated graded symbol set with deterministic order and lookups.
 
-    Rows are sorted by (homogeneity, structural order).  ``by_name`` maps both
-    display codes and canonical grammar text to symbols.
+    Rows are sorted by (homogeneity, structural order).  ``lookup`` takes a
+    symbol, its grammar text or its display code; a code that names several
+    rows (``o`` does not say which channel) raises KeyError listing them.
     """
 
     d: int
@@ -621,10 +622,13 @@ class SymbolTable:
                 if r.symbol == key:
                     return r
             raise KeyError(f"symbol {key!r} not in table")
-        for r in self.rows:
-            if key == r.name or key == to_text(r.symbol):
-                return r
-        raise KeyError(f"name {key!r} not in table")
+        rows = [r for r in self.rows if key in (r.name, to_text(r.symbol))]
+        if len(rows) > 1:
+            raise KeyError(f"display code {key!r} names {len(rows)} rows: "
+                           + ", ".join(to_text(r.symbol) for r in rows))
+        if not rows:
+            raise KeyError(f"name {key!r} not in table")
+        return rows[0]
 
     def __contains__(self, sym: Symbol) -> bool:
         return any(r.symbol == sym for r in self.rows)
@@ -662,30 +666,48 @@ def _decorations(sym: Symbol, channels: Sequence[int], d: int) -> set[Symbol]:
     """All symbols obtained by replacing I(Xi) occurrences with E_i(I(Xi)).
 
     Substitution sites are I(Xi) appearing as a product factor (at top level
-    or one level under an I) or as the direct argument of an I.
+    or one level under an I) or as the direct argument of an I.  A run of
+    n equal product factors takes each multiset of n of its variants once.
     """
     rsi = integral(XI)
+    legs = [rsi] + [s for ch in channels if (s := ext(ch, rsi, d))]
 
     def variants(node: Symbol, depth: int) -> list[Symbol]:
-        outs = [node]
         if node == rsi and depth <= 1:
-            outs += [s for ch in channels
-                     if (s := ext(ch, rsi, d)) is not None]
-            return outs
+            return legs
         if node.tag == _INT:
             return [s for v in variants(node.child, depth + 1)
                     if (s := integral(v)) is not None]
         if node.tag == _PROD:
-            outs = []
-            choice_lists = [variants(f, depth) for f in node.factors]
-            for combo in itertools.product(*choice_lists):
-                p = product(combo)
-                if p is not None:
-                    outs.append(p)
-            return outs
+            runs = [itertools.combinations_with_replacement(
+                        variants(f, depth), len(list(run)))
+                    for f, run in itertools.groupby(node.factors)]
+            return [p for combo in itertools.product(*runs)
+                    if (p := product(itertools.chain(*combo))) is not None]
         return [node]
 
     return set(variants(sym, 0))
+
+
+def _within(members: Iterable[Symbol], r: int, bound: Homogeneity,
+            d: int) -> Iterator[tuple[Symbol, ...]]:
+    """Multisets of r members with homogeneity sum at most ``bound``, walked
+    in homogeneity order: a branch ends at the first member whose r-fold
+    completion exceeds it, as every later member weighs at least as much."""
+    members = sorted(members, key=lambda m: homogeneity(m, d))
+    homs = [homogeneity(m, d) for m in members]
+
+    def walk(start: int, left: int, h: Homogeneity, picked: tuple):
+        if not left:
+            yield picked
+            return
+        for i in range(start, len(members)):
+            if Homogeneity(h.r + left * homs[i].r,
+                           h.s + left * homs[i].s) > bound:
+                return
+            yield from walk(i, left - 1, h + homs[i], picked + (members[i],))
+
+    return walk(0, r, Homogeneity(0), ())
 
 
 def enumerate_symbols(d: int, cutoff: Homogeneity,
@@ -699,6 +721,13 @@ def enumerate_symbols(d: int, cutoff: Homogeneity,
     plus all products of at most three U-members with homogeneity <= cutoff;
     with ``n_channels >= 1`` every symbol additionally contributes its
     E-decorated family (I(Xi) legs replaced by E_i(I(Xi))).
+
+    Each candidate is built once.  Homogeneity adds over product factors
+    (One counts 0, monomials merge additively), so products walk their
+    factors in homogeneity order and end a branch once no completion stays
+    within bound; each closure round of U tries only the triples holding a
+    member the previous round added; equal factors take each multiset of
+    their decorations once.
     """
     if not isinstance(cutoff, Homogeneity):
         cutoff = Homogeneity(cutoff)
@@ -713,30 +742,19 @@ def enumerate_symbols(d: int, cutoff: Homogeneity,
     if homogeneity(rsi, d) <= u_cut:
         u_set.add(rsi)
 
-    changed = True
-    while changed:
-        changed = False
-        members = sorted(u_set, key=Symbol.sort_key)
-        for combo in itertools.combinations_with_replacement(members, 3):
-            p = product(combo)
-            if p is None or p.is_polynomial:
-                continue
-            s = integral(p)
-            if s is None or s in u_set:
-                continue
-            if homogeneity(s, d) <= u_cut:
-                u_set.add(s)
-                changed = True
+    new = set(u_set)
+    while new:
+        grown = {integral(product(combo)) for combo in
+                 _within(u_set, 3, u_cut - Homogeneity(2), d)
+                 if not new.isdisjoint(combo)}
+        new = grown - u_set - {None}       # I of a polynomial is zero
+        u_set |= new
 
     symbols: set[Symbol] = set()
     if Scaling(d).noise_homogeneity() <= cutoff:
         symbols.add(XI)
-    members = sorted(u_set, key=Symbol.sort_key)
     for r in (1, 2, 3):
-        for combo in itertools.combinations_with_replacement(members, r):
-            p = product(combo)
-            if p is not None and homogeneity(p, d) <= cutoff:
-                symbols.add(p)
+        symbols.update(map(product, _within(u_set, r, cutoff, d)))
 
     if n_channels >= 1:
         channels = list(range(1, n_channels + 1))

@@ -1,11 +1,13 @@
 """Symbol algebra: frozen homogeneity table, canonical form, enumeration."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fhnspde.symbols
 from fhnspde.symbols import (
     ONE,
     XI,
@@ -269,6 +271,109 @@ def test_table_lookup():
     with pytest.raises(KeyError):
         t.lookup("RSnope")
 
+
+
+def test_lookup_rejects_a_display_code_that_names_several_rows():
+    t = enumerate_symbols(3, H(F(1, 2)), n_channels=2)
+    texts = {to_text(r.symbol) for r in t.rows if r.name == "RSWo"}
+    assert texts == {"I(Xi)^2*E(I(Xi))", "I(Xi)^2*E2(I(Xi))"}
+    with pytest.raises(KeyError) as err:
+        t.lookup("RSWo")
+    assert all(text in str(err.value) for text in texts)
+    # canonical texts and codes that name one row still resolve
+    for text in texts:
+        assert to_text(t.lookup(text).symbol) == text
+    assert t.lookup("RSW").symbol == common_trees(3)["RSW"]
+
+
+# ---------------------------------------------------------------------------
+# Enumeration against a reference: the re-scanning closure, every decoration
+# tuple and every product, with duplicates dropped only by sets
+# ---------------------------------------------------------------------------
+
+def _reference_decorations(sym, channels, d):
+    rsi = integral(XI)
+
+    def variants(node, depth):
+        if node == rsi and depth <= 1:
+            return [node] + [s for ch in channels
+                             if (s := ext(ch, rsi, d)) is not None]
+        if node.tag == "int":
+            return [s for v in variants(node.child, depth + 1)
+                    if (s := integral(v)) is not None]
+        if node.tag == "prod":
+            choice_lists = [variants(f, depth) for f in node.factors]
+            return [p for combo in itertools.product(*choice_lists)
+                    if (p := product(combo)) is not None]
+        return [node]
+
+    return set(variants(sym, 0))
+
+
+def _reference_rows(d, cutoff, n_channels):
+    u_cut = H(cutoff.r + 1, cutoff.s + 2)
+    u_set = {ONE, *(x_power(i, d) for i in range(d + 1))}
+    rsi = integral(XI)
+    if homogeneity(rsi, d) <= u_cut:
+        u_set.add(rsi)
+    changed = True
+    while changed:
+        changed = False
+        members = sorted(u_set, key=Symbol.sort_key)
+        for combo in itertools.combinations_with_replacement(members, 3):
+            p = product(combo)
+            if p is None or p.is_polynomial:
+                continue
+            s = integral(p)
+            if s is not None and s not in u_set \
+                    and homogeneity(s, d) <= u_cut:
+                u_set.add(s)
+                changed = True
+    symbols = set()
+    if Scaling(d).noise_homogeneity() <= cutoff:
+        symbols.add(XI)
+    members = sorted(u_set, key=Symbol.sort_key)
+    for r in (1, 2, 3):
+        for combo in itertools.combinations_with_replacement(members, r):
+            p = product(combo)
+            if p is not None and homogeneity(p, d) <= cutoff:
+                symbols.add(p)
+    if n_channels >= 1:
+        channels = list(range(1, n_channels + 1))
+        for sym in list(symbols):
+            symbols.update(_reference_decorations(sym, channels, d))
+    rows = [(s, display_name(s), homogeneity(s, d)) for s in symbols]
+    rows.sort(key=lambda r: (r[2], r[0].sort_key()))
+    return rows
+
+
+_ORACLE_CONFIGS = [
+    (d, cutoff, n) for d in (2, 3)
+    for cutoff in (F(-3), F(-1), F(0), F(1, 2), F(1), F(3, 2))
+    for n in range(4) if (d, cutoff, n) != (3, F(3, 2), 3)]
+
+
+@pytest.mark.parametrize("d,cutoff,n_channels", _ORACLE_CONFIGS)
+def test_enumeration_matches_reference(d, cutoff, n_channels):
+    t = enumerate_symbols(d, H(cutoff), n_channels=n_channels)
+    got = [(r.symbol, r.name, r.hom) for r in t.rows]
+    assert got == _reference_rows(d, H(cutoff), n_channels)
+
+
+def test_enumeration_builds_each_candidate_about_once(monkeypatch):
+    calls = 0
+    inner = fhnspde.symbols.product
+
+    def counting(factors):
+        nonlocal calls
+        calls += 1
+        return inner(factors)
+
+    monkeypatch.setattr(fhnspde.symbols, "product", counting)
+    t = enumerate_symbols(3, H(F(3, 2)), n_channels=2)
+    assert len(t) == 1926
+    # the full re-scan with every decoration tuple made 35,321 calls
+    assert calls <= 6000
 
 # ---------------------------------------------------------------------------
 # Property tests
