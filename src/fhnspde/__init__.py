@@ -3,10 +3,10 @@
 Subpackages by theme:
 
 * :mod:`fhnspde.symbols` -- graded symbol algebra (trees, homogeneity, enumeration)
-* :mod:`fhnspde.hopf` -- structure-group coproduct and group action
+* :mod:`fhnspde.hopf` -- structure-group coproduct into the plus-algebra
 * :mod:`fhnspde.renorm` -- renormalisation group, renormalised nonlinearity
 * :mod:`fhnspde.kernels` -- truncated heat kernel, mollification, constants
-* :mod:`fhnspde.noise` -- white noise sampling, stochastic convolutions, Wick powers
+* :mod:`fhnspde.noise` -- white noise sampling and mollification, radial transforms
 * :mod:`fhnspde.solver` -- spectral ETD solver for the coupled system, epsilon sweeps
 * :mod:`fhnspde.cli` -- command line front end
 """
@@ -22,5 +22,4 @@ from .symbols import (  # noqa: F401
     enumerate_symbols,
     from_text,
     homogeneity,
-    xi_count,
 )

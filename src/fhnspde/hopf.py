@@ -1,4 +1,4 @@
-"""Structure-group combinatorics: coproduct, characters, recentering action.
+"""Structure-group combinatorics: the coproduct into the plus-algebra.
 
 The coproduct maps a symbol into (symbol) x (plus-algebra), where the
 plus-algebra is the free commutative algebra on monomials ``X^k`` and
@@ -16,23 +16,22 @@ Recursion::
     D(E t)  = (E x id) D(t)
 
 with terms whose left leg is annihilated (``I`` of a polynomial, ``E`` outside
-its sector) dropped.  A character ``g`` assigns scalars to the ``J_k(tau)``
-generators and evaluates monomials at a point; the group acts by
-``Gamma_g = (id x g) D``.
+its sector) dropped.  A character ``g`` of the plus-algebra acts on symbols
+by ``Gamma_g = (id x g) D``; no command computes it, and the characters and
+the action are test reference code (``tests/reference.py``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from .symbols import (
     ONE,
-    XI,
     Homogeneity,
     Linear,
     Scaling,
@@ -53,10 +52,6 @@ __all__ = [
     "PLUS_ONE",
     "TensorSum",
     "coproduct",
-    "plus_homogeneity",
-    "Character",
-    "group_action",
-    "is_primitive_for_group",
 ]
 
 
@@ -122,19 +117,6 @@ class PlusElem:
 
 
 PLUS_ONE = PlusElem()
-
-
-def plus_homogeneity(p: PlusElem, d: int) -> Homogeneity:
-    """Exact grading of a plus-algebra monomial.
-
-    ``J_k(tau)`` carries ``|tau| + 2 - |k|_s`` so that the coproduct preserves
-    total homogeneity term by term.
-    """
-    sc = Scaling(d)
-    h = Homogeneity(sc.degree(p.k)) if p.k else Homogeneity(0)
-    for j in p.js:
-        h = h + homogeneity(j.tau, d) + Homogeneity(2 - sc.degree(j.k))
-    return h
 
 
 # ---------------------------------------------------------------------------
@@ -256,54 +238,3 @@ def coproduct(tau: Symbol, d: int) -> TensorSum:
             out = out * coproduct(f, d)
         return out
     raise StructureError(f"unknown symbol tag {tau.tag!r}")
-
-
-def is_primitive_for_group(tau: Symbol, d: int) -> bool:
-    """True when ``D(tau) = tau x 1`` (the recentering action is trivial)."""
-    return coproduct(tau, d) == _tensor(tau)
-
-
-# ---------------------------------------------------------------------------
-# Characters and the group action
-# ---------------------------------------------------------------------------
-
-@dataclass
-class Character:
-    """Multiplicative functional on the plus-algebra.
-
-    ``j_values`` assigns scalars to recentering generators (unset generators
-    default to 0); ``point`` evaluates the polynomial part, with the unit
-    convention ``X^0 -> 1`` (``point=None`` keeps only the ``k = 0`` terms).
-    Values may be floats or any commutative scalars (e.g. sympy expressions).
-    """
-
-    j_values: dict[JSymbol, object] = field(default_factory=dict)
-    point: Optional[tuple[float, ...]] = None
-
-    def __call__(self, p: PlusElem) -> object:
-        val: object = 1
-        if any(p.k):
-            if self.point is None:
-                return 0
-            if len(self.point) != len(p.k):
-                raise StructureError("point length does not match multiindex")
-            for x, n in zip(self.point, p.k):
-                val = val * x ** n
-        for j in p.js:
-            v = self.j_values.get(j, 0)
-            if v == 0:
-                return 0
-            val = val * v
-        return val
-
-
-def group_action(g: Union[Character, Callable[[PlusElem], object]],
-                 tau: Symbol, d: int) -> dict[Symbol, object]:
-    """``Gamma_g tau = (id x g) D(tau)`` as a symbol -> coefficient map."""
-    out: dict[Symbol, object] = {}
-    for (left, right), c in coproduct(tau, d).terms.items():
-        v = g(right)
-        if v == 0:
-            continue
-        out[left] = out.get(left, 0) + c * v
-    return {s: v for s, v in out.items() if v != 0}

@@ -44,7 +44,6 @@ __all__ = [
     "KernelConstructionError",
     "MollifiedKernel",
     "mollify_kernel",
-    "g_eps_squared",
     "kq_exact",
     "kq_kernel",
     "phi_series",
@@ -744,20 +743,6 @@ def mollify_kernel(kernel: TruncatedKernel, eps: float,
     return _mollify(kernel, kernel.d, eps, rho, _resolution(level),
                     kernel.outer + rho.t_halfwidth * eps ** 2,
                     math.sqrt(kernel.outer) + rho.x_radius * eps)
-
-
-def g_eps_squared(d: int, eps: float, rho: Optional[MollifierSpec] = None,
-                  t_window: float = 1.0) -> float:
-    """int_{t <= t_window} int (G * rho_eps)^2 dx dt for the free heat kernel.
-
-    The time window makes the outer integral finite; the small-eps behaviour
-    (the 1/eps rate in d = 3, the (1/4 pi) log(1/eps) slope in d = 2) is
-    window-independent because it comes from the origin.
-    """
-    rho = rho or MollifierSpec(d)
-    r_hi = 6.0 * math.sqrt(t_window) + rho.x_radius * eps
-    return _mollify(lambda t, r: heat_kernel(t, r, d), d, eps, rho,
-                    _resolution(0), t_window, r_hi).squared_integral()
 
 
 # ---------------------------------------------------------------------------

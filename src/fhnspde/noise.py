@@ -1,4 +1,4 @@
-"""Reproducible lattice noise and stochastic convolutions.
+"""Reproducible lattice noise and its mollification.
 
 Space-time white noise lives on a uniform lattice over [0, T_end] x the unit
 torus.  Every random number is a pure function of (seed, global cell index)
@@ -10,12 +10,10 @@ Mollification has one path, `_FIRMollifier`, in two factors mirroring the
 separable mollifier: a FIR over the time slices of the spatial transforms,
 then Fourier multiplication by the radial profile transform (which on the
 torus is automatically the periodised convolution).  The solver's engine
-runs it on a streamed window, `mollify_noise` on a whole field.  The one
-stochastic convolution here, `kernel_convolution`, is direct space-time
-convolution with a compactly supported kernel slice stack; it also yields
-exact discrete covariance predictions, used as the lattice-adjusted
-centring constants for Wick powers.  The heat semigroup's exact per-mode
-Ornstein-Uhlenbeck recursion is the solver's step.
+runs it on a streamed window, `mollify_noise` on a whole field.  The
+stochastic convolution chi is the solver's step, the heat semigroup's
+exact per-mode Ornstein-Uhlenbeck recursion; the kernel-based chi = K * xi
+that acceptance 7 certifies is test reference code (``tests/reference.py``).
 """
 
 from __future__ import annotations
@@ -25,12 +23,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from numpy.random import Philox
 
-from .kernels import MollifiedKernel, MollifierSpec, panel_grid
+from .kernels import MollifierSpec, panel_grid
 
 __all__ = [
     "Lattice",
@@ -43,12 +41,6 @@ __all__ = [
     "mollify_noise",
     "mollifier_transform",
     "radial_fourier",
-    "kernel_slice_transforms",
-    "kernel_convolution",
-    "lattice_covariance",
-    "lattice_chi_constant",
-    "wick_square",
-    "wick_cube",
     "save_field",
 ]
 
@@ -454,115 +446,6 @@ def mollify_noise(xi: NoiseField, eps: float,
                                      s=lat.shape[1:], axes=ax)
     return Field(lattice=lat, values=out,
                  meta={"eps": eps, "kind": spec.kind, "seed": xi.seed})
-
-
-# ---------------------------------------------------------------------------
-# stochastic convolutions
-# ---------------------------------------------------------------------------
-
-def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice
-                            ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample K(tau_j, .) at slice lags and transform each slice radially.
-
-    Returns (taus, K_hat) with K_hat[j] on the rfftn frequency lattice; the
-    torus aliasing of integer frequencies is exactly the periodisation of
-    the compactly supported kernel.  One evaluation of K covers every lag,
-    and one product with the oscillatory quadrature matrix transforms them.
-    """
-    t_lo, t_hi = kernel.t_support
-    m0 = int(math.floor(t_lo / lattice.dt))
-    m1 = int(math.ceil(t_hi / lattice.dt)) - 1
-    # lag cell m covers (m dt, (m+1) dt]; midpoint sampling represents the
-    # cell average of K against slice-constant noise to second order
-    taus = lattice.dt * (np.arange(m0, m1 + 1) + 0.5)
-    mags = lattice.k_magnitudes()
-    flat = np.round(mags.ravel(), 9)
-    uniq, inverse = np.unique(flat, return_inverse=True)
-    s, w, basis, jac = _fourier_bessel(uniq, kernel.r_support, lattice.d, 48)
-    hats = kernel(taus[:, None], s) @ (basis * (jac * w)).T
-    return taus, hats[:, inverse].reshape((len(taus),) + mags.shape)
-
-
-def kernel_convolution(xi: Union[Field, NoiseField],
-                       kernel: MollifiedKernel,
-                       out_slices: Sequence[int],
-                       transforms: Optional[tuple] = None) -> np.ndarray:
-    """chi(t_i) = (K * xi)(t_i) by lag-summed Fourier multiplication.
-
-    Noise outside [0, t_end] is taken as zero, so outputs within the kernel's
-    time width of either end are boundary-affected.  Returns the stack of
-    requested slices.
-    """
-    lat = xi.lattice
-    ax = tuple(range(1, lat.d + 1))
-    taus, hats = transforms or kernel_slice_transforms(kernel, lat)
-    m0 = int(round(taus[0] / lat.dt - 0.5))
-    f_hat = np.fft.rfftn(xi.values, axes=ax)
-    out = np.empty((len(out_slices),) + (lat.n_space,) * lat.d)
-    for n, i in enumerate(out_slices):
-        acc = np.zeros_like(f_hat[0])
-        for j in range(len(taus)):
-            s = i - 1 - (m0 + j)
-            if 0 <= s < lat.n_time:
-                acc += hats[j] * f_hat[s]
-        out[n] = lat.dt * np.fft.irfftn(acc, s=(lat.n_space,) * lat.d,
-                                        axes=tuple(range(0, lat.d)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exact lattice covariances and Wick powers
-# ---------------------------------------------------------------------------
-
-def lattice_covariance(kernel: MollifiedKernel, lattice: Lattice,
-                       lag_slices: int = 0,
-                       space_lag: Optional[Sequence[int]] = None,
-                       transforms: Optional[tuple] = None) -> float:
-    """Exact E[chi(t, x) chi(t + lag, x + z)] for chi = K * xi on the lattice.
-
-    Stationary value (all boundary slices available); the Fourier machinery
-    here is the same one `kernel_convolution` applies to samples, so the
-    prediction matches the simulated field identically.
-    """
-    lat = lattice
-    taus, hats = transforms or kernel_slice_transforms(kernel, lat)
-    n_half = lat.n_space // 2 + 1
-    # weights of the rfftn representation: conjugate-pair modes count twice
-    mult = np.full(hats.shape[1:], 2.0)
-    sl = [slice(None)] * (lat.d - 1) + [0]
-    mult[tuple(sl)] = 1.0
-    if lat.n_space % 2 == 0:
-        sl[-1] = n_half - 1
-        mult[tuple(sl)] = 1.0
-    if space_lag is None:
-        phase = np.ones(hats.shape[1:])
-    else:
-        ang = sum(2.0 * math.pi * m * (l * lat.dx)
-                  for m, l in zip(lat._k_mesh(), space_lag))
-        phase = np.cos(ang)
-    total = 0.0
-    n = len(taus)
-    for j in range(n):
-        jj = j + lag_slices
-        if 0 <= jj < n:
-            total += float(np.sum(mult * phase * hats[j] * hats[jj]))
-    return lat.dt * total
-
-
-def lattice_chi_constant(kernel: MollifiedKernel, lattice: Lattice,
-                         transforms: Optional[tuple] = None) -> float:
-    """Lattice-adjusted Var(chi): the centring constant for Wick powers."""
-    return lattice_covariance(kernel, lattice, 0, None, transforms)
-
-
-def wick_square(chi: np.ndarray, c: float) -> np.ndarray:
-    """Second Wick power: chi^2 - c with the matched variance constant."""
-    return np.square(chi) - c
-
-
-def wick_cube(chi: np.ndarray, c: float) -> np.ndarray:
-    """Third Wick power: chi^3 - 3 c chi."""
-    return chi ** 3 - 3.0 * c * chi
 
 
 # ---------------------------------------------------------------------------

@@ -67,7 +67,6 @@ __all__ = [
     "composite_family",
     "divergent_patterns",
     "constant_symbol",
-    "generator_action",
     "RenormMap",
     "ChaosZero",
     "classify_chaos_zero",
@@ -311,11 +310,6 @@ def _extract(sig, sym: Symbol, d: int) -> Combo:
             if p is not None:
                 out.add(p, c)
     return out
-
-
-def generator_action(pattern: Symbol, sym: Symbol, d: int) -> Combo:
-    """``L_pattern`` applied to a symbol: all extractions with their counts."""
-    return _extract(_pattern_sig(pattern), sym, d)
 
 
 class RenormMap:

@@ -46,7 +46,6 @@ __all__ = [
     "leg_channel",
     "Linear",
     "homogeneity",
-    "xi_count",
     "from_text",
     "TableRow",
     "SymbolTable",
@@ -404,17 +403,6 @@ def homogeneity(sym: Symbol, d: int) -> Homogeneity:
     raise StructureError(f"unknown symbol tag {sym.tag!r}")
 
 
-def xi_count(sym: Symbol) -> int:
-    """Number of noise occurrences (chaos order of the naive lift)."""
-    if sym.tag == _XI:
-        return 1
-    if sym.tag in (_ONE, _MONO):
-        return 0
-    if sym.tag in (_INT, _EXT):
-        return xi_count(sym.child)
-    return sum(xi_count(f) for f in sym.factors)
-
-
 # ---------------------------------------------------------------------------
 # Text form (canonical grammar; from_text inverts to_text)
 # ---------------------------------------------------------------------------
@@ -765,48 +753,3 @@ def enumerate_symbols(d: int, cutoff: Homogeneity,
     rows.sort(key=lambda r: (r.hom, r.symbol.sort_key()))
     return SymbolTable(d=d, cutoff=cutoff, n_channels=n_channels,
                        rows=tuple(rows))
-
-
-# ---------------------------------------------------------------------------
-# Common trees (module-level helpers used across the package and tests)
-# ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=None)
-def common_trees(d: int = 3, channel: int = 1) -> dict[str, Symbol]:
-    """The named trees used throughout: RSI, RSV, RSW, RSoI, the composites.
-
-    Built once per (d, channel); E-decorated entries exist only when the
-    sector rule admits them in dimension d.
-    """
-    rsi = integral(XI)
-    rsv = power(rsi, 2)
-    rsw = power(rsi, 3)
-    rsoi = ext(channel, rsi, d)
-    out: dict[str, Symbol] = {
-        "Xi": XI, "One": ONE,
-        "RSI": rsi, "RSV": rsv, "RSW": rsw,
-        "RSII": integral(rsi), "RSY": integral(rsv), "RSIW": integral(rsw),
-        "RSWW": product([integral(rsw), rsv]),
-        "RSVW": product([integral(rsw), rsi]),
-        "RSWV": product([integral(rsv), rsv]),
-        "RSVV": product([integral(rsv), rsi]),
-        "RSWI": product([integral(rsi), rsv]),
-        "RSVI": product([integral(rsi), rsi]),
-    }
-    if rsoi is not None:
-        out.update({
-            "RSoI": rsoi,
-            "RSVo": product([rsi, rsoi]),
-            "RSVoo": power(rsoi, 2),
-            "RSWo": product([rsi, rsi, rsoi]),
-            "RSWoo": product([rsi, rsoi, rsoi]),
-            "RSWooo": power(rsoi, 3),
-        })
-        out.update({
-            "RSYo": integral(out["RSVo"]),
-            "RSYoo": integral(out["RSVoo"]),
-            "RSIWo": integral(out["RSWo"]),
-            "RSIWoo": integral(out["RSWoo"]),
-            "RSIWooo": integral(out["RSWooo"]),
-        })
-    return {k: v for k, v in out.items() if v is not None}

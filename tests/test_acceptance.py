@@ -16,21 +16,11 @@ from conftest import record_acceptance
 from fhnspde.hopf import coproduct
 from fhnspde.kernels import (
     build_truncated_kernel,
-    g_eps_squared,
     kernel_constants,
     mollify_kernel,
     verify_appendix_bounds,
 )
-from fhnspde.noise import (
-    Lattice,
-    kernel_convolution,
-    kernel_slice_transforms,
-    lattice_chi_constant,
-    lattice_covariance,
-    sample_white_noise,
-    wick_cube,
-    wick_square,
-)
+from fhnspde.noise import Lattice, sample_white_noise
 from fhnspde.renorm import (
     Combo,
     CubicPolynomial,
@@ -48,13 +38,22 @@ from fhnspde.solver import (
 from fhnspde.symbols import (
     ONE,
     Homogeneity,
-    common_trees,
     homogeneity,
     integral,
     product,
     x_power,
 )
 
+from reference import (
+    common_trees,
+    g_eps_squared,
+    kernel_convolution,
+    kernel_slice_transforms,
+    lattice_chi_constant,
+    lattice_covariance,
+    wick_cube,
+    wick_square,
+)
 from test_hopf import FROZEN_D3
 from test_symbols import TABLE
 

@@ -8,20 +8,15 @@ from hypothesis import given, settings
 from fhnspde.cli import main
 from fhnspde.hopf import (
     PLUS_ONE,
-    Character,
     JSymbol,
     PlusElem,
     TensorSum,
     coproduct,
-    group_action,
-    is_primitive_for_group,
-    plus_homogeneity,
 )
 from fhnspde.symbols import (
     ONE,
     XI,
     Homogeneity,
-    common_trees,
     enumerate_symbols,
     from_text,
     homogeneity,
@@ -31,6 +26,13 @@ from fhnspde.symbols import (
     x_power,
 )
 
+from reference import (
+    Character,
+    common_trees,
+    group_action,
+    is_primitive_for_group,
+    plus_homogeneity,
+)
 from test_symbols import symbol_texts
 
 CT3 = common_trees(3)

@@ -20,7 +20,6 @@ from fhnspde.kernels import (
     assemble_C,
     build_truncated_kernel,
     correlate,
-    g_eps_squared,
     geometric_edges,
     heat_kernel,
     kernel_constants,
@@ -36,6 +35,7 @@ from fhnspde.kernels import (
     sphere_area,
     verify_appendix_bounds,
 )
+from reference import g_eps_squared
 
 OU = matrix_weight([1.0], [[-1.0]], 0, 0.5)     # the default slow weight
 

@@ -26,21 +26,23 @@ from fhnspde.noise import (
     NoiseStream,
     ResolutionError,
     counter_gaussians,
-    kernel_convolution,
-    kernel_slice_transforms,
-    lattice_chi_constant,
-    lattice_covariance,
     mollifier_transform,
     mollify_noise,
     radial_fourier,
     sample_white_noise,
     save_field,
-    wick_cube,
-    wick_square,
 )
 from fhnspde import noise
 from fhnspde.renorm import CubicPolynomial
 from fhnspde.solver import QSpec, Stepper, SystemSpec
+from reference import (
+    kernel_convolution,
+    kernel_slice_transforms,
+    lattice_chi_constant,
+    lattice_covariance,
+    wick_cube,
+    wick_square,
+)
 
 
 # ---------------------------------------------------------------------------

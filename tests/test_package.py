@@ -28,15 +28,21 @@ def test_every_public_name_resolves():
         assert len(set(module.__all__)) == len(module.__all__)
 
 
-def test_benchmark_tracer_targets_resolve():
-    # perfbench/run.py --trace 1 wraps these callables by their names, so a
-    # rename in the package breaks it; the tracer module is read, not changed
+def _tracer_targets():
+    """perfbench's tracer TARGETS; the tracer module is read, not changed."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    assert tracer.TARGETS
-    for _, module, attr_path in tracer.TARGETS:
+    return tracer.TARGETS
+
+
+def test_benchmark_tracer_targets_resolve():
+    # perfbench/run.py --trace 1 wraps these callables by their names, so a
+    # rename in the package breaks it
+    targets = _tracer_targets()
+    assert targets
+    for _, module, attr_path in targets:
         obj = importlib.import_module(module)
         for part in attr_path.split("."):
             obj = getattr(obj, part, None)
@@ -141,3 +147,76 @@ def test_every_parameter_is_read():
             unread += [f"{path.name}:{node.lineno} {name}({p})" for p in params
                        if p not in read and p not in ("self", "cls")]
     assert not unread, unread
+
+
+def _names(parts) -> set[str]:
+    """Every Name and Attribute.attr under the given nodes, annotations
+    (of arguments, returns and annotated assignments) left out."""
+    out, todo = set(), list(parts)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        for field, value in ast.iter_fields(node):
+            if field not in ("annotation", "returns"):
+                todo += [v for v in (value if isinstance(value, list)
+                                     else [value]) if isinstance(v, ast.AST)]
+    return out
+
+
+def test_every_definition_is_reached_from_the_cli():
+    # code that no command reaches is carried for the tests only and lives
+    # in tests/reference.py; roots are cli.main, every module-level
+    # statement (they run at import) and the callables perfbench's tracer
+    # wraps by name.  An edge is a name in a definition's decorators,
+    # defaults, bases or body; matching by name over-approximates the
+    # call graph, which is the safe side
+    src = Path(fhnspde.__file__).resolve().parent
+    defs, roots = {}, {"main"}
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defs.setdefault(node.name, []).append(
+                    (path.stem, node.lineno, node))
+            else:
+                roots |= _names([node])
+
+    def reach(start):
+        seen, todo = set(), [n for n in start if n in defs]
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo += [u for *_, node in defs[name] for u in _names([node])
+                         if u in defs]
+        return seen
+
+    traced = {attr_path.split(".")[0]
+              for _, _, attr_path in _tracer_targets()}
+    from_cli, reached = reach(roots), reach(roots | traced)
+    listed = [f"{module}:{line} {name}" + (" (traced)" * (name in reached))
+              for module, line, name in sorted(
+                  (module, line, name) for name, nodes in defs.items()
+                  for module, line, _ in nodes if name not in from_cli)]
+    assert reached == set(defs), "no command reaches " + ", ".join(listed)
+
+
+def test_package_never_imports_test_code():
+    # under pytest tests/ is on sys.path, so an import of tests/reference.py
+    # from the package would pass every test and fail once installed
+    src = Path(fhnspde.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {m}" for m in mods
+                      if m.split(".")[0] in ("reference", "tests")]
+    assert not found, found

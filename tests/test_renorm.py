@@ -19,7 +19,6 @@ from fhnspde.renorm import (
     default_constants,
     divergent_patterns,
     fixed_point_expansion,
-    generator_action,
     pair_family,
     renormalized_nonlinearity,
 )
@@ -28,12 +27,12 @@ from fhnspde.solver import QSpec, SystemSpec
 from fhnspde.symbols import (
     ONE,
     XI,
-    common_trees,
     ext,
     integral,
     product,
     to_text,
 )
+from reference import common_trees, generator_action
 
 CT = common_trees(3)
 C1, C1p, C1pp, C2 = sympy.symbols("C1 C1p C1pp C2")

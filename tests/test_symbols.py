@@ -15,7 +15,6 @@ from fhnspde.symbols import (
     Scaling,
     StructureError,
     Symbol,
-    common_trees,
     display_name,
     enumerate_symbols,
     ext,
@@ -27,8 +26,8 @@ from fhnspde.symbols import (
     product,
     to_text,
     x_power,
-    xi_count,
 )
+from reference import common_trees, xi_count
 
 H = Homogeneity
 F = Fraction
@@ -284,6 +283,26 @@ def test_lookup_rejects_a_display_code_that_names_several_rows():
     for text in texts:
         assert to_text(t.lookup(text).symbol) == text
     assert t.lookup("RSW").symbol == common_trees(3)["RSW"]
+
+
+def test_lookup_resolves_every_row_by_symbol_text_and_code():
+    t = enumerate_symbols(3, H(F(1, 2)), n_channels=2)
+    by_code: dict = {}
+    for r in t.rows:
+        by_code.setdefault(r.name, []).append(r)
+        assert t.lookup(r.symbol) == r
+        assert t.lookup(to_text(r.symbol)) == r
+    several = {code for code, rows in by_code.items() if len(rows) > 1}
+    assert several
+    for code, rows in by_code.items():
+        if code in several:
+            with pytest.raises(KeyError, match="names %d rows" % len(rows)):
+                t.lookup(code)
+        else:
+            assert t.lookup(code) == rows[0]
+    outside = enumerate_symbols(3, H(F(3, 2)), n_channels=2).symbols
+    assert [s in t for s in outside] == [s in t.symbols for s in outside]
+    assert sum(s in t for s in outside) == len(t)
 
 
 # ---------------------------------------------------------------------------
