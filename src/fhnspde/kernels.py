@@ -69,16 +69,46 @@ def sphere_area(d: int) -> float:
     return 2.0 * math.pi ** (d / 2.0) / math.gamma(d / 2.0)
 
 
+def _fill(out: np.ndarray, live, f: Callable, *args) -> np.ndarray:
+    """``out`` with f(*args), evaluated on the ``live`` entries only, in
+    place there; ``args`` broadcast to ``out``'s shape.  Bit for bit f
+    everywhere, then selected: numpy's elementwise loops give an entry the
+    same bits at any array length, but its scalar ``pow`` is libm's, not
+    the SIMD loop's, so a 0-d ``out`` is evaluated whole, as scalars."""
+    if out.ndim == 0:
+        return f(*args) if live else out
+    out[live] = f(*(np.broadcast_to(a, out.shape)[live] for a in args))
+    return out
+
+
+def _clipped(y, p: Callable, top: float = 1.0) -> np.ndarray:
+    """p(clip(y, 0, top)) for a polynomial p that maps 0 to 0 and ``top`` to
+    itself exactly, evaluated on 0 < y < top only: y <= 0 gives 0, y >= top
+    gives ``top``, NaN stays NaN.  numpy's powers take slow scalar lanes on
+    zeros and underflows, which the clipped ends would feed them."""
+    y = np.clip(np.asarray(y, dtype=float), 0.0, top) + 0.0   # -0.0 to 0.0
+    return _fill(y, (y > 0.0) & (y < top), p, y)
+
+
+def _fourth(y):
+    return y ** 4
+
+
 def heat_kernel(t, r, d: int):
-    """G(t, x) = (4 pi t)^(-d/2) exp(-r^2 / 4t) for t > 0, else 0."""
+    """G(t, x) = (4 pi t)^(-d/2) exp(-r^2 / 4t) for t > 0, else 0.
+
+    exp runs only where its argument is not below -746, where IEEE exp is
+    exactly +0 (numpy's takes a slow lane on each such entry); so where
+    (4 pi t)^(-d/2) overflows (t < 1e-206 in d = 3), such entries are 0,
+    not inf * 0 = NaN.
+    """
     t = np.asarray(t, dtype=float)
     r = np.asarray(r, dtype=float)
-    out = np.zeros(np.broadcast(t, r).shape)
     pos = t > 0
-    tp = np.where(pos, t, 1.0)
-    np.copyto(out, (4.0 * math.pi * tp) ** (-d / 2.0)
-              * np.exp(-np.square(r) / (4.0 * tp)), where=pos)
-    return out
+    arg = -np.square(r) / (4.0 * np.where(pos, t, 1.0))
+    return _fill(np.zeros(np.broadcast(t, r).shape), pos & ~(arg < -746.0),
+                 lambda t, a: (4.0 * math.pi * t) ** (-d / 2.0) * np.exp(a),
+                 t, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +170,49 @@ def panel_grid(edges: Sequence[float], order: int = 8) -> Grid1D:
                   (half * wg).reshape(shape))
 
 
-def _graded_span(a: float, b: float, h_min: float, ratio: float = 2.0,
-                 steps: Optional[np.ndarray] = None) -> np.ndarray:
-    """Panel edges on [a, b] refined toward u = 0, from both sides when
-    a < 0 < b, else toward the endpoint nearest it.  A side of length L is,
-    bit for bit, ``geometric_edges(0, L, h_min, ratio)``: the ``steps`` (its
-    partial sums) below L, then L; callers cutting many spans share steps."""
-    if b - a <= h_min:
-        return np.array([a, b])
-    if steps is None:
-        steps = geometric_edges(0.0, b - a, h_min, ratio)[:-1]
-    lengths = (-a, b) if a < 0.0 < b else (b - a,)
-    sides = [np.append(steps[:np.searchsorted(steps, x)], x) for x in lengths]
-    if a < 0.0 < b:
-        return np.concatenate([-sides[0][:0:-1], sides[1]])
-    return a + sides[0] if a >= 0.0 else b - sides[0][::-1]
+def _graded_span(a: float, b: float, h_min: float,
+                 ratio: float = 2.0) -> np.ndarray:
+    """Panel edges on [a, b] refined toward u = 0: one row of
+    :func:`_graded_spans`."""
+    steps = geometric_edges(0.0, max(b - a, h_min), h_min, ratio)[:-1]
+    return _graded_spans(np.array([a]), np.array([b]), h_min, steps)[0]
+
+
+def _graded_spans(a: np.ndarray, b: np.ndarray, h_min: float,
+                  steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges on each [a_i, b_i], refined toward u = 0 from both sides
+    when a_i < 0 < b_i, else toward the endpoint nearest it; [a_i, b_i]
+    alone when b_i - a_i <= h_min.  ``steps`` are the partial sums of
+    ``geometric_edges(0, L, h_min, ratio)`` below the longest side L at
+    least, so a side of length L is that call's edges bit for bit: the
+    steps below L, then L.  Returns every row's edges in one flat array,
+    and each row's edge count.
+    """
+    length = b - a
+    short = length <= h_min
+    two = (a < 0.0) & (0.0 < b) & ~short
+    # steps below the left side of a two-sided row, below the right or only
+    # side of any other: a row has left + right + 1 edges
+    left = np.where(two, np.searchsorted(steps, -a), 0)
+    right = np.where(short, 1, np.searchsorted(steps, np.where(two, b, length)))
+    n = left + right + 1
+    row = np.repeat(np.arange(n.size), n)
+    k = np.arange(row.size) - np.repeat(np.cumsum(n) - n, n)   # edge in row
+    a, b, length, left, right, short, two = (
+        v[row] for v in (a, b, length, left, right, short, two))
+    first, last, pos = k == 0, k == left + right, a >= 0.0
+    # the steps counted up from 0 on a right side, down to 0 on a left one
+    up = np.clip(k - left, 0, steps.size - 1)
+    down = np.clip(np.where(two, left, right) - k, 0, steps.size - 1)
+    # [a, b] alone; a, -steps down to 0 (excluded), steps up from 0, b;
+    # a + steps up, a + length; b - length, b - steps down to 0
+    edges = np.select(
+        [short, two & first, two & (k < left), two & ~last, two,
+         pos & ~last, pos, first],
+        [np.where(first, a, b), a, -steps[down], steps[up], b,
+         a + steps[up], a + length, b - length],
+        b - steps[down])
+    return edges, n
 
 
 def _shell(grid: Grid1D, d: int) -> np.ndarray:
@@ -295,7 +353,7 @@ class MollifierSpec:
     def t_profile(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
         if self.kind == "bump":
-            core = np.clip(1.0 - 16.0 * tau ** 2, 0.0, None) ** 4
+            core = _clipped(1.0 - 16.0 * tau ** 2, _fourth, np.inf)
             return (315.0 / 64.0) * core
         core = np.where(np.abs(tau) <= self.t_halfwidth,
                         np.exp(-tau ** 2 / (2 * self.gauss_sigma_t ** 2)), 0.0)
@@ -306,7 +364,7 @@ class MollifierSpec:
         """Radial spatial factor, normalised so its R^d integral is one."""
         s = np.asarray(s, dtype=float)
         if self.kind == "bump":
-            core = np.clip(1.0 - 4.0 * s ** 2, 0.0, None) ** 4
+            core = _clipped(1.0 - 4.0 * s ** 2, _fourth, np.inf)
             return core / _bump_norm_x(self.d)
         core = np.where(np.abs(s) <= self.x_radius,
                         np.exp(-s ** 2 / (2 * self.gauss_sigma_x ** 2)), 0.0)
@@ -334,8 +392,8 @@ class MollifierSpec:
 
 def _smoothstep_c3(s) -> np.ndarray:
     """C^3 monotone step: 0 at 0, 1 at 1 (35 s^4 - 84 s^5 + 70 s^6 - 20 s^7)."""
-    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
-    return s ** 4 * (35.0 - 84.0 * s + 70.0 * s ** 2 - 20.0 * s ** 3)
+    return _clipped(s, lambda s: s ** 4 * (35.0 - 84.0 * s + 70.0 * s ** 2
+                                           - 20.0 * s ** 3))
 
 
 @dataclass(frozen=True)
@@ -362,8 +420,7 @@ class TruncatedKernel:
         q = np.asarray(q, dtype=float)
         mid = (q - self.inner) * (self.outer - q)
         width = (self.outer - self.inner) / 2.0
-        core = np.clip(mid, 0.0, None) / width ** 2
-        return core ** 4
+        return _clipped(mid / width ** 2, _fourth, np.inf)
 
     def _bump_shapes(self, t, r) -> list[np.ndarray]:
         q = np.square(r) + np.abs(t)
@@ -374,13 +431,18 @@ class TruncatedKernel:
         return shapes
 
     def __call__(self, t, r) -> np.ndarray:
+        """K on its support {t > 0, q < outer} only; 0 elsewhere."""
         t = np.asarray(t, dtype=float)
         r = np.asarray(r, dtype=float)
         q = np.square(r) + np.abs(t)
+        return _fill(np.zeros(q.shape), (t > 0) & (q < self.outer),
+                     self._on_support, t, r, q)
+
+    def _on_support(self, t, r, q) -> np.ndarray:
         out = heat_kernel(t, r, self.d) * self.cutoff(q)
         for c, shape in zip(self.bump_coeffs, self._bump_shapes(t, r)):
             out = out + c * shape
-        return np.where((t > 0) & (q < self.outer), out, 0.0)
+        return out
 
     def remainder(self, t, r) -> np.ndarray:
         """The smooth leftover R = G - K (vanishes on the inner region)."""
@@ -500,7 +562,8 @@ def _kernel_moments(funcs: Callable, d: int, outer: float,
                 table = np.empty((tg.nodes.size, len(vals), len(monos)))
             for f, v in enumerate(vals):
                 for j, m in enumerate(mono_vals):
-                    table[idx, f, j] = [s @ p for s, p in zip(shell, v * m)]
+                    table[idx, f, j] = (shell[:, None] @ (v * m)[..., None]
+                                        ).ravel()
     out = 0.0
     for wt, row in zip(tg.weights, table):
         out = out + wt * row
@@ -752,8 +815,8 @@ def mollify_kernel(kernel: TruncatedKernel, eps: float,
 def smooth_taper(s, T: float) -> np.ndarray:
     """C^2 cutoff: 1 on [0, T], smooth descent to 0 at 2T, 0 beyond."""
     s = np.asarray(s, dtype=float)
-    x = np.clip((s - T) / T, 0.0, 1.0)
-    step = x ** 3 * (10.0 - 15.0 * x + 6.0 * x ** 2)
+    step = _clipped((s - T) / T,
+                    lambda x: x ** 3 * (10.0 - 15.0 * x + 6.0 * x ** 2))
     return np.where(s < 0, 0.0, 1.0 - step)
 
 
@@ -865,9 +928,8 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
     hi = np.minimum(t_grid.nodes, t_top)
     live = np.flatnonzero(hi > lo)
     steps = geometric_edges(0.0, t_hi - t_lo, h_min, res.ratio)[:-1]
-    spans = [_graded_span(lo[i], hi[i], h_min, steps=steps) for i in live]
-    n_edges = np.array([e.size for e in spans], dtype=np.intp)
-    edges, ends = np.concatenate(spans + [np.zeros(0)]), np.cumsum(n_edges)
+    edges, n_edges = _graded_spans(lo[live], hi[live], h_min, steps)
+    ends = np.cumsum(n_edges)
     # one (left, right) edge pair per panel of every span
     g = panel_grid(np.stack([np.delete(edges, ends - 1),
                              np.delete(edges, ends - n_edges)], axis=-1),
@@ -914,7 +976,8 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
     entries: the block's rows, scaled by A's t weights, times G give its
     operator M of shape (b Ns, Nrho); each B's slices at every t1 - t of
     the block (zero outside its t support) form P of shape (Nt, b Ns), and
-    one matmul P @ M adds the block to that B's output.
+    one matmul P @ M adds the block to that B's output, over the output
+    times t with some lag in B's t support only.
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     rho_out = _radii(rho_out)
@@ -930,17 +993,20 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
     outs = [np.zeros((t_out.size, rho_out.size)) for _ in Bs]
     for start in range(0, A.t_grid.nodes.size, rows):
         lags = A.t_grid.nodes[start:start + rows] - t_out[:, None]
-        # rows of A with no lag inside any B's t support add nothing
-        live = np.any([(lags >= B.t_support[0]) & (lags <= B.t_support[1])
-                       for B in Bs], axis=(0, 1))
+        hits = [(lags >= B.t_support[0]) & (lags <= B.t_support[1])
+                for B in Bs]
+        # rows of A with no lag inside any B's t support add nothing, nor
+        # do the output times whose lags all miss B's
+        live = np.any(hits, axis=(0, 1))
         if not live.any():
             continue
         idx = start + np.flatnonzero(live)
         mat = ((A.t_grid.weights[idx, None] * A.vals[idx]) @ G) \
             .reshape(-1, rho_out.size)
-        lags = lags[:, live].ravel()
-        for out, B in zip(outs, Bs):
-            out += B.profile(lags).reshape(t_out.size, -1) @ mat
+        for out, B, hit in zip(outs, Bs, hits):
+            times = np.flatnonzero(hit.any(axis=1))
+            out[times] += B.profile(lags[times][:, live].ravel()) \
+                .reshape(times.size, -1) @ mat
     return outs
 
 

@@ -242,8 +242,11 @@ class NoiseStream:
                 self._first = lo
             xi = _white_slice(self.lattice, self.seed, self._end)
             self._sha.update(np.ascontiguousarray(xi, dtype="<f8"))
-            np.fft.rfftn(xi.reshape(self.lattice.shape[1:]),
-                         out=self._hat[self._end - self._first])
+            # rfftn's own per-axis calls, without its argument handling
+            out = self._hat[self._end - self._first]
+            np.fft.rfft(xi.reshape(self.lattice.shape[1:]), out=out)
+            for a in range(out.ndim - 2, -1, -1):
+                np.fft.fft(out, axis=a, out=out)
             self._end += 1
         return self._hat[lo - self._first:hi - self._first]
 

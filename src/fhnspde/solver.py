@@ -304,9 +304,13 @@ class Stepper:
 
     def step_u(self, u_hat: np.ndarray, nonlin: np.ndarray,
                forcing_hat: Optional[np.ndarray]) -> np.ndarray:
-        n_hat = np.fft.rfftn(nonlin, axes=self.ax) * self.dealias
+        # rfftn's own per-axis calls, without its argument handling
+        n_hat = np.fft.rfft(nonlin, axis=self.ax[-1])
+        for a in self.ax[-2::-1]:
+            n_hat = np.fft.fft(n_hat, axis=a)
+        n_hat *= self.dealias
         if forcing_hat is not None:
-            n_hat = n_hat + forcing_hat
+            n_hat += forcing_hat
         return self.decay * u_hat + self.gain * n_hat
 
     def step_v(self, v: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -320,8 +324,10 @@ class Stepper:
         return out
 
     def to_real(self, u_hat: np.ndarray) -> np.ndarray:
-        return np.fft.irfftn(u_hat, s=(self.n_space,) * self.spec.d,
-                             axes=self.ax)
+        # irfftn's own per-axis calls, as in step_u
+        for a in self.ax[:-1]:
+            u_hat = np.fft.ifft(u_hat, axis=a)
+        return np.fft.irfft(u_hat, self.n_space, axis=self.ax[-1])
 
 
 def _l2(x: np.ndarray) -> float:

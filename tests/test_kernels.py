@@ -1,6 +1,8 @@
 """Closed-form oracles and invariants for the numerical kernel pipeline."""
 
+import hashlib
 import math
+import platform
 import tracemalloc
 from dataclasses import replace
 
@@ -943,3 +945,276 @@ def test_plain_and_truncated_c1_differ_boundedly():
         gaps.append(c1_plain - c1)
     assert c1s[-1] / c1s[0] > 2.0
     assert max(gaps) - min(gaps) < 0.2 * (c1s[-1] - c1s[0])
+
+
+# ---------------------------------------------------------------------------
+# support-only evaluation: the dense formulas as oracle, and bitwise pins
+# ---------------------------------------------------------------------------
+
+# The kernel pieces as formulas evaluated everywhere, then clipped or
+# selected: the package evaluates them where they are not exactly 0 or 1
+# only, and must give these bits.
+
+def _dense_heat_kernel(t, r, d):
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    out = np.zeros(np.broadcast(t, r).shape)
+    pos = t > 0
+    tp = np.where(pos, t, 1.0)
+    np.copyto(out, (4.0 * math.pi * tp) ** (-d / 2.0)
+              * np.exp(-np.square(r) / (4.0 * tp)), where=pos)
+    return out
+
+
+def _dense_smoothstep(s):
+    s = np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+    return s ** 4 * (35.0 - 84.0 * s + 70.0 * s ** 2 - 20.0 * s ** 3)
+
+
+def _dense_annulus_bump(K, q):
+    q = np.asarray(q, dtype=float)
+    mid = (q - K.inner) * (K.outer - q)
+    width = (K.outer - K.inner) / 2.0
+    core = np.clip(mid, 0.0, None) / width ** 2
+    return core ** 4
+
+
+def _dense_kernel(K, t, r):
+    t = np.asarray(t, dtype=float)
+    r = np.asarray(r, dtype=float)
+    q = np.square(r) + np.abs(t)
+    with np.errstate(invalid="ignore"):     # inf * 0 off the support
+        cutoff = 1.0 - _dense_smoothstep((q - K.inner) / (K.outer - K.inner))
+        out = _dense_heat_kernel(t, r, K.d) * cutoff
+        base = _dense_annulus_bump(K, q) * (t > 0)
+        for c, shape in zip(K.bump_coeffs,
+                            (base, base * t, base * np.square(r))):
+            out = out + c * shape
+    return np.where((t > 0) & (q < K.outer), out, 0.0)
+
+
+def _dense_taper(s, T):
+    s = np.asarray(s, dtype=float)
+    x = np.clip((s - T) / T, 0.0, 1.0)
+    step = x ** 3 * (10.0 - 15.0 * x + 6.0 * x ** 2)
+    return np.where(s < 0, 0.0, 1.0 - step)
+
+
+def _dense_t_profile(tau):
+    tau = np.asarray(tau, dtype=float)
+    return (315.0 / 64.0) * np.clip(1.0 - 16.0 * tau ** 2, 0.0, None) ** 4
+
+
+def _dense_x_profile(s, d):
+    s = np.asarray(s, dtype=float)
+    return np.clip(1.0 - 4.0 * s ** 2, 0.0, None) ** 4 / kernels._bump_norm_x(d)
+
+
+def _assert_same_bits(got, want):
+    """Equal shapes and values, NaN where NaN, and the signs of zeros."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    num = ~np.isnan(want)
+    assert np.array_equal(np.signbit(got)[num], np.signbit(want)[num])
+
+
+_EDGES = np.array([0.0, -0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0),
+                   np.nextafter(1.0, 2.0), -1e-300, 0.5, np.nan, np.inf, -np.inf])
+
+
+def _space_time_points(rng, n=3000):
+    """(t, r) pairs over and around the kernel support: t <= 0, graded small
+    t, q exactly at inner and outer and beyond, exp arguments around -745,
+    and NaN and inf in either coordinate."""
+    t = [rng.uniform(-0.3, 1.3, n), 10.0 ** rng.uniform(-12.0, 0.0, n)]
+    r = [rng.uniform(0.0, 1.3, n), rng.uniform(0.0, 1.1, n)]
+    k = np.arange(0, 64) / 64.0             # dyadic: q lands exactly
+    for v in (0.5, 1.0):
+        keep = k * k < v
+        t.append(v - k[keep] ** 2)
+        r.append(k[keep])
+    tt = 10.0 ** rng.uniform(-6.0, -0.5, n)
+    t.append(tt)
+    r.append(np.sqrt(4.0 * tt * rng.uniform(740.0, 750.0, n)))
+    t.append(np.array([0.0, -0.0, 1e-200, 0.3, np.nan, 0.2, np.inf, 0.1]))
+    r.append(np.array([0.1, 0.2, 0.5, np.nan, 0.1, np.inf, 0.3, 0.0]))
+    return np.concatenate(t), np.concatenate(r)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_support_only_kernel_equals_dense_formula(d):
+    rng = np.random.default_rng(1000 + d)
+    K = build_truncated_kernel(d)
+    t, r = _space_time_points(rng)
+    _assert_same_bits(K(t, r), _dense_kernel(K, t, r))
+    _assert_same_bits(heat_kernel(t, r, d), _dense_heat_kernel(t, r, d))
+    # broadcast shapes, and a 0-d operand against an array
+    tb, rb = t[:40, None], r[None, ::50]
+    _assert_same_bits(K(tb, rb), _dense_kernel(K, tb, rb))
+    _assert_same_bits(heat_kernel(tb, rb, d), _dense_heat_kernel(tb, rb, d))
+    _assert_same_bits(K(0.01, r), _dense_kernel(K, 0.01, r))
+    # 0-d scalars run numpy's scalar paths, as the dense formula does
+    for ti, ri in zip(t[::97], r[::97]):
+        _assert_same_bits(K(ti, ri), _dense_kernel(K, ti, ri))
+        _assert_same_bits(heat_kernel(float(ti), float(ri), d),
+                          _dense_heat_kernel(float(ti), float(ri), d))
+
+
+def test_heat_kernel_exp_cut_at_underflow():
+    # arguments -r^2/4t straddling -746 give the dense bits on both sides
+    a = np.linspace(744.0, 748.0, 4001)
+    t = np.full_like(a, 1e-3)
+    r = np.sqrt(4.0 * t * a)
+    for d in (2, 3):
+        got, want = heat_kernel(t, r, d), _dense_heat_kernel(t, r, d)
+        _assert_same_bits(got, want)
+        assert np.all(got[a > 746.0 + 1e-9] == 0.0) and got[0] > 0.0
+    # an overflowing prefactor is 0 where exp is, not inf * 0
+    with np.errstate(over="ignore"):
+        assert heat_kernel(1e-300, 0.5, 3) == 0.0
+        assert heat_kernel(1e-300, 0.0, 3) == np.inf
+
+
+def test_clipped_polynomials_equal_dense_formulas():
+    rng = np.random.default_rng(77)
+    s = np.concatenate([rng.uniform(-0.5, 1.5, 4000), _EDGES])
+    K = build_truncated_kernel(3)
+    q = np.concatenate([rng.uniform(0.0, 1.5, 4000), [K.inner, K.outer, 0.75],
+                        _EDGES])
+    tau = np.concatenate([rng.uniform(-0.4, 0.4, 4000), [0.25, -0.25, 0.0],
+                          _EDGES])
+    x = np.concatenate([rng.uniform(0.0, 0.7, 4000), [0.5, 0.0], _EDGES])
+    taper = np.concatenate([rng.uniform(-0.2, 1.4, 4000), [0.5, 1.0], _EDGES])
+    spec = MollifierSpec(3)
+    cases = [
+        (kernels._smoothstep_c3, _dense_smoothstep, s),
+        (K.annulus_bump, lambda q: _dense_annulus_bump(K, q), q),
+        (K.cutoff, lambda q: 1.0 - _dense_smoothstep(
+            (q - K.inner) / (K.outer - K.inner)), q),
+        (lambda s: smooth_taper(s, 0.5), lambda s: _dense_taper(s, 0.5),
+         taper),
+        (spec.t_profile, _dense_t_profile, tau),
+        (spec.x_profile, lambda s: _dense_x_profile(s, 3), x),
+    ]
+    for new, dense, vals in cases:
+        _assert_same_bits(new(vals), dense(vals))
+        _assert_same_bits(new(vals.reshape(-1, 1)[:60] + vals[:7]),
+                          dense(vals.reshape(-1, 1)[:60] + vals[:7]))
+        for v in vals[::211]:
+            _assert_same_bits(new(v), dense(v))
+        for v in _EDGES:
+            _assert_same_bits(new(v), dense(v))
+
+
+def _graded_span_loop(a, b, h_min, steps):
+    """The per-span cut: each side the steps below its length, then it."""
+    if b - a <= h_min:
+        return np.array([a, b])
+    lengths = (-a, b) if a < 0.0 < b else (b - a,)
+    sides = [np.append(steps[:np.searchsorted(steps, x)], x) for x in lengths]
+    if a < 0.0 < b:
+        return np.concatenate([-sides[0][:0:-1], sides[1]])
+    return a + sides[0] if a >= 0.0 else b - sides[0][::-1]
+
+
+def test_graded_spans_equal_per_span_loop():
+    rng = np.random.default_rng(5)
+    h_min = 1e-4
+    steps = geometric_edges(0.0, 3.5, h_min, 1.5)[:-1]
+    # spans of every kind, then spans on either side of 0 with ends drawn
+    # apart, where the far edge a + (b - a) or b - (b - a) rounds off the
+    # end now and then
+    a = rng.uniform(-1.0, 1.0, 400)
+    b = a + 10.0 ** rng.uniform(-6.0, 0.3, 400)
+    left, right = -rng.uniform(0.0, 1.0, 400), rng.uniform(0.0, 1.0, 400)
+    a = np.concatenate([a, left, right, [0.0, -0.0, -0.5, 0.2, -1e-5, 0.3]])
+    b = np.concatenate([b, left * rng.uniform(0.0, 1.0, 400),
+                        rng.uniform(1.0, 3.0, 400),
+                        [1.0, 0.5, 0.0, 0.2 + 5e-5, 1e-5, 0.3 + h_min]])
+    edges, n = kernels._graded_spans(a, b, h_min, steps)
+    rows = np.split(edges, np.cumsum(n)[:-1])
+    assert len(rows) == a.size
+    for ai, bi, got in zip(a, b, rows):
+        _assert_same_bits(got, _graded_span_loop(ai, bi, h_min, steps))
+
+
+# Recorded before support-only evaluation: numpy 2.4.6 on x86-64 with
+# AVX-512, where its SIMD pow and exp set the last bits.  Another numpy
+# build may round those differently, so there the values are compared at
+# 1e-12 relative and the digests, which only pin bits, are not compared.
+PINNED_KERNELS = {
+    2: ((-27.260797583708264, 35.29972759649052, 35.282289359717126),
+        (4.894162745277887e-08, 7.956206832331851e-09,
+         3.9290130314906155e-08)),
+    3: ((-16.277421552068635, 21.063870250843163, 20.91992793530381),
+        (4.983174876009741e-08, 9.608986858275173e-09,
+         4.0031075668810436e-08)),
+}
+PINNED_DIGESTS = {
+    "mollify_kernel": "01ceedfbbb2b0194139c96d09c7300c2"
+                      "7e4331ce425cefe37bf940c7caea51c1",
+    "kq_kernel": "75b0d05e54830728c622ca98215dc9ee"
+                 "d991433b4fe189b8153a6615f1c090a5",
+}
+PINNED_CONSTANTS = {
+    2: {"C1": 1.6826516067203716, "Q1_0": 0.023973198961026253,
+        "Q2_0": 0.024977868131988427, "C2": 0.027299377860069234,
+        "I00": 0.013649688930034617, "I01": 0.00010343521203966308,
+        "I11": 2.0275770236318328e-05, "I02": 0.0002588188881360319,
+        "I12": -3.059063004604205e-06, "I22": 7.423922252904042e-06},
+    3: {"C1": 1.8257553964854318, "Q1_0": 0.01640550531984081,
+        "Q2_0": 0.015157635988993926, "C2": 0.00769811132870406,
+        "I00": 0.00384905566435203, "I01": 4.9689163812622705e-05,
+        "I11": 1.6546691821471015e-06, "I02": 7.082075224412837e-05,
+        "I12": 4.1633563949098195e-07, "I22": 1.885622843087495e-06},
+}
+
+
+def _recording_build() -> bool:
+    if np.__version__ != "2.4.6" or platform.machine() != "x86_64":
+        return False
+    from numpy._core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512_SKX"))
+
+
+def _assert_pinned(got, want, rel=0.0):
+    if not _recording_build():
+        rel = max(rel, 1e-12)
+    assert got == (pytest.approx(want, rel=rel, abs=0.0) if rel else want)
+
+
+def _digest(vals) -> str:
+    return hashlib.sha256(np.ascontiguousarray(vals).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_truncated_kernel_pinned_bits(d):
+    K = build_truncated_kernel(d)
+    coeffs, residuals = PINNED_KERNELS[d]
+    _assert_pinned(K.bump_coeffs, coeffs)
+    _assert_pinned(K.moment_residuals, residuals)
+
+
+def test_mollified_kernels_pinned_digests():
+    if not _recording_build():
+        pytest.skip("the digests pin the bits of the recording numpy build")
+    keps = mollify_kernel(build_truncated_kernel(3), 2.0 ** -4)
+    assert keps.vals.shape == (112, 64)
+    assert _digest(keps.vals) == PINNED_DIGESTS["mollify_kernel"]
+    kq = kq_kernel(keps, OU, 0.5)
+    assert kq.vals.shape == (200, 64)
+    assert _digest(kq.vals) == PINNED_DIGESTS["kq_kernel"]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_constants_pinned(d):
+    # C1 is exact; what comes out of correlate may move by 1e-15 relative,
+    # as its matmuls skip output times that meet no support
+    c = kernel_constants(d, 2.0 ** -4, full=True)
+    want = PINNED_CONSTANTS[d]
+    _assert_pinned(c.C1, want["C1"])
+    got = {"Q1_0": c.Q1_0, "Q2_0": c.Q2_0, "C2": c.C2}
+    got.update({f"I{i}{j}": v for (i, j), v in c.I.items()})
+    for name, value in got.items():
+        _assert_pinned(value, want[name], rel=1e-15)
