@@ -12,6 +12,7 @@ incorrect fails here first.
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,9 +25,10 @@ from fhnspde.renorm import CubicPolynomial
 from fhnspde.solver import counterterms_for
 from fhnspde.symbols import Homogeneity, enumerate_symbols, to_text
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" \
-    / "reference.json"
-CONST_REL_TOL = 1e-12       # perfbench/workloads.py: constants to rounding
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+REFERENCE = PERFBENCH / "reference.json"
+sys.path.insert(0, str(PERFBENCH))
+from workloads import CONST_REL_TOL  # noqa: E402  (the benchmark's tolerance)
 
 RENORM_EQ = {
     "fhn_d2": ["--dim", "2", "--F", "u - u^3 - v"],
