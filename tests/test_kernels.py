@@ -1,10 +1,13 @@
 """Closed-form oracles and invariants for the numerical kernel pipeline."""
 
-import hashlib
 import math
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1184,10 +1187,6 @@ def _assert_pinned(got, want, rel=0.0):
     assert got == (pytest.approx(want, rel=rel, abs=0.0) if rel else want)
 
 
-def _digest(vals) -> str:
-    return hashlib.sha256(np.ascontiguousarray(vals).tobytes()).hexdigest()
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_truncated_kernel_pinned_bits(d):
     K = build_truncated_kernel(d)
@@ -1199,12 +1198,27 @@ def test_truncated_kernel_pinned_bits(d):
 def test_mollified_kernels_pinned_digests():
     if not _recording_build():
         pytest.skip("the digests pin the bits of the recording numpy build")
-    keps = mollify_kernel(build_truncated_kernel(3), 2.0 ** -4)
-    assert keps.vals.shape == (112, 64)
-    assert _digest(keps.vals) == PINNED_DIGESTS["mollify_kernel"]
-    kq = kq_kernel(keps, OU, 0.5)
-    assert kq.vals.shape == (200, 64)
-    assert _digest(kq.vals) == PINNED_DIGESTS["kq_kernel"]
+    # kq_kernel ends in a BLAS matrix product, whose threaded blocking sets
+    # the last bits of its result; the digests were recorded with one BLAS
+    # thread, so they are taken in a child process that has one
+    code = (
+        "import hashlib, numpy as np\n"
+        "from fhnspde.kernels import (build_truncated_kernel, kq_kernel,\n"
+        "                             matrix_weight, mollify_kernel)\n"
+        "keps = mollify_kernel(build_truncated_kernel(3), 2.0 ** -4)\n"
+        "kq = kq_kernel(keps, matrix_weight([1.0], [[-1.0]], 0, 0.5), 0.5)\n"
+        "for v in (keps.vals, kq.vals):\n"
+        "    print(v.shape[0], v.shape[1], hashlib.sha256(\n"
+        "        np.ascontiguousarray(v).tobytes()).hexdigest())\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == [
+        "112", "64", PINNED_DIGESTS["mollify_kernel"],
+        "200", "64", PINNED_DIGESTS["kq_kernel"]]
 
 
 @pytest.mark.parametrize("d", [2, 3])
