@@ -209,7 +209,6 @@ def load_config(path: str) -> tuple[SystemSpec, RunConfig, dict]:
         grid = cp["grid"]
         system = cp["system"]
         noise_sec = cp["noise"] if cp.has_section("noise") else {}
-        renorm_sec = cp["renorm"] if cp.has_section("renorm") else {}
         out_sec = cp["output"] if cp.has_section("output") else {}
 
         d = int(system.get("dim", "2"))
@@ -225,8 +224,7 @@ def load_config(path: str) -> tuple[SystemSpec, RunConfig, dict]:
         seed = int(noise_sec.get("seed", "0"))
         amplitude = float(noise_sec.get("amplitude", "1.0"))
 
-        renorm_on = renorm_sec.get("enabled", "yes").strip().lower() \
-            not in ("0", "no", "false", "off")
+        renorm_on = cp.getboolean("renorm", "enabled", fallback=True)
 
         snap = tuple(float(x) for x in
                      out_sec.get("snapshots", "").split()) if out_sec else ()

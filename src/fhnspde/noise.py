@@ -1,10 +1,11 @@
 """Reproducible lattice noise and its mollification.
 
 Space-time white noise lives on a uniform lattice over [0, T_end] x the unit
-torus.  Every random number is a pure function of (seed, global cell index)
-through a counter-based generator, so ensemble members, grid slices, and
-re-runs are bit-for-bit reproducible regardless of traversal or chunking;
-`NoiseStream` draws the slices one at a time, holding only a window.
+torus; `Lattice` holds the package's only spatial FFT pair, its wavenumbers,
+heat step and dealias mask.  Every random number is a pure function of
+(seed, global cell index) through a counter-based generator, so members,
+slices and re-runs are bit-for-bit reproducible regardless of traversal or
+chunking; `NoiseStream` draws the slices one at a time, holding a window.
 
 Mollification has one path, `_FIRMollifier`, in two factors mirroring the
 separable mollifier: a FIR over the time slices of the spatial transforms,
@@ -61,7 +62,7 @@ class Lattice:
     """Uniform grid: n_time slices of a d-dimensional n_space^d torus.
 
     Time slice i covers [i*dt, (i+1)*dt); spatial site j sits at j*dx on the
-    unit torus.
+    unit torus.  Spectral arrays live on the rfftn modes of the last d axes.
     """
 
     d: int
@@ -109,7 +110,7 @@ class Lattice:
         """|k| on the rfftn frequency lattice (integer wavenumbers)."""
         return np.sqrt(sum(np.square(a) for a in self._k_mesh()))
 
-    def _heat_weights(self) -> tuple[np.ndarray, np.ndarray]:
+    def heat_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """One exact heat step per mode: decay e^{-lam dt}, gain
         (1 - e^{-lam dt}) / lam, with rates lam = (2 pi |k|)^2."""
         lam = (2.0 * math.pi) ** 2 * sum(np.square(a)
@@ -119,6 +120,26 @@ class Lattice:
             gain = np.where(lam > 0, -np.expm1(-lam * self.dt) / np.where(
                 lam > 0, lam, 1.0), self.dt)
         return decay, gain
+
+    def dealias(self) -> np.ndarray:
+        """The 2/3 rule: 1.0 where every |k_i| <= n_space / 3, else 0.0."""
+        return np.all([np.abs(a) <= self.n_space / 3.0
+                       for a in self._k_mesh()], axis=0).astype(float)
+
+    def rfft(self, x: np.ndarray, out=None) -> np.ndarray:
+        """rfftn over the last d axes (into ``out`` if given) by its own
+        calls: rfft on the last axis, then fft in place back to the first."""
+        out = np.fft.rfft(x, axis=-1, out=out)
+        for a in range(-2, -self.d - 1, -1):
+            np.fft.fft(out, axis=a, out=out)
+        return out
+
+    def irfft(self, x_hat: np.ndarray) -> np.ndarray:
+        """irfftn over the last d axes by its own calls; x_hat is not
+        written."""
+        for a in range(-self.d, -1):
+            x_hat = np.fft.ifft(x_hat, axis=a)
+        return np.fft.irfft(x_hat, self.n_space, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -242,11 +263,8 @@ class NoiseStream:
                 self._first = lo
             xi = _white_slice(self.lattice, self.seed, self._end)
             self._sha.update(np.ascontiguousarray(xi, dtype="<f8"))
-            # rfftn's own per-axis calls, without its argument handling
-            out = self._hat[self._end - self._first]
-            np.fft.rfft(xi.reshape(self.lattice.shape[1:]), out=out)
-            for a in range(out.ndim - 2, -1, -1):
-                np.fft.fft(out, axis=a, out=out)
+            self.lattice.rfft(xi.reshape(self.lattice.shape[1:]),
+                              out=self._hat[self._end - self._first])
             self._end += 1
         return self._hat[lo - self._first:hi - self._first]
 
@@ -440,13 +458,11 @@ def mollify_noise(xi: NoiseField, eps: float,
             "eps=%g below the lattice guard 2*dx=%g" % (eps, 2 * lat.dx))
     spec = spec or MollifierSpec(lat.d)
     fir = _FIRMollifier(lat, eps, spec)
-    ax = tuple(range(1, lat.d + 1))
-    raw_hat = np.fft.rfftn(xi.values, axes=ax)
+    raw_hat = lat.rfft(xi.values)
     out = np.empty(lat.shape)
     for i in range(0, lat.n_time, _FIR_BLOCK):
         b = min(_FIR_BLOCK, lat.n_time - i)
-        out[i:i + b] = np.fft.irfftn(fir.slice_hat(raw_hat, i, b),
-                                     s=lat.shape[1:], axes=ax)
+        out[i:i + b] = lat.irfft(fir.slice_hat(raw_hat, i, b))
     return Field(lattice=lat, values=out,
                  meta={"eps": eps, "kind": spec.kind, "seed": xi.seed})
 

@@ -3,10 +3,11 @@
 The fast channel is advanced by a first-order exponential (ETD) integrator in
 Fourier space: the heat part is exact per mode, the nonlinearity enters
 through the phi1 weight, and cubic terms are evaluated pseudo-spectrally with
-2/3 dealiasing.  F's exact coefficient table and its counterterms are read
-once into float coefficients and evaluated in Horner form in u by array
-products only; the solver never loads sympy.  The slow channel is updated
-exactly per site for frozen u via the matrix series
+2/3 dealiasing; the FFT pair, heat weights and mask are `noise.Lattice`'s.
+F's exact coefficient table and its counterterms are read once into float
+coefficients and evaluated in Horner form in u by array products only; the
+solver never loads sympy.  The slow channel is updated exactly per site for
+frozen u via the matrix series
 Phi(dt, A) = sum dt^{m+1} A^m / (m+1)!, which needs no invertibility of A.
 A stochastic-convolution channel chi is co-integrated with the same mode
 weights, so u = chi + phi holds to rounding and remainder norms come for
@@ -60,7 +61,6 @@ __all__ = [
     "SweepReport",
     "phi_series",
     "initial_data",
-    "spectral_sigma",
     "Stepper",
     "run",
     "counterterms_for",
@@ -202,19 +202,12 @@ class RunResult:
 # building blocks
 # ---------------------------------------------------------------------------
 
-def spectral_sigma(d: int, n_space: int, exponent: float) -> np.ndarray:
-    """(1+|k|)^{exponent/2} on the rfftn frequency lattice."""
-    mag = Lattice(d=d, n_space=n_space, n_time=1, t_end=1.0).k_magnitudes()
-    return (1.0 + mag) ** (exponent / 2.0)
-
-
-def _random_field(d: int, n_space: int, seed: int, exponent: float
-                  ) -> np.ndarray:
+def _random_field(lat: Lattice, seed: int, exponent: float) -> np.ndarray:
     """Random Fourier series with coefficient variance (1+|k|)^exponent."""
-    w = counter_gaussians(seed, 0, n_space ** d).reshape((n_space,) * d)
-    sig = spectral_sigma(d, n_space, exponent)
-    spec = np.fft.rfftn(w) * sig * n_space ** (d / 2.0)
-    return np.fft.irfftn(spec, s=(n_space,) * d, axes=tuple(range(d)))
+    n, d = lat.n_space, lat.d
+    w = counter_gaussians(seed, 0, n ** d).reshape((n,) * d)
+    sig = (1.0 + lat.k_magnitudes()) ** (exponent / 2.0)
+    return lat.irfft(lat.rfft(w) * sig * n ** (d / 2.0))
 
 
 def initial_data(d: int, n_space: int, seed: int, eta: float = -0.6,
@@ -226,20 +219,20 @@ def initial_data(d: int, n_space: int, seed: int, eta: float = -0.6,
 
     ``RunConfig.validate`` checks eta > -2/3 and gamma > 1 beforehand.
     """
+    lat = Lattice(d=d, n_space=n_space, n_time=1, t_end=1.0)
     xs = np.arange(n_space) / n_space
     mesh = np.meshgrid(*([xs] * d), indexing="ij")
     if u0 is not None:
         u = np.asarray(u0(*mesh), dtype=float)
     else:
-        u = _random_field(d, n_space, seed, -d - 2 * eta)
+        u = _random_field(lat, seed, -d - 2 * eta)
     v = np.empty((n_v,) + (n_space,) * d)
-    for i in range(n_v):
-        if v0 is not None:
-            v[i] = np.asarray(v0(*mesh), dtype=float)[i] \
-                if n_v > 1 else np.asarray(v0(*mesh), dtype=float)
-        else:
-            v[i] = _random_field(d, n_space, seed + 7919 * (i + 1),
-                                 -d - 2 * gamma)
+    if v0 is not None:
+        vals = np.asarray(v0(*mesh), dtype=float)
+        v[:] = vals[:n_v] if n_v > 1 else vals
+    else:
+        for i in range(n_v):
+            v[i] = _random_field(lat, seed + 7919 * (i + 1), -d - 2 * gamma)
     return u, v
 
 
@@ -258,13 +251,9 @@ class Stepper:
 
     def __init__(self, spec: SystemSpec, n_space: int, dt: float):
         self.spec = spec
-        self.n_space = n_space
-        self.dt = dt
-        lat = Lattice(d=spec.d, n_space=n_space, n_time=1, t_end=dt)
-        self.decay, self.gain = lat._heat_weights()
-        self.dealias = np.ones_like(self.decay)
-        for a in lat._k_mesh():
-            self.dealias *= (np.abs(a) <= n_space / 3.0)
+        self.lat = Lattice(d=spec.d, n_space=n_space, n_time=1, t_end=dt)
+        self.decay, self.gain = self.lat.heat_weights()
+        self.dealias = self.lat.dealias()
         A2 = np.asarray(spec.Q.A2, dtype=float)
         phi = phi_series(dt, A2)
         # e^{dt A2} = I + A2 Phi(dt, A2)
@@ -284,7 +273,6 @@ class Stepper:
                 a[0][e] = a[0].get(e, 0.0) + float(c)
         self._a = [[(c, sum(((i,) * k for i, k in enumerate(q)), ()))
                     for q, c in ap.items() if c] for ap in a]
-        self.ax = tuple(range(0, spec.d))
 
     def nonlinearity(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """F(u, v) plus counterterms in Horner form in u, by products only:
@@ -304,10 +292,7 @@ class Stepper:
 
     def step_u(self, u_hat: np.ndarray, nonlin: np.ndarray,
                forcing_hat: Optional[np.ndarray]) -> np.ndarray:
-        # rfftn's own per-axis calls, without its argument handling
-        n_hat = np.fft.rfft(nonlin, axis=self.ax[-1])
-        for a in self.ax[-2::-1]:
-            n_hat = np.fft.fft(n_hat, axis=a)
+        n_hat = self.lat.rfft(nonlin)
         n_hat *= self.dealias
         if forcing_hat is not None:
             n_hat += forcing_hat
@@ -324,10 +309,7 @@ class Stepper:
         return out
 
     def to_real(self, u_hat: np.ndarray) -> np.ndarray:
-        # irfftn's own per-axis calls, as in step_u
-        for a in self.ax[:-1]:
-            u_hat = np.fft.ifft(u_hat, axis=a)
-        return np.fft.irfft(u_hat, self.n_space, axis=self.ax[-1])
+        return self.lat.irfft(u_hat)
 
 
 def _l2(x: np.ndarray) -> float:
@@ -396,7 +378,7 @@ class _Member:
         self.st, self.eps = st, eps
         self.remainder = st.spec.formulation == "remainder"
         self.u, self.v = u0.copy(), v0.copy()
-        self.w_hat = np.fft.rfftn(u0, axes=st.ax)
+        self.w_hat = st.lat.rfft(u0)
         self.chi_hat = np.zeros_like(self.w_hat)
         self._chi = None
 

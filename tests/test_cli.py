@@ -476,9 +476,9 @@ def test_converge_outputs(outdir, config_file, capsys):
 
 def test_converge_honours_renorm_switch(tmp_path, monkeypatch, capsys):
     # [renorm] enabled = no sweeps the unrenormalised dynamics only, with
-    # the same rows as the run with both modes
+    # the same rows as the run with both modes; booleans ignore case
     rows = {}
-    for flag in ("yes", "no"):
+    for flag in ("yes", "no", "Off"):
         p = tmp_path / f"{flag}.cfg"
         p.write_text(CFG.replace("enabled = yes", f"enabled = {flag}"))
         monkeypatch.setenv("FHNSPDE_OUT", str(tmp_path / flag))
@@ -491,6 +491,18 @@ def test_converge_honours_renorm_switch(tmp_path, monkeypatch, capsys):
                                                 "unrenormalised"}
     assert rows["no"] == [r for r in rows["yes"]
                           if r["mode"] == "unrenormalised"]
+    assert rows["Off"] == rows["no"]
+
+
+def test_renorm_switch_rejects_non_boolean(outdir, tmp_path, capsys):
+    # a typo in [renorm] enabled is a usage error, not a silent yes
+    p = tmp_path / "typo.cfg"
+    p.write_text(CFG.replace("enabled = yes", "enabled = nope"))
+    for sub in ("simulate", "converge"):
+        assert main([sub, "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad config") and "nope" in err
+        assert not (outdir / sub).exists()
 
 
 def test_converge_grid_guard(outdir, tmp_path, capsys):

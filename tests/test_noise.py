@@ -66,6 +66,34 @@ def test_lattice_rejects_degenerate():
         Lattice(d=2, n_space=8, n_time=4, t_end=0.0)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [8, 9])
+@pytest.mark.parametrize("lead", [(), (5,)])
+def test_lattice_transform_pair_equals_numpy_rfftn(d, n, lead):
+    # the package's one spatial transform pair is rfftn / irfftn over the
+    # last d axes bit for bit, with or without a leading time axis
+    lat = Lattice(d=d, n_space=n, n_time=5, t_end=1.0)
+    x = np.random.default_rng(n + d).standard_normal(lead + (n,) * d)
+    ax = tuple(range(len(lead), len(lead) + d))
+    x_hat = lat.rfft(x)
+    assert np.array_equal(x_hat, np.fft.rfftn(x, axes=ax))
+    kept = x_hat.copy()
+    back = lat.irfft(x_hat)
+    assert np.array_equal(back, np.fft.irfftn(kept, s=(n,) * d, axes=ax))
+    assert np.array_equal(x_hat, kept)         # the argument is not written
+    buf = np.empty_like(x_hat)
+    assert lat.rfft(x, out=buf) is buf and np.array_equal(buf, kept)
+
+
+def test_lattice_dealias_is_the_two_thirds_rule():
+    lat = Lattice(d=2, n_space=12, n_time=1, t_end=1.0)
+    k = np.fft.fftfreq(12, d=1 / 12)
+    kr = np.fft.rfftfreq(12, d=1 / 12)
+    want = (np.abs(k)[:, None] <= 4) & (np.abs(kr)[None, :] <= 4)
+    assert lat.dealias().dtype == float
+    assert np.array_equal(lat.dealias(), want.astype(float))
+
+
 def test_counter_gaussians_chunk_independent():
     whole = counter_gaussians(99, 0, 500)
     assert np.array_equal(counter_gaussians(99, 123, 77), whole[123:200])

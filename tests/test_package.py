@@ -220,3 +220,31 @@ def test_package_never_imports_test_code():
             found += [f"{path.name}:{node.lineno} {m}" for m in mods
                       if m.split(".")[0] in ("reference", "tests")]
     assert not found, found
+
+
+FFT_TRANSFORMS = {"rfft", "irfft", "fft", "ifft", "rfftn", "irfftn", "fftn",
+                  "ifftn"}
+
+
+def test_only_lattice_calls_numpy_fft():
+    # noise.Lattice holds the package's one spatial transform pair; a
+    # transform written out anywhere else is a second copy of the mode
+    # layout (frequency helpers such as fftfreq are not transforms)
+    src = Path(fhnspde.__file__).resolve().parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = {id(n) for c in ast.walk(tree)
+                  if isinstance(c, ast.ClassDef) and c.name == "Lattice"
+                  for n in ast.walk(c)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) \
+                    and (node.module or "").startswith("numpy.fft"):
+                found.append(f"{path.name}:{node.lineno} from numpy.fft")
+            if isinstance(node, ast.Call) and id(node) not in inside \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in FFT_TRANSFORMS \
+                    and isinstance(node.func.value, ast.Attribute) \
+                    and node.func.value.attr == "fft":
+                found.append(f"{path.name}:{node.lineno} {node.func.attr}")
+    assert not found, found

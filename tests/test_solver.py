@@ -43,7 +43,6 @@ from fhnspde.solver import (
     initial_data,
     phi_series,
     run,
-    spectral_sigma,
 )
 
 
@@ -188,14 +187,30 @@ def test_initial_data_deterministic_and_shaped():
     assert not np.array_equal(u1, u3)
 
 
+def test_initial_data_calls_v0_once():
+    # an explicit v0 gives all slow channels from one call
+    calls = []
+
+    def v0(x, y):
+        calls.append(1)
+        return np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * y)])
+
+    _, v = initial_data(2, 8, 1, n_v=2, v0=v0)
+    assert len(calls) == 1
+    xs = np.arange(8) / 8
+    assert np.array_equal(v, v0(*np.meshgrid(xs, xs, indexing="ij")))
+
+
 def test_initial_data_spectrum_slope():
     # shell-averaged power over 100 seeds: slope of log E|c_k|^2 against
     # log(1+|k|) within 15% of -(d + 2 eta) over a decade of |k|
     d, N, eta = 2, 64, -0.25
-    sig2 = spectral_sigma(d, N, -d - 2 * eta) ** 2
     axes = [np.fft.fftfreq(N, d=1.0 / N), np.fft.rfftfreq(N, d=1.0 / N)]
     mag = np.sqrt(sum(np.square(a) for a in np.meshgrid(*axes, indexing="ij")))
-    acc = np.zeros_like(sig2)
+    # the lattice the series is drawn on has these wavenumbers
+    assert np.array_equal(
+        Lattice(d=d, n_space=N, n_time=1, t_end=1.0).k_magnitudes(), mag)
+    acc = np.zeros_like(mag)
     n_seeds = 100
     for s in range(n_seeds):
         u, _ = initial_data(d, N, 5000 + s, eta=eta, n_v=1)
