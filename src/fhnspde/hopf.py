@@ -92,10 +92,6 @@ class PlusElem:
         object.__setattr__(self, "js",
                            tuple(sorted(self.js, key=JSymbol.sort_key)))
 
-    @property
-    def is_unit(self) -> bool:
-        return not self.js and all(v == 0 for v in self.k)
-
     def __mul__(self, other: "PlusElem") -> "PlusElem":
         if self.k and other.k:
             if len(self.k) != len(other.k):

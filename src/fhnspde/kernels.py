@@ -120,10 +120,6 @@ class Grid1D:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def integrate(self, vals: np.ndarray, axis: int = -1) -> np.ndarray:
-        return np.tensordot(vals, self.weights, axes=([axis], [0])) \
-            if vals.ndim > 1 else float(vals @ self.weights)
-
 
 def geometric_edges(lo: float, hi: float, h_min: float,
                     ratio: float = 2.0) -> np.ndarray:
@@ -406,7 +402,6 @@ class TruncatedKernel:
     """
 
     d: int
-    zeta: int = 2
     inner: float = 0.5
     outer: float = 1.0
     bump_coeffs: tuple[float, ...] = ()
@@ -425,10 +420,7 @@ class TruncatedKernel:
     def _bump_shapes(self, t, r) -> list[np.ndarray]:
         q = np.square(r) + np.abs(t)
         base = self.annulus_bump(q) * (np.asarray(t) > 0)
-        shapes = [base]
-        if self.zeta >= 2:
-            shapes += [base * t, base * np.square(r)]
-        return shapes
+        return [base, base * t, base * np.square(r)]
 
     def __call__(self, t, r) -> np.ndarray:
         """K on its support {t > 0, q < outer} only; 0 elsewhere."""
@@ -443,10 +435,6 @@ class TruncatedKernel:
         for c, shape in zip(self.bump_coeffs, self._bump_shapes(t, r)):
             out = out + c * shape
         return out
-
-    def remainder(self, t, r) -> np.ndarray:
-        """The smooth leftover R = G - K (vanishes on the inner region)."""
-        return heat_kernel(t, r, self.d) - self(t, r)
 
 
 class KernelConstructionError(RuntimeError):
@@ -464,11 +452,9 @@ class KernelConstructionError(RuntimeError):
 _ROW_CHUNK = 2 ** 14
 
 
-def _moment_monomials(zeta: int) -> list[Callable]:
-    mono = [lambda t, r: np.ones_like(np.broadcast_to(t * r, np.shape(t * r)))]
-    if zeta >= 2:
-        mono += [lambda t, r: t + 0 * r, lambda t, r: np.square(r) + 0 * t]
-    return mono
+def _moment_monomials() -> list[Callable]:
+    return [lambda t, r: np.ones_like(np.broadcast_to(t * r, np.shape(t * r))),
+            lambda t, r: t + 0 * r, lambda t, r: np.square(r) + 0 * t]
 
 
 def _insert_edges(edges, points, eps: float = 1e-12) -> np.ndarray:
@@ -521,7 +507,7 @@ def kernel_moments(kernel: TruncatedKernel, order: int = 9,
     Defaults deliberately differ from the construction grid, so the result is
     an independent estimate of the continuum moments.
     """
-    monos = _moment_monomials(kernel.zeta)
+    monos = _moment_monomials()
     table = _kernel_moments(lambda t, r: [kernel(t, r)], kernel.d,
                             kernel.outer, monos, order, t_min, ratio, n_core,
                             kernel.inner)
@@ -570,18 +556,15 @@ def _kernel_moments(funcs: Callable, d: int, outer: float,
     return out
 
 
-def build_truncated_kernel(d: int, zeta: int = 2, inner: float = 0.5,
-                           outer: float = 1.0,
+def build_truncated_kernel(d: int, inner: float = 0.5, outer: float = 1.0,
                            tol: float = 1e-6) -> TruncatedKernel:
     """Solve the annulus-correction weights for exactly vanishing moments.
 
     Raises :class:`KernelConstructionError` when the achieved residuals
     exceed ``tol``.
     """
-    if zeta not in (0, 1, 2):
-        raise ValueError("supported moment degrees: 0, 1, 2")
-    raw = TruncatedKernel(d=d, zeta=zeta, inner=inner, outer=outer)
-    monos = _moment_monomials(zeta)
+    raw = TruncatedKernel(d=d, inner=inner, outer=outer)
+    monos = _moment_monomials()
 
     def rows(t, r):
         base = heat_kernel(t, r, d) * raw.cutoff(np.square(r) + np.abs(t))

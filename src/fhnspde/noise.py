@@ -71,8 +71,8 @@ class Lattice:
     t_end: float
 
     def __post_init__(self):
-        if self.d not in (1, 2, 3):
-            raise ValueError("spatial dimension must be 1, 2, or 3")
+        if self.d not in (2, 3):
+            raise ValueError("spatial dimension must be 2 or 3")
         if self.n_space < 2 or self.n_time < 1 or self.t_end <= 0:
             raise ValueError("degenerate lattice")
 
@@ -89,15 +89,14 @@ class Lattice:
         return (self.n_time,) + (self.n_space,) * self.d
 
     @property
-    def cells(self) -> int:
-        return self.n_time * self.n_space ** self.d
+    def spectral_shape(self) -> tuple[int, ...]:
+        """One slice's rfftn half-spectrum: the last axis keeps
+        n_space // 2 + 1 modes."""
+        return (self.n_space,) * (self.d - 1) + (self.n_space // 2 + 1,)
 
     @property
     def cell_volume(self) -> float:
         return self.dt * self.dx ** self.d
-
-    def times(self) -> np.ndarray:
-        return self.dt * np.arange(self.n_time)
 
     def _k_mesh(self) -> list[np.ndarray]:
         """Per-axis integer wavenumbers on the rfftn frequency lattice."""
@@ -243,8 +242,7 @@ class NoiseStream:
     def __init__(self, lattice: Lattice, seed: int, width: int):
         self.lattice, self.seed = lattice, seed
         self._hat = np.empty((min(lattice.n_time, width + width // 8),)
-                             + lattice.shape[1:-1]
-                             + (lattice.n_space // 2 + 1,), complex)
+                             + lattice.spectral_shape, complex)
         self._first = self._end = 0    # slices held: _first .. _end - 1
         self._sha = hashlib.sha256()
 
@@ -336,10 +334,10 @@ def _fourier_bessel(k: np.ndarray, r_max: float, d: int,
     """Quadrature for radial transforms on [0, r_max] at magnitudes ``k``.
 
     int f(|x|) e^{-2 pi i k.x} dx ~= sum_s basis[k, s] * jac[s] * f(s) * w[s]
-    with basis j0(2 pi k s) in d = 2, sinc(2 k s) in d = 3, cos(2 pi k s)
-    in d = 1, and radial Jacobian jac = |S^{d-1}| s^{d-1}.  At least
-    ``n_panels`` order-8 panels, more when needed to resolve the fastest
-    oscillation present.  Returns (s, w, basis, jac).
+    with basis j0(2 pi k s) in d = 2, sinc(2 k s) in d = 3, and radial
+    Jacobian jac = |S^{d-1}| s^{d-1}.  At least ``n_panels`` order-8
+    panels, more when needed to resolve the fastest oscillation present.
+    Returns (s, w, basis, jac).
     """
     need = max(n_panels, int(6 * float(np.max(k)) * r_max) + 8)
     g = panel_grid(list(np.linspace(0.0, r_max, need + 1)), 8)
@@ -347,10 +345,8 @@ def _fourier_bessel(k: np.ndarray, r_max: float, d: int,
     if d == 2:
         return s, g.weights, _j0(2.0 * math.pi * np.outer(k, s)), \
             2.0 * math.pi * s
-    if d == 3:
-        return s, g.weights, np.sinc(2.0 * np.outer(k, s)), \
-            4.0 * math.pi * s ** 2
-    return s, g.weights, np.cos(2.0 * math.pi * np.outer(k, s)), 2.0
+    return s, g.weights, np.sinc(2.0 * np.outer(k, s)), \
+        4.0 * math.pi * s ** 2
 
 
 def radial_fourier(fn: Callable, r_max: float, k: np.ndarray,

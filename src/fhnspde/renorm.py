@@ -612,10 +612,6 @@ class CubicPolynomial:
             out += (" - " if c < 0 else " + ") + body
         return "-" + out[3:] if out.startswith(" - ") else out[3:] or "0"
 
-    @classmethod
-    def standard_fhn(cls) -> "CubicPolynomial":
-        return cls("u - u^3 - v", 1)
-
 
 # ---------------------------------------------------------------------------
 # Fixed-point expansion

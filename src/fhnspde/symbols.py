@@ -97,9 +97,6 @@ class Homogeneity:
             return f"{'-' if self.s < 0 else ''}{sk}"
         return f"{self.r}{sign}{sk}"
 
-    def as_float(self, kappa: float = 0.0) -> float:
-        return float(self.r) + float(self.s) * kappa
-
 
 @dataclass(frozen=True)
 class Scaling:
@@ -582,11 +579,9 @@ class TableRow:
 
 @dataclass(frozen=True)
 class SymbolTable:
-    """Generated graded symbol set with deterministic order and lookups.
+    """Generated graded symbol set in deterministic order.
 
-    Rows are sorted by (homogeneity, structural order).  ``lookup`` takes a
-    symbol, its grammar text or its display code; a code that names several
-    rows (``o`` does not say which channel) raises KeyError listing them.
+    Rows are sorted by (homogeneity, structural order).
     """
 
     d: int
@@ -599,27 +594,6 @@ class SymbolTable:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    @property
-    def symbols(self) -> tuple[Symbol, ...]:
-        return tuple(r.symbol for r in self.rows)
-
-    def lookup(self, key: Union[str, Symbol]) -> TableRow:
-        if isinstance(key, Symbol):
-            for r in self.rows:
-                if r.symbol == key:
-                    return r
-            raise KeyError(f"symbol {key!r} not in table")
-        rows = [r for r in self.rows if key in (r.name, to_text(r.symbol))]
-        if len(rows) > 1:
-            raise KeyError(f"display code {key!r} names {len(rows)} rows: "
-                           + ", ".join(to_text(r.symbol) for r in rows))
-        if not rows:
-            raise KeyError(f"name {key!r} not in table")
-        return rows[0]
-
-    def __contains__(self, sym: Symbol) -> bool:
-        return any(r.symbol == sym for r in self.rows)
 
     def row_patterns(self) -> tuple[TableRow, ...]:
         """Rows with spatial-coordinate orbits collapsed to the X1 representative.

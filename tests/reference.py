@@ -267,7 +267,7 @@ def lattice_covariance(kernel: MollifiedKernel, lattice: Lattice,
     """
     lat = lattice
     taus, hats = transforms or kernel_slice_transforms(kernel, lat)
-    n_half = lat.n_space // 2 + 1
+    n_half = lat.spectral_shape[-1]
     # weights of the rfftn representation: conjugate-pair modes count twice
     mult = np.full(hats.shape[1:], 2.0)
     sl = [slice(None)] * (lat.d - 1) + [0]

@@ -139,8 +139,8 @@ def test_accept_03_renormalised_equation_identities():
     t0 = time.perf_counter()
     bad = []
 
-    Ra = renormalized_nonlinearity(CubicPolynomial.standard_fhn(), 3)
-    gained = sympy.expand(Ra.Fhat - CubicPolynomial.standard_fhn().expr)
+    Ra = renormalized_nonlinearity(CubicPolynomial("u - u^3 - v", 1), 3)
+    gained = sympy.expand(Ra.Fhat - CubicPolynomial("u - u^3 - v", 1).expr)
     if not (Ra.c0 == 0 and Ra.c2 == (0,)
             and sympy.expand(gained - (3 * C1 - 9 * C2) * U) == 0):
         bad.append("standard")
@@ -308,7 +308,7 @@ def test_accept_08_solver_oracles():
     ode_err = float(np.max(np.abs(
         vT[:, 0, 0] - expm(0.1 * np.array(Q.A2)) @ np.array([1.0, -0.5]))))
 
-    Ffhn = CubicPolynomial.standard_fhn()
+    Ffhn = CubicPolynomial("u - u^3 - v", 1)
     Qs = QSpec(A1=(1.0,), A2=((-1.0,),))
     cfg_d = RunConfig(n_space=32, dt=1e-3, t_end=0.05, eps=0.25, seed=21,
                       snapshot_times=(0.05,))
@@ -326,7 +326,7 @@ def test_accept_08_solver_oracles():
 
 
 def test_accept_09_common_noise_convergence_d2():
-    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(),
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1),
                       Q=QSpec(A1=(1.0,), A2=((-1.0,),)))
     cfg = RunConfig(n_space=128, dt=1e-4, t_end=0.1, eps=0.25, seed=4)
     rep = epsilon_sweep(spec, cfg, [2.0 ** -2, 2.0 ** -3, 2.0 ** -4],
@@ -352,7 +352,7 @@ def test_accept_09_common_noise_convergence_d2():
 
 
 def test_accept_10_d3_smoke():
-    Ffhn = CubicPolynomial.standard_fhn()
+    Ffhn = CubicPolynomial("u - u^3 - v", 1)
     cts = counterterms_for(Ffhn, 3, 0.25)
     spec = SystemSpec(d=3, F=Ffhn, Q=QSpec(A1=(1.0,), A2=((-1.0,),)),
                       renorm=cts)

@@ -58,7 +58,7 @@ def test_panel_grid_polynomial_exact():
     g = panel_grid([0.0, 0.3, 1.0], order=6)
     # GL order 6 integrates degree <= 11 exactly
     for p in (3, 7, 11):
-        assert g.integrate(g.nodes ** p) == pytest.approx(1 / (p + 1), rel=1e-13)
+        assert g.nodes ** p @ g.weights == pytest.approx(1 / (p + 1), rel=1e-13)
 
 
 def test_geometric_edges_shape():
@@ -229,8 +229,8 @@ def test_radial_operators_reject_other_dimensions(d):
 def test_mollifier_mass(d, kind):
     spec = MollifierSpec(d, kind=kind)
     tg = panel_grid(np.linspace(-spec.t_halfwidth, spec.t_halfwidth, 9), 10)
-    assert tg.integrate(spec.t_profile(tg.nodes)) == pytest.approx(1.0,
-                                                                   abs=1e-10)
+    assert spec.t_profile(tg.nodes) @ tg.weights == pytest.approx(1.0,
+                                                                  abs=1e-10)
     rg = panel_grid(np.linspace(0.0, spec.x_radius, 9), 10)
     assert radial_integral(spec.x_profile(rg.nodes), rg, d) == \
         pytest.approx(1.0, abs=1e-10)
@@ -241,7 +241,7 @@ def test_mollifier_scaled_mass():
     eps = 0.1
     tg = panel_grid(np.linspace(-spec.t_halfwidth * eps ** 2,
                                 spec.t_halfwidth * eps ** 2, 9), 10)
-    assert tg.integrate(spec.scaled_t(tg.nodes, eps)) == pytest.approx(
+    assert spec.scaled_t(tg.nodes, eps) @ tg.weights == pytest.approx(
         1.0, abs=1e-10)
     rg = panel_grid(np.linspace(0.0, spec.x_radius * eps, 9), 10)
     assert radial_integral(spec.scaled_x(rg.nodes, eps), rg, 3) == \
@@ -281,11 +281,13 @@ def test_truncated_kernel_moments_vanish(d):
 def test_truncated_kernel_remainder():
     K = build_truncated_kernel(3)
     # R = G - K vanishes where K matches the heat kernel ...
-    assert K.remainder(0.1, 0.2) == pytest.approx(0.0, abs=1e-15)
+    assert heat_kernel(0.1, 0.2, 3) - K(0.1, 0.2) == pytest.approx(
+        0.0, abs=1e-15)
     # ... and carries the full heat kernel outside the support
     t, r = 0.6, 0.8
     assert K(t, r) == 0.0
-    assert K.remainder(t, r) == pytest.approx(heat_kernel(t, r, 3))
+    assert heat_kernel(t, r, 3) - K(t, r) == pytest.approx(
+        heat_kernel(t, r, 3))
 
 
 def test_truncated_kernel_unreachable_tolerance_raises():
@@ -310,12 +312,6 @@ def test_truncated_kernel_support():
     assert K(-0.05, 0.1) == 0.0      # t <= 0
     assert K(1.2, 0.0) == 0.0
     assert K(0.3, 0.2) != 0.0
-
-
-def test_truncated_kernel_zeta_zero():
-    K = build_truncated_kernel(2, zeta=0)
-    assert len(K.bump_coeffs) == 1
-    assert abs(K.moment_residuals[0]) < 1e-6
 
 
 def _insert_edges_loop(edges, points, eps=1e-12):
@@ -353,7 +349,7 @@ def _moments_one_function(func, d, monos, order=10, t_min=1e-9, ratio=1.8,
 def test_truncated_kernel_matches_four_pass_reference(d):
     # the loop version: base and each annulus shape get a pass of their own
     raw = kernels.TruncatedKernel(d=d)
-    monos = kernels._moment_monomials(2)
+    monos = kernels._moment_monomials()
 
     def base(t, r):
         return heat_kernel(t, r, d) * raw.cutoff(np.square(r) + np.abs(t))
@@ -368,18 +364,13 @@ def test_truncated_kernel_matches_four_pass_reference(d):
     assert K.moment_residuals == kernel_moments(ref)
 
 
-@pytest.mark.parametrize("d, zeta", [(2, 0), (3, 2)])
-def test_kernel_moments_match_per_row_loop(d, zeta):
+@pytest.mark.parametrize("d", [2, 3])
+def test_kernel_moments_match_per_row_loop(d):
     # the verification pass against the loop, on kernel_moments' own grid
-    K = build_truncated_kernel(d, zeta=zeta)
-    monos = kernels._moment_monomials(zeta)
+    K = build_truncated_kernel(d)
+    monos = kernels._moment_monomials()
     assert K.moment_residuals == _moments_one_function(
         K, d, monos, order=9, t_min=1e-10, ratio=1.5, n_core=8)
-
-
-def test_truncated_kernel_rejects_bad_zeta():
-    with pytest.raises(ValueError):
-        build_truncated_kernel(3, zeta=3)
 
 
 # ---------------------------------------------------------------------------

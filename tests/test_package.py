@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -149,59 +150,134 @@ def test_every_parameter_is_read():
     assert not unread, unread
 
 
-def _names(parts) -> set[str]:
-    """Every Name and Attribute.attr under the given nodes, annotations
-    (of arguments, returns and annotated assignments) left out."""
-    out, todo = set(), list(parts)
+def _names(parts) -> tuple[set[str], set[str]]:
+    """(every Name id and Attribute.attr, the Attribute.attrs alone) under
+    the given nodes, annotations (of arguments, returns and annotated
+    assignments) left out."""
+    ids, attrs, todo = set(), set(), list(parts)
     while todo:
         node = todo.pop()
         if isinstance(node, ast.Name):
-            out.add(node.id)
+            ids.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attrs.add(node.attr)
         for field, value in ast.iter_fields(node):
             if field not in ("annotation", "returns"):
                 todo += [v for v in (value if isinstance(value, list)
                                      else [value]) if isinstance(v, ast.AST)]
-    return out
+    return ids | attrs, attrs
+
+
+def _unreached(modules, names, attrs) -> list[str]:
+    """Top-level definitions and class members that the roots do not reach,
+    as "module:line name" or "module:line Class.member".
+
+    ``modules`` maps a module name to its (source, namespace); ``names``
+    and ``attrs`` are the root names and attribute names, and every
+    module-level statement is a root.  A definition is reached when its
+    name is a Name or an Attribute.attr in reached code; a class's code is
+    its decorators, bases and the body statements other than its members.
+    A member (method, property, classmethod or staticmethod) is reached
+    when its class is and its name is an Attribute.attr in reached code.
+    A dunder, and an override of a method of a base class from outside
+    ``modules`` (a hook the base calls, as argparse calls ``error``), go
+    with their class.
+    """
+    names, attrs = set(names), set(attrs)
+    own = {namespace["__name__"] for _, namespace in modules.values()}
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    entries = {}    # (module, label) -> (line, class key or None, name, code)
+    for stem, (source, namespace) in modules.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, functions):
+                entries[stem, node.name] = (node.lineno, None, node.name,
+                                            [node])
+            elif isinstance(node, ast.ClassDef):
+                hooks = {h for base in namespace[node.name].__mro__[1:]
+                         if base.__module__ not in own for h in dir(base)}
+                code = node.decorator_list + node.bases + node.keywords
+                for m in node.body:
+                    if not isinstance(m, functions) or m.name in hooks \
+                            or m.name.startswith("__"):
+                        code.append(m)
+                    else:
+                        entries[stem, f"{node.name}.{m.name}"] = (
+                            m.lineno, (stem, node.name), m.name, [m])
+                entries[stem, node.name] = (node.lineno, None, node.name,
+                                            code)
+            else:
+                new_names, new_attrs = _names([node])
+                names |= new_names
+                attrs |= new_attrs
+    reached, grown = set(), True
+    while grown:
+        grown = False
+        for key, (_, owner, name, code) in entries.items():
+            if key not in reached and (name in names if owner is None
+                                       else owner in reached
+                                       and name in attrs):
+                reached.add(key)
+                new_names, new_attrs = _names(code)
+                names |= new_names
+                attrs |= new_attrs
+                grown = True
+    return [f"{stem}:{entries[stem, label][0]} {label}"
+            for stem, label in sorted(entries.keys() - reached)]
 
 
 def test_every_definition_is_reached_from_the_cli():
     # code that no command reaches is carried for the tests only and lives
     # in tests/reference.py; roots are cli.main, every module-level
-    # statement (they run at import) and the callables perfbench's tracer
-    # wraps by name.  An edge is a name in a definition's decorators,
-    # defaults, bases or body; matching by name over-approximates the
-    # call graph, which is the safe side
+    # statement (they run at import) and every part of the attribute paths
+    # perfbench's tracer wraps by name.  Matching by name over-approximates
+    # the call graph, which is the safe side; it cannot see a member whose
+    # name is also an attribute of another class, such as a Lattice.times
+    # (RunResult.times) or a TruncatedKernel.remainder (_Member.remainder)
     src = Path(fhnspde.__file__).resolve().parent
-    defs, roots = {}, {"main"}
+    modules = {}
     for path in sorted(src.glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                defs.setdefault(node.name, []).append(
-                    (path.stem, node.lineno, node))
-            else:
-                roots |= _names([node])
+        module = fhnspde if path.stem == "__init__" else \
+            importlib.import_module(f"fhnspde.{path.stem}")
+        modules[path.stem] = (path.read_text(), vars(module))
+    paths = [attr_path.split(".") for *_, attr_path in _tracer_targets()]
+    missing = _unreached(modules, {"main"} | {p[0] for p in paths},
+                         {a for p in paths for a in p[1:]})
+    assert not missing, "no command reaches " + ", ".join(missing)
 
-    def reach(start):
-        seen, todo = set(), [n for n in start if n in defs]
-        while todo:
-            name = todo.pop()
-            if name not in seen:
-                seen.add(name)
-                todo += [u for *_, node in defs[name] for u in _names([node])
-                         if u in defs]
-        return seen
 
-    traced = {attr_path.split(".")[0]
-              for _, _, attr_path in _tracer_targets()}
-    from_cli, reached = reach(roots), reach(roots | traced)
-    listed = [f"{module}:{line} {name}" + (" (traced)" * (name in reached))
-              for module, line, name in sorted(
-                  (module, line, name) for name, nodes in defs.items()
-                  for module, line, _ in nodes if name not in from_cli)]
-    assert reached == set(defs), "no command reaches " + ", ".join(listed)
+GUARD_EXAMPLE = """
+import argparse
+
+
+class Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise SystemExit(message)
+
+
+class Box:
+    def __init__(self):
+        self.parser = Parser()
+
+    def used(self):
+        return 1
+
+    def unused(self):
+        return 2
+
+
+def main():
+    return Box().used()
+"""
+
+
+def test_reachability_guard_sees_members():
+    # the guard flags a method nothing calls, accepts one reached only as
+    # obj.method, and accepts an override of an outside base class's hook
+    module = types.ModuleType("example")
+    exec(compile(GUARD_EXAMPLE, "example", "exec"), vars(module))
+    missing = _unreached({"example": (GUARD_EXAMPLE, vars(module))},
+                         {"main"}, set())
+    assert [m.split()[1] for m in missing] == ["Box.unused"]
 
 
 def test_package_never_imports_test_code():

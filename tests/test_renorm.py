@@ -273,7 +273,7 @@ def test_cubic_polynomial_validation():
         CubicPolynomial(sympy.sin(U), 1)
     with pytest.raises(ValueError, match="channel"):
         CubicPolynomial(U, -1)
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     assert F.expr == U - U ** 3 - V1
     assert F.gamma1 == -1 and F.beta1 == 0 and F.gamma2(1) == 0
 
@@ -336,12 +336,12 @@ def test_renormalized_generic_cubic_d3():
 
 
 def test_renormalized_standard_fhn_d3():
-    R = renormalized_nonlinearity(CubicPolynomial.standard_fhn(), 3)
+    R = renormalized_nonlinearity(CubicPolynomial("u - u^3 - v", 1), 3)
     assert R.factorized and R.proportional
     assert R.c0 == 0 and R.c2 == (0,)
     assert sympy.expand(R.c1 + 3 * C1 - 9 * C2) == 0
     # the equation gains +C(eps)*u with C(eps) = 3*C1 - 9*C2
-    gained = sympy.expand(R.Fhat - CubicPolynomial.standard_fhn().expr)
+    gained = sympy.expand(R.Fhat - CubicPolynomial("u - u^3 - v", 1).expr)
     assert sympy.expand(gained - (3 * C1 - 9 * C2) * U) == 0
 
 
@@ -373,7 +373,7 @@ def test_renormalized_beta_only_d2():
 
 def test_renormalized_numeric_constants():
     vals = {product([CT["RSI"], CT["RSI"]]): 4.0, pat_comp(): 0.5}
-    R = renormalized_nonlinearity(CubicPolynomial.standard_fhn(), 3, vals)
+    R = renormalized_nonlinearity(CubicPolynomial("u - u^3 - v", 1), 3, vals)
     assert R.c1 == pytest.approx(-3 * 4.0 + 9 * 0.5)
 
 

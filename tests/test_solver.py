@@ -136,7 +136,7 @@ def test_system_rejects_channel_mismatch():
 
 def test_system_rejects_quadratic_slow_coupling_in_3d_with_renorm():
     F = CubicPolynomial(sympy.sympify("u - u**3 + u**2*v1"), 1)
-    consts = counterterms_for(CubicPolynomial.standard_fhn(), 2, 0.25)
+    consts = counterterms_for(CubicPolynomial("u - u^3 - v", 1), 2, 0.25)
     with pytest.raises(ValueError):
         SystemSpec(d=3, F=F, Q=_scalar_Q(), renorm=consts)
     # without counterterms the same system is accepted
@@ -266,7 +266,7 @@ def test_spatial_mean_conserved_without_forcing():
 
 
 def test_slow_update_first_order_in_dt():
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     spec = SystemSpec(d=2, F=F, Q=_scalar_Q())
     t_end = 0.04
     vals = {}
@@ -338,7 +338,7 @@ def test_koper_system_runs():
 
 
 def test_direct_and_remainder_formulations_agree():
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     Q = _scalar_Q()
     cfg = RunConfig(n_space=32, dt=1e-3, t_end=0.05, eps=0.25, seed=21,
                     snapshot_times=(0.05,))
@@ -351,7 +351,7 @@ def test_direct_and_remainder_formulations_agree():
 
 
 def test_run_is_bitwise_deterministic():
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     spec = SystemSpec(d=2, F=F, Q=_scalar_Q())
     cfg = RunConfig(n_space=32, dt=1e-3, t_end=0.03, eps=0.25, seed=77,
                     snapshot_times=(0.03,))
@@ -364,7 +364,7 @@ def test_run_is_bitwise_deterministic():
 
 def test_run_matches_hand_stepped_full_field_reference():
     # the full-field mollifier and the bare Stepper methods, stepped by hand
-    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1), Q=_scalar_Q())
     cfg = RunConfig(n_space=16, dt=1e-3, t_end=0.02, eps=0.25, seed=13,
                     noise_amplitude=0.7, snapshot_times=(0.02,))
     steps = 20
@@ -395,7 +395,7 @@ def test_run_matches_hand_stepped_full_field_reference():
 
 
 def test_norm_series_and_manifest_contents():
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     consts = counterterms_for(F, 2, 0.25)
     spec = SystemSpec(d=2, F=F, Q=_scalar_Q(), renorm=consts)
     cfg = RunConfig(n_space=32, dt=1e-3, t_end=0.02, eps=0.25, seed=4,
@@ -413,7 +413,7 @@ def test_norm_series_and_manifest_contents():
 # ---------------------------------------------------------------------------
 
 def test_counterterms_standard_fhn_2d():
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     K = build_truncated_kernel(2)
     ct = counterterms_for(F, 2, 0.25, kernel=K)
     C1 = mollify_kernel(K, 0.25).squared_integral()
@@ -426,14 +426,14 @@ def test_counterterms_standard_fhn_2d():
 
 def test_counterterms_reject_kernel_of_other_dimension():
     with pytest.raises(ValueError, match="d = 2, not d = 3"):
-        counterterms_for(CubicPolynomial.standard_fhn(), 3, 0.25,
+        counterterms_for(CubicPolynomial("u - u^3 - v", 1), 3, 0.25,
                          kernel=build_truncated_kernel(2))
 
 
 def test_d3_counterterms_compute_only_c1_and_c2(monkeypatch):
     # C(eps) reads C1 and C2 = 2 int K Q0^2 alone: no K^Q_eps is built, and
     # the constants are those of the full kernel_constants call
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     K = build_truncated_kernel(3)
     full = kernel_constants(3, 0.25, kernel=K, full=True)
     gamma2 = tuple(float(F.gamma2(i)) for i in range(1, F.n_channels + 1))
@@ -452,7 +452,7 @@ def test_d3_counterterms_compute_only_c1_and_c2(monkeypatch):
 
 
 def test_renormalised_drift_adds_linear_term():
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     ct = counterterms_for(F, 2, 0.25)
     spec = SystemSpec(d=2, F=F, Q=_scalar_Q(), renorm=ct)
     st = Stepper(spec, 8, 1e-3)
@@ -629,7 +629,7 @@ def test_streamed_forcing_memory_does_not_grow_with_run_length():
 
 
 def test_epsilon_sweep_structure_and_contraction():
-    F = CubicPolynomial.standard_fhn()
+    F = CubicPolynomial("u - u^3 - v", 1)
     spec = SystemSpec(d=2, F=F, Q=_scalar_Q())
     cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=31,
                     record_every=8)
@@ -672,7 +672,7 @@ def test_epsilon_sweep_honours_formulation():
     # the remainder formulation evolves phi = u - chi: the same D to
     # rounding, and the manifest names the formulation that ran (a repeated
     # scale is one pair)
-    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1), Q=_scalar_Q())
     cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=31,
                     record_every=8)
     direct = epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.02)
@@ -688,7 +688,7 @@ def test_epsilon_sweep_honours_formulation():
 
 
 def test_epsilon_sweep_guards_fine_scales():
-    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1), Q=_scalar_Q())
     cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=1)
     with pytest.raises(ValueError):
         # pair partner 2^-5 falls below 2 dx = 2^-4
@@ -698,7 +698,7 @@ def test_epsilon_sweep_guards_fine_scales():
 def test_epsilon_sweep_rejects_rough_exponents():
     # the initial-data exponents are checked by RunConfig.validate, which the
     # sweep runs before any counterterm or noise work
-    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1), Q=_scalar_Q())
     for bad in ({"eta": -2.0 / 3.0}, {"gamma": 1.0}):
         cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=1,
                         **bad)
@@ -715,7 +715,7 @@ def test_epsilon_sweep_rejects_unknown_or_empty_modes(monkeypatch, modes):
         raise AssertionError("noise drawn")
 
     monkeypatch.setattr(solver, "_noise_forcing", no_noise)
-    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1), Q=_scalar_Q())
     cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=1)
     with pytest.raises(ValueError, match="modes"):
         epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.01, modes=modes)
@@ -729,7 +729,7 @@ def test_epsilon_sweep_rejects_bad_t_star(monkeypatch, t_star):
         raise AssertionError("noise drawn")
 
     monkeypatch.setattr(solver, "_noise_forcing", no_noise)
-    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1), Q=_scalar_Q())
     cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=1,
                     noise_amplitude=0.0)
     with pytest.raises(ValueError, match="t_star"):
@@ -738,7 +738,7 @@ def test_epsilon_sweep_rejects_bad_t_star(monkeypatch, t_star):
 
 def test_epsilon_sweep_honours_noise_amplitude():
     # without noise chi vanishes, so the remainder gap is the u gap
-    spec = SystemSpec(d=2, F=CubicPolynomial.standard_fhn(), Q=_scalar_Q())
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1), Q=_scalar_Q())
     cfg = RunConfig(n_space=32, dt=5e-4, t_end=1.0, eps=0.25, seed=31,
                     noise_amplitude=0.0, record_every=8)
     rep = epsilon_sweep(spec, cfg, [2 ** -3], t_star=0.01)
