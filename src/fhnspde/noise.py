@@ -29,7 +29,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 from numpy.random import Philox
 
-from .kernels import MollifierSpec, panel_grid
+from .kernels import _F_BLOCK, MollifierSpec, panel_grid
 
 __all__ = [
     "Lattice",
@@ -329,36 +329,31 @@ def _j0(x) -> np.ndarray:
     return out
 
 
-def _fourier_bessel(k: np.ndarray, r_max: float, d: int,
-                    n_panels: int) -> tuple:
-    """Quadrature for radial transforms on [0, r_max] at magnitudes ``k``.
-
-    int f(|x|) e^{-2 pi i k.x} dx ~= sum_s basis[k, s] * jac[s] * f(s) * w[s]
-    with basis j0(2 pi k s) in d = 2, sinc(2 k s) in d = 3, and radial
-    Jacobian jac = |S^{d-1}| s^{d-1}.  At least ``n_panels`` order-8
-    panels, more when needed to resolve the fastest oscillation present.
-    Returns (s, w, basis, jac).
-    """
-    need = max(n_panels, int(6 * float(np.max(k)) * r_max) + 8)
-    g = panel_grid(list(np.linspace(0.0, r_max, need + 1)), 8)
-    s = g.nodes
-    if d == 2:
-        return s, g.weights, _j0(2.0 * math.pi * np.outer(k, s)), \
-            2.0 * math.pi * s
-    return s, g.weights, np.sinc(2.0 * np.outer(k, s)), \
-        4.0 * math.pi * s ** 2
-
-
 def radial_fourier(fn: Callable, r_max: float, k: np.ndarray,
                    d: int) -> np.ndarray:
     """Transform int f(|x|) e^{-2 pi i k.x} dx of a radial function.
 
-    ``k`` is an array of frequency magnitudes; the quadrature resolves the
-    fastest oscillation present.
+    ``k`` is an array of frequency magnitudes.  The quadrature on [0, r_max]
+    sums basis(k, s) * jac(s) * f(s) * w(s) over its nodes s, with basis
+    j0(2 pi k s) in d = 2, sinc(2 k s) in d = 3, and radial Jacobian
+    jac = |S^{d-1}| s^{d-1}; at least 64 order-8 panels, more when needed
+    to resolve the fastest oscillation present.  One node set serves every
+    k; the basis is evaluated in blocks of rows of k of about ``_F_BLOCK``
+    entries, so it is never held for every k at once.
     """
-    k = np.atleast_1d(np.asarray(k, dtype=float))
-    s, w, basis, jac = _fourier_bessel(k, r_max, d, 64)
-    return (basis * (jac * fn(s) * w)).sum(axis=1)
+    k = np.atleast_1d(np.asarray(k, dtype=float)).ravel()
+    need = max(64, int(6 * float(np.max(k)) * r_max) + 8)
+    g = panel_grid(list(np.linspace(0.0, r_max, need + 1)), 8)
+    s = g.nodes
+    jac = 2.0 * math.pi * s if d == 2 else 4.0 * math.pi * s ** 2
+    weights = jac * fn(s) * g.weights
+    out = np.empty(k.size)
+    rows = max(1, _F_BLOCK // s.size)
+    for lo in range(0, k.size, rows):
+        x = np.outer(k[lo:lo + rows], s)
+        basis = _j0(2.0 * math.pi * x) if d == 2 else np.sinc(2.0 * x)
+        out[lo:lo + rows] = (basis * weights).sum(axis=1)
+    return out
 
 
 def mollifier_transform(spec: MollifierSpec, eps: float,

@@ -10,8 +10,8 @@ solver never loads sympy.  The slow channel is updated exactly per site for
 frozen u via the matrix series
 Phi(dt, A) = sum dt^{m+1} A^m / (m+1)!, which needs no invertibility of A.
 A stochastic-convolution channel chi is co-integrated with the same mode
-weights, so u = chi + phi holds to rounding and remainder norms come for
-free.
+weights, once per mollification scale for all the members at that scale, so
+u = chi + phi holds to rounding and remainder norms come for free.
 
 One engine advances every integration.  Members share one white-noise
 realisation, streamed slice by slice: only the window of spatial transforms
@@ -26,6 +26,7 @@ trajectories.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -243,6 +244,8 @@ def initial_data(d: int, n_space: int, seed: int, eta: float = -0.6,
 class Stepper:
     """Precomputed weights for one (system, grid, dt) combination.
 
+    The lattice, heat weights and 2/3 mask depend on the grid and dt alone:
+    ``for_spec`` gives a stepper for another system that shares them.
     The renormalised drift F + c0 + c1 u + sum_i c2_i v_i is held as float
     coefficients per power of u, read once from the polynomial terms of F
     with the counterterms folded in (c0 and c2_i into the u^0 coefficient,
@@ -250,12 +253,24 @@ class Stepper:
     """
 
     def __init__(self, spec: SystemSpec, n_space: int, dt: float):
-        self.spec = spec
         self.lat = Lattice(d=spec.d, n_space=n_space, n_time=1, t_end=dt)
         self.decay, self.gain = self.lat.heat_weights()
         self.dealias = self.lat.dealias()
+        self._bind(spec)
+
+    def for_spec(self, spec: SystemSpec) -> "Stepper":
+        """A stepper for ``spec`` (of the same dimension) on this one's grid
+        and dt, sharing its lattice, heat weights and mask."""
+        other = copy.copy(self)
+        other._bind(spec)
+        return other
+
+    def _bind(self, spec: SystemSpec) -> None:
+        """The system's own weights: the slow-channel update and the drift
+        table."""
+        self.spec = spec
         A2 = np.asarray(spec.Q.A2, dtype=float)
-        phi = phi_series(dt, A2)
+        phi = phi_series(self.lat.dt, A2)
         # e^{dt A2} = I + A2 Phi(dt, A2)
         self.expA = np.eye(spec.Q.n) + A2 @ phi
         self.phiA1 = phi @ np.asarray(spec.Q.A1, dtype=float)
@@ -365,47 +380,61 @@ def _noise_forcing(d: int, config: RunConfig, steps: int,
     return stream, forcing
 
 
-class _Member:
-    """One integration of the lockstep engine: its stepper and its state.
+class _Chi:
+    """The stochastic convolution chi at one scale, co-integrated with the
+    heat weights from that scale's forcing once per step and read by every
+    member at the scale.  Arrays are replaced, never written in place."""
 
-    w_hat evolves u (direct formulation) or phi = u - chi (remainder);
-    chi_hat co-integrates chi with the same mode weights in both.  State
-    arrays are replaced at every step, never written in place.
+    def __init__(self, st: Stepper, eps: float):
+        self.st, self.eps = st, eps
+        self.hat = np.zeros(st.lat.spectral_shape, complex)
+        self._real = None
+
+    def step(self, f_hat: Optional[np.ndarray]) -> None:
+        if f_hat is not None:
+            self.hat = self.st.decay * self.hat + self.st.gain * f_hat
+            self._real = None
+
+    def real(self) -> np.ndarray:
+        """chi in real space, transformed at most once per step."""
+        if self._real is None:
+            self._real = self.st.to_real(self.hat)
+        return self._real
+
+
+class _Member:
+    """One integration of the lockstep engine: its stepper, its scale's chi
+    and its state.
+
+    w_hat evolves u (direct formulation) or phi = u - chi (remainder).
+    State arrays are replaced at every step, never written in place, so
+    members may start from the same initial arrays.
     """
 
-    def __init__(self, st: Stepper, eps: float, u0: np.ndarray,
+    def __init__(self, st: Stepper, chi: _Chi, u0: np.ndarray,
                  v0: np.ndarray):
-        self.st, self.eps = st, eps
+        self.st, self.chi = st, chi
         self.remainder = st.spec.formulation == "remainder"
-        self.u, self.v = u0.copy(), v0.copy()
+        self.u, self.v = u0, v0
         self.w_hat = st.lat.rfft(u0)
-        self.chi_hat = np.zeros_like(self.w_hat)
-        self._chi = None
-
-    def chi(self) -> np.ndarray:
-        """chi in real space, transformed at most once per step."""
-        if self._chi is None:
-            self._chi = self.st.to_real(self.chi_hat)
-        return self._chi
 
     def failure(self, cutoff: float) -> Optional[str]:
-        # one reduction: max propagates NaN, and inf is not finite either
-        peak = float(np.max(np.abs(self.u)))
+        # two reductions and no |u| copy: max and min propagate NaN, and an
+        # infinity of either sign makes the peak infinite
+        peak = max(float(self.u.max()), -float(self.u.min()))
         if not math.isfinite(peak):
             return "nonfinite"
         return "cutoff-hit" if peak > cutoff else None
 
     def step(self, f_hat: Optional[np.ndarray]) -> None:
+        """One step on its scale's forcing, after its chi's step."""
         st = self.st
         nonlin = st.nonlinearity(self.u, self.v)
         self.w_hat = st.step_u(self.w_hat, nonlin,
                                None if self.remainder else f_hat)
-        if f_hat is not None:
-            self.chi_hat = st.decay * self.chi_hat + st.gain * f_hat
         self.v = st.step_v(self.v, self.u)
-        self._chi = None
         w = st.to_real(self.w_hat)
-        self.u = self.chi() + w if self.remainder else w
+        self.u = self.chi.real() + w if self.remainder else w
 
 
 def _lockstep(members: dict, steps: int, cutoff: float,
@@ -413,9 +442,11 @@ def _lockstep(members: dict, steps: int, cutoff: float,
               ) -> Optional[tuple]:
     """Advance all members through ``steps`` steps on common forcing.
 
+    Each scale's chi steps once, then every member at that scale reads it.
     ``observe(i)`` sees step i once every member has passed the finiteness
     and cutoff check; returns (key, i, reason) for the first that fails.
     """
+    chis = {m.chi.eps: m.chi for m in members.values()}
     for i in range(steps + 1):
         for key, m in members.items():
             reason = m.failure(cutoff)
@@ -425,8 +456,10 @@ def _lockstep(members: dict, steps: int, cutoff: float,
         if i == steps:
             return None
         f_hats = forcing(i) if forcing else {}
+        for e, chi in chis.items():
+            chi.step(f_hats.get(e))
         for m in members.values():
-            m.step(f_hats.get(m.eps))
+            m.step(f_hats.get(m.chi.eps))
         del f_hats      # frees a spent forcing block before the next is built
 
 
@@ -444,7 +477,8 @@ def run(config: RunConfig, spec: SystemSpec) -> RunResult:
     u0, v0 = initial_data(spec.d, config.n_space, config.seed + 1,
                           eta=config.eta, gamma=config.gamma, n_v=spec.Q.n,
                           u0=config.u0, v0=config.v0)
-    m = _Member(Stepper(spec, config.n_space, config.dt), config.eps, u0, v0)
+    st = Stepper(spec, config.n_space, config.dt)
+    m = _Member(st, _Chi(st, config.eps), u0, v0)
 
     snap_idx = {int(round(t / config.dt)): t for t in config.snapshot_times}
     times, snapshots = [], {}
@@ -454,7 +488,7 @@ def run(config: RunConfig, spec: SystemSpec) -> RunResult:
     def observe(i: int) -> None:
         if i % config.record_every and i != steps and i not in snap_idx:
             return
-        chi = m.chi()
+        chi = m.chi.real()
         phi = m.u - chi
         times.append(i * config.dt)
         vals = _norm_pair(m.u) + _norm_pair(m.v) + _norm_pair(phi)
@@ -558,23 +592,25 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
     d = spec.d
     replace(config, eps=min(scales)).validate(d, spec.Q.n)
     steps = int(round(t_star / config.dt))
-    stream, forcing = _noise_forcing(d, config, steps, scales)
-
+    # the kernel's set-up transients come and go before the noise window
     constants = {}
     if "renormalised" in modes:
         K = build_truncated_kernel(d)
         constants = {e: counterterms_for(spec.F, d, e, kernel=K)
                      for e in scales}
+    stream, forcing = _noise_forcing(d, config, steps, scales)
     u0, v0 = initial_data(d, config.n_space, config.seed + 1, eta=config.eta,
                           gamma=config.gamma, n_v=spec.Q.n,
                           u0=config.u0, v0=config.v0)
+    # one set of grid weights and one chi per scale, shared by the members
+    st = Stepper(spec, config.n_space, config.dt)
+    chis = {e: _Chi(st, e) for e in scales}
     members = {}
     for mode in modes:
         for e in scales:
             renorm = constants[e] if mode == "renormalised" else None
-            st = Stepper(replace(spec, renorm=renorm), config.n_space,
-                         config.dt)
-            members[(mode, e)] = _Member(st, e, u0, v0)
+            members[(mode, e)] = _Member(
+                st.for_spec(replace(spec, renorm=renorm)), chis[e], u0, v0)
 
     pairs = {(mode, e, e / 2): (members[(mode, e)], members[(mode, e / 2)])
              for mode in modes for e in eps_list}
@@ -601,7 +637,7 @@ def epsilon_sweep(spec: SystemSpec, config: RunConfig,
         D[mode]["u"].append(_norm_pair(sa.u - sb.u))
         D[mode]["v"].append(_norm_pair(sa.v - sb.v))
         D[mode]["phi"].append(_norm_pair(
-            (sa.u - sa.chi()) - (sb.u - sb.chi())))
+            (sa.u - sa.chi.real()) - (sb.u - sb.chi.real())))
     contraction = {"q_l1": spec.Q.l1_norm(), "pairs": {
         k: {"max_ratio": r} for k, r in max_ratio.items()}}
     manifest = {

@@ -12,7 +12,9 @@ from the module named above each section:
 * chi = K_eps * xi by lag-summed Fourier multiplication, its exact lattice
   covariance and the Wick powers it centres (noise) -- the K-based
   stochastic convolution acceptance 7 certifies; the engine's chi is the
-  solver's exact per-mode step.
+  solver's exact per-mode step;
+* the whole-basis Fourier-Bessel quadrature and the mollifier transform
+  evaluated with it (noise), which the package evaluates in row blocks.
 """
 
 from __future__ import annotations
@@ -31,8 +33,9 @@ from fhnspde.kernels import (
     _mollify,
     _resolution,
     heat_kernel,
+    panel_grid,
 )
-from fhnspde.noise import Field, Lattice, NoiseField, _fourier_bessel
+from fhnspde.noise import Field, Lattice, NoiseField, _j0
 from fhnspde.renorm import Combo, _extract, _pattern_sig
 from fhnspde.symbols import (
     _EXT,
@@ -204,6 +207,37 @@ def g_eps_squared(d: int, eps: float, rho: Optional[MollifierSpec] = None,
 # ---------------------------------------------------------------------------
 # noise: the K-based stochastic convolution and Wick powers
 # ---------------------------------------------------------------------------
+
+def _fourier_bessel(k: np.ndarray, r_max: float, d: int,
+                    n_panels: int) -> tuple:
+    """Quadrature for radial transforms on [0, r_max] at magnitudes ``k``.
+
+    int f(|x|) e^{-2 pi i k.x} dx ~= sum_s basis[k, s] * jac[s] * f(s) * w[s]
+    with basis j0(2 pi k s) in d = 2, sinc(2 k s) in d = 3, and radial
+    Jacobian jac = |S^{d-1}| s^{d-1}.  At least ``n_panels`` order-8
+    panels, more when needed to resolve the fastest oscillation present.
+    Returns (s, w, basis, jac).
+    """
+    need = max(n_panels, int(6 * float(np.max(k)) * r_max) + 8)
+    g = panel_grid(list(np.linspace(0.0, r_max, need + 1)), 8)
+    s = g.nodes
+    if d == 2:
+        return s, g.weights, _j0(2.0 * math.pi * np.outer(k, s)), \
+            2.0 * math.pi * s
+    return s, g.weights, np.sinc(2.0 * np.outer(k, s)), \
+        4.0 * math.pi * s ** 2
+
+
+def whole_basis_mollifier_transform(spec: MollifierSpec, eps: float,
+                                    k_mags: np.ndarray) -> np.ndarray:
+    """``noise.mollifier_transform`` with the (distinct |eps k|) x (radial
+    nodes) basis evaluated at once, as one matrix."""
+    mags = eps * k_mags
+    uniq, inverse = np.unique(np.round(mags.ravel(), 9), return_inverse=True)
+    s, w, basis, jac = _fourier_bessel(uniq, spec.x_radius, spec.d, 64)
+    return (basis * (jac * spec.x_profile(s) * w)).sum(
+        axis=1)[inverse].reshape(mags.shape)
+
 
 def kernel_slice_transforms(kernel: MollifiedKernel, lattice: Lattice
                             ) -> tuple[np.ndarray, np.ndarray]:

@@ -6,6 +6,7 @@ sizes are chosen so systematic discretisation bias stays below one SE.
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from reference import (
     kernel_slice_transforms,
     lattice_chi_constant,
     lattice_covariance,
+    whole_basis_mollifier_transform,
     wick_cube,
     wick_square,
 )
@@ -221,6 +223,42 @@ def test_radial_fourier_truncated_gaussian(d):
     got = radial_fourier(gauss, 10 * sigma, k, d)
     want = np.exp(-2 * math.pi ** 2 * sigma ** 2 * k ** 2)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["bump", "gauss"])
+@pytest.mark.parametrize("d, n_space", [(2, 128), (3, 64)])
+def test_blocked_mollifier_transform_equals_whole_basis(d, n_space, kind,
+                                                        monkeypatch):
+    # the basis is evaluated a block of rows of k at a time; every row's
+    # sum is the one the whole (distinct |eps k|) x (nodes) matrix gives
+    k = Lattice(d=d, n_space=n_space, n_time=1, t_end=1.0).k_magnitudes()
+    spec = MollifierSpec(d, kind)
+    calls = []
+    j0 = noise._j0
+    monkeypatch.setattr(noise, "_j0", lambda x: calls.append(1) or j0(x))
+    blocks = []
+    for eps in (2 ** -2, 2 ** -3, 2 ** -4, 2 ** -5):
+        calls.clear()
+        np.testing.assert_array_equal(
+            mollifier_transform(spec, eps, k),
+            whole_basis_mollifier_transform(spec, eps, k))
+        blocks.append(len(calls))
+    if d == 2:
+        # the 1621 distinct |eps k| at 128^2 and eps = 1/4 span many blocks
+        assert blocks[0] > 1
+
+
+def test_mollifier_transform_memory_is_one_block():
+    # the whole basis at 256^2 and eps = 1/4 is 5924 magnitudes x 1144
+    # nodes, 54 MB per temporary and a 516 MB peak; a block is far smaller
+    k = Lattice(d=2, n_space=256, n_time=1, t_end=1.0).k_magnitudes()
+    tracemalloc.start()
+    try:
+        mollifier_transform(MollifierSpec(2), 0.25, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,7 @@ def test_cutoff_triggers_immediately_for_tiny_threshold():
     (lambda x, y: 1e120 + 0 * x, 1e-3),     # u^3 overflows: NaN after a step
     (lambda x, y: np.where(x + y == 0, np.inf, 0.0), 0.0),
     (lambda x, y: np.where(x + y == 0, np.nan, 0.0), 0.0),
+    (lambda x, y: np.where(x + y == 0, -np.inf, 0.0), 0.0),
 ])
 def test_nonfinite_field_ends_the_run(u0, t_star):
     # not a cutoff hit: the cutoff is finite but no finite field reaches it
@@ -626,6 +627,72 @@ def test_streamed_forcing_memory_does_not_grow_with_run_length():
     short, long = peak(200), peak(400)
     # the whole complex history of the long run alone is 3.6 MB
     assert long < 1.1 * short < 1e6, (short, long)
+
+
+@pytest.mark.parametrize("n_space", [64, 128])
+def test_short_sweep_memory_matches_closed_form_count(n_space):
+    # a sweep holds its noise window (min(n_time, (2 half + 8) 9/8)
+    # slices), u, v and w_hat per member, one chi_hat per scale and one
+    # block of 8 forcing steps per scale; no set-up transient (mollifier
+    # transform, kernel constants) and no per-member copy of the shared
+    # arrays may lift the peak above that
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1), Q=_scalar_Q())
+    dt, t_star, eps_list = 1e-4, 2e-3, [2 ** -2, 2 ** -3, 2 ** -4]
+    cfg = RunConfig(n_space=n_space, dt=dt, t_end=t_star, eps=0.25, seed=4)
+    scales = {e for e in eps_list} | {e / 2 for e in eps_list}
+    mspec = MollifierSpec(2)
+    half = max((len(_temporal_weights(mspec, e, dt)) - 1) // 2
+               for e in scales)
+    n_time = round(t_star / dt) + 2 \
+        + math.ceil(mspec.t_halfwidth * max(scales) ** 2 / dt)
+    width = 2 * half + _FIR_BLOCK
+    members = 2 * len(scales)
+    spectral = 16 * n_space * (n_space // 2 + 1)
+    count = (min(n_time, width + width // 8) + members
+             + len(scales) * (1 + _FIR_BLOCK)) * spectral \
+        + members * 2 * 8 * n_space ** 2
+    tracemalloc.start()
+    try:
+        epsilon_sweep(spec, cfg, eps_list, t_star=t_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(peak / count - 1) < 0.1, (peak, count)
+
+
+@pytest.mark.parametrize("formulation", ["direct", "remainder"])
+def test_sweep_integrates_one_chi_per_scale(monkeypatch, formulation):
+    # the members at one scale read one chi_hat, which steps once; chi is
+    # transformed once per scale and step in the remainder formulation,
+    # and once per scale for the final D_phi in the direct one
+    seen = {}
+    lockstep = solver._lockstep
+
+    def spy(members, *args):
+        seen.update(members)
+        return lockstep(members, *args)
+
+    calls = []
+    to_real = Stepper.to_real
+    monkeypatch.setattr(solver, "_lockstep", spy)
+    monkeypatch.setattr(Stepper, "to_real",
+                        lambda self, x: calls.append(1) or to_real(self, x))
+    spec = SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1),
+                      Q=_scalar_Q(), formulation=formulation)
+    steps, scales = 6, (2 ** -2, 2 ** -3)
+    cfg = RunConfig(n_space=16, dt=1e-3, t_end=1.0, eps=0.25, seed=3)
+    epsilon_sweep(spec, cfg, [2 ** -2], t_star=steps * cfg.dt)
+    assert len(seen) == 4
+    for e in scales:
+        a, b = seen[("renormalised", e)], seen[("unrenormalised", e)]
+        assert a.chi is b.chi and a.chi.eps == e
+        assert a.st is not b.st and a.st.decay is b.st.decay
+    assert seen[("renormalised", scales[0])].chi \
+        is not seen[("renormalised", scales[1])].chi
+    # every member transforms its own w_hat once per step
+    want = steps * (len(seen) + len(scales)) if formulation == "remainder" \
+        else steps * len(seen) + len(scales)
+    assert len(calls) == want
 
 
 def test_epsilon_sweep_structure_and_contraction():
