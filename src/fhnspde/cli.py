@@ -194,60 +194,61 @@ def _channel_count(text: str) -> int:
     return n
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in text.replace(",", " ").split())
+
+
 def _matrix(text: str) -> tuple[tuple[float, ...], ...]:
-    rows = [r for r in text.replace(",", " ").split(";") if r.strip()]
-    return tuple(tuple(float(x) for x in r.split()) for r in rows)
+    return tuple(_floats(r) for r in text.split(";") if r.strip())
+
+
+def _given(cp: configparser.ConfigParser, section: str, *keys) -> dict:
+    """{field: read(value)} for each (key, field, read) that ``section``
+    sets: a key left out leaves its field to the field's own default."""
+    sec = cp[section] if cp.has_section(section) else {}
+    return {name: read(sec[key]) for key, name, read in keys if key in sec}
 
 
 def load_config(path: str) -> tuple[SystemSpec, RunConfig, dict]:
-    """INI sections [grid], [system], [noise], [renorm], [output], [sweep]."""
+    """INI sections [grid], [system], [noise], [renorm], [output], [sweep];
+    a key left out takes the default of the ``RunConfig``, ``QSpec`` or
+    ``SystemSpec`` field, or the ``epsilon_sweep`` argument, that it sets."""
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
-    if not read:
+    if not cp.read(path):
         raise UsageError(f"config file {path!r} not found")
     try:
         grid = cp["grid"]
         system = cp["system"]
         noise_sec = cp["noise"] if cp.has_section("noise") else {}
-        out_sec = cp["output"] if cp.has_section("output") else {}
 
         d = int(system.get("dim", "2"))
-        n_channels = int(system.get("channels", "1"))
-        F = parse_nonlinearity(system.get("F", "u - u^3 - v"), n_channels)
-        A1 = tuple(float(x) for x in
-                   system.get("A1", "1.0").replace(",", " ").split())
-        A2 = _matrix(system.get("A2", "-1.0"))
-        Q = QSpec(A1=A1, A2=A2, T=float(system.get("taper", "0.5")))
-        formulation = system.get("formulation", "direct")
-
-        eps = float(noise_sec.get("eps", "0.25"))
-        seed = int(noise_sec.get("seed", "0"))
-        amplitude = float(noise_sec.get("amplitude", "1.0"))
+        F = parse_nonlinearity(system.get("F", "u - u^3 - v"), **_given(
+            cp, "system", ("channels", "n_channels", int)))
+        Q = QSpec(A1=_floats(system.get("A1", "1.0")),
+                  A2=_matrix(system.get("A2", "-1.0")),
+                  **_given(cp, "system", ("taper", "T", float)))
 
         renorm_on = cp.getboolean("renorm", "enabled", fallback=True)
 
-        snap = tuple(float(x) for x in
-                     out_sec.get("snapshots", "").split()) if out_sec else ()
         config = RunConfig(
             n_space=int(grid.get("n_space", "128" if d == 2 else "32")),
             dt=float(grid.get("dt", "1e-4")),
             t_end=float(grid.get("t_end", "0.1")),
-            eps=eps, seed=seed,
-            cutoff=float(system.get("cutoff", "1e3")),
-            eta=float(system.get("eta", "-0.6")),
-            gamma=float(system.get("gamma", "1.5")),
-            noise_amplitude=amplitude,
-            record_every=int(out_sec.get("record_every", "10")) if out_sec
-            else 10,
-            snapshot_times=snap,
+            eps=float(noise_sec.get("eps", "0.25")),
+            seed=int(noise_sec.get("seed", "0")),
+            **_given(cp, "system", ("cutoff", "cutoff", float),
+                     ("eta", "eta", float), ("gamma", "gamma", float)),
+            **_given(cp, "noise", ("amplitude", "noise_amplitude", float)),
+            **_given(cp, "output", ("record_every", "record_every", int),
+                     ("snapshots", "snapshot_times", _floats)),
         )
         sweep = {}
         if cp.has_section("sweep"):
-            sweep = {
-                "eps_list": _parse_eps_list(cp["sweep"].get("eps_list", "")),
-                "t_star": float(cp["sweep"].get("t_star", "0.1")),
-            }
-        spec = SystemSpec(d=d, F=F, Q=Q, renorm=None, formulation=formulation)
+            sweep = _given(cp, "sweep", ("t_star", "t_star", float))
+            sweep["eps_list"] = _parse_eps_list(cp["sweep"].get("eps_list",
+                                                                ""))
+        spec = SystemSpec(d=d, F=F, Q=Q, **_given(
+            cp, "system", ("formulation", "formulation", str)))
         return spec, config, {"renorm_on": renorm_on, "sweep": sweep}
     except (KeyError, ValueError) as exc:
         if isinstance(exc, UsageError):
@@ -472,8 +473,7 @@ def cmd_converge(args) -> int:
     rd = RunDir("converge", seed=config.seed)
     modes = ("renormalised", "unrenormalised") if extra["renorm_on"] \
         else ("unrenormalised",)
-    rep = epsilon_sweep(spec, config, sweep["eps_list"],
-                        t_star=sweep.get("t_star", 0.1), modes=modes)
+    rep = epsilon_sweep(spec, config, modes=modes, **sweep)
     rows = []
     for mode in rep.D:
         for ch in ("u", "v", "phi"):

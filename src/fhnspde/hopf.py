@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional
 
 from .symbols import (
     ONE,
@@ -161,9 +161,8 @@ class TensorSum(Linear):
         return f"<TensorSum {self.text()}>"
 
 
-def _tensor(left: Symbol, right: PlusElem = PLUS_ONE,
-            c: Union[int, Fraction] = 1) -> TensorSum:
-    return TensorSum({(left, right): Fraction(c)})
+def _tensor(left: Symbol) -> TensorSum:
+    return TensorSum({(left, PLUS_ONE): Fraction(1)})
 
 
 # ---------------------------------------------------------------------------

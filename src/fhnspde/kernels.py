@@ -24,7 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -331,20 +331,14 @@ class MollifierSpec:
 
     d: int
     kind: str = "bump"
-    gauss_sigma_t: float = 0.05
-    gauss_sigma_x: float = 0.09
+    gauss_sigma_t: ClassVar[float] = 0.05
+    gauss_sigma_x: ClassVar[float] = 0.09
+    t_halfwidth: ClassVar[float] = 0.25
+    x_radius: ClassVar[float] = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in ("bump", "gauss"):
             raise ValueError(f"unknown mollifier kind {self.kind!r}")
-
-    @property
-    def t_halfwidth(self) -> float:
-        return 0.25
-
-    @property
-    def x_radius(self) -> float:
-        return 0.5
 
     def t_profile(self, tau) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
@@ -402,8 +396,8 @@ class TruncatedKernel:
     """
 
     d: int
-    inner: float = 0.5
-    outer: float = 1.0
+    inner: ClassVar[float] = 0.5
+    outer: ClassVar[float] = 1.0
     bump_coeffs: tuple[float, ...] = ()
     moment_residuals: tuple[float, ...] = ()
 
@@ -457,16 +451,17 @@ def _moment_monomials() -> list[Callable]:
             lambda t, r: t + 0 * r, lambda t, r: np.square(r) + 0 * t]
 
 
-def _insert_edges(edges, points, eps: float = 1e-12) -> np.ndarray:
+def _insert_edges(edges, points) -> np.ndarray:
     """Panel edges with break points added, row by row.
 
     ``edges`` (..., n) are sorted rows, padded with inf; the columns of
     ``points`` (..., k) are radii of limited integrand smoothness.  In
-    column order, a point joins its row when it lies more than eps above
-    the row's first edge and below the last edge added (the row's top edge
-    for the first column), and more than eps from every edge.  Returns the
-    rows sorted, with inf in place of each point not added.
+    column order, a point joins its row when it lies more than eps = 1e-12
+    above the row's first edge and below the last edge added (the row's
+    top edge for the first column), and more than eps from every edge.
+    Returns the rows sorted, with inf in place of each point not added.
     """
+    eps = 1e-12
     edges = np.asarray(edges, dtype=float)
     last = np.max(edges, axis=-1, where=np.isfinite(edges), initial=-np.inf)
     for p in np.moveaxis(np.asarray(points, dtype=float), -1, 0):
@@ -508,16 +503,16 @@ def kernel_moments(kernel: TruncatedKernel, order: int = 9,
     an independent estimate of the continuum moments.
     """
     monos = _moment_monomials()
-    table = _kernel_moments(lambda t, r: [kernel(t, r)], kernel.d,
-                            kernel.outer, monos, order, t_min, ratio, n_core,
-                            kernel.inner)
+    table = _kernel_moments(lambda t, r: [kernel(t, r)], kernel.d, monos,
+                            order, t_min, ratio, n_core)
     return tuple(float(v) for v in table[0])
 
 
-def _kernel_moments(funcs: Callable, d: int, outer: float,
-                    monos: Sequence[Callable], order: int, t_min: float,
-                    ratio: float, n_core: int, inner: float) -> np.ndarray:
-    """(n_funcs, n_monos) moments of the functions ``funcs(t, r)`` returns.
+def _kernel_moments(funcs: Callable, d: int, monos: Sequence[Callable],
+                    order: int, t_min: float, ratio: float,
+                    n_core: int) -> np.ndarray:
+    """(n_funcs, n_monos) moments of the functions ``funcs(t, r)`` returns
+    over the support of :class:`TruncatedKernel`.
 
     A row-wise quadrature: Gauss-Legendre panels in t, and for each t row
     the radial panels of :func:`_row_r_edges`.  Rows with the same panel
@@ -528,10 +523,10 @@ def _kernel_moments(funcs: Callable, d: int, outer: float,
     and the rows are added in t order, so the result does not depend on
     the grouping.
     """
+    inner, outer = TruncatedKernel.inner, TruncatedKernel.outer
     t_edges = _insert_edges(geometric_edges(0.0, outer, t_min, ratio), [inner])
     tg = panel_grid(t_edges[np.isfinite(t_edges)], order)
-    edges = _row_r_edges(tg.nodes, math.sqrt(outer), n_core, 6,
-                         (inner, outer))
+    edges = _row_r_edges(tg.nodes, math.sqrt(outer), n_core, 6, (inner, outer))
     n_edges = np.isfinite(edges).sum(axis=-1)
     table = None
     # the counts present, sorted (np.unique would import numpy.ma)
@@ -556,21 +551,20 @@ def _kernel_moments(funcs: Callable, d: int, outer: float,
     return out
 
 
-def build_truncated_kernel(d: int, inner: float = 0.5, outer: float = 1.0,
-                           tol: float = 1e-6) -> TruncatedKernel:
+def build_truncated_kernel(d: int, tol: float = 1e-6) -> TruncatedKernel:
     """Solve the annulus-correction weights for exactly vanishing moments.
 
     Raises :class:`KernelConstructionError` when the achieved residuals
     exceed ``tol``.
     """
-    raw = TruncatedKernel(d=d, inner=inner, outer=outer)
+    raw = TruncatedKernel(d=d)
     monos = _moment_monomials()
 
     def rows(t, r):
         base = heat_kernel(t, r, d) * raw.cutoff(np.square(r) + np.abs(t))
         return [base] + raw._bump_shapes(t, r)
 
-    table = _kernel_moments(rows, d, outer, monos, 10, 1e-9, 1.8, 6, inner)
+    table = _kernel_moments(rows, d, monos, 10, 1e-9, 1.8, 6)
     g, A = table[0], table[1:].T
     coeffs = np.linalg.solve(A, -g)
     kernel = replace(raw, bump_coeffs=tuple(coeffs))
@@ -781,11 +775,10 @@ def _mollify(fn: Callable, d: int, eps: float, rho: MollifierSpec,
 
 
 def mollify_kernel(kernel: TruncatedKernel, eps: float,
-                   rho: Optional[MollifierSpec] = None,
                    level: int = 0) -> MollifiedKernel:
-    """K_eps = K * rho_eps by a t pass then a radial x pass on graded grids
-    of accuracy ``level``."""
-    rho = rho or MollifierSpec(kernel.d)
+    """K_eps = K * rho_eps, rho the bump mollifier, by a t pass then a
+    radial x pass on graded grids of accuracy ``level``."""
+    rho = MollifierSpec(kernel.d)
     return _mollify(kernel, kernel.d, eps, rho, _resolution(level),
                     kernel.outer + rho.t_halfwidth * eps ** 2,
                     math.sqrt(kernel.outer) + rho.x_radius * eps)
@@ -803,8 +796,9 @@ def smooth_taper(s, T: float) -> np.ndarray:
     return np.where(s < 0, 0.0, 1.0 - step)
 
 
-def phi_series(dt: float, A: np.ndarray, tol: float = 1e-16) -> np.ndarray:
-    """Phi(dt, A) = sum_{m>=0} dt^{m+1} A^m / (m+1)!  (works for singular A).
+def phi_series(dt: float, A: np.ndarray) -> np.ndarray:
+    """Phi(dt, A) = sum_{m>=0} dt^{m+1} A^m / (m+1)!  (works for singular A),
+    summed until a term falls to 1e-16 of the sum.
 
     e^{dt A} = I + A Phi(dt, A) is the package's one matrix exponential.
     """
@@ -814,13 +808,13 @@ def phi_series(dt: float, A: np.ndarray, tol: float = 1e-16) -> np.ndarray:
     for m in range(1, 200):
         term = term @ (dt * A) / (m + 1)
         out += term
-        if np.max(np.abs(term)) <= tol * max(np.max(np.abs(out)), 1e-300):
+        if np.max(np.abs(term)) <= 1e-16 * max(np.max(np.abs(out)), 1e-300):
             break
     return out
 
 
 def matrix_weight(A1: np.ndarray, A2: np.ndarray, channel: int,
-                  T: float = 0.5) -> Callable[[np.ndarray], np.ndarray]:
+                  T: float) -> Callable[[np.ndarray], np.ndarray]:
     """Channel weight Q_i(s) = (e^{s A2} A1)_i, tapered at 2T.
 
     ``A1`` is the (n,) coupling of the fast variable into the slow channels,
@@ -855,7 +849,13 @@ def matrix_weight(A1: np.ndarray, A2: np.ndarray, channel: int,
     return Q
 
 
-def kq_exact(kernel: TruncatedKernel, Q: Callable, T: float = 0.5
+# the reference slow channel dv = (u - v) dt of the constants and the
+# certificates: Q(s) = e^-s, tapered from T to 2T
+_T_REF = 0.5
+_Q_REF = matrix_weight([1.0], [[-1.0]], 0, _T_REF)
+
+
+def kq_exact(kernel: TruncatedKernel, Q: Callable, T: float
              ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """Unmollified K^Q(t, r) = int_0^{2T} Q(s) K(t - s, r) ds, pointwise.
 
@@ -883,7 +883,7 @@ def kq_exact(kernel: TruncatedKernel, Q: Callable, T: float = 0.5
     return KQ
 
 
-def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = 0.5,
+def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = _T_REF,
               level: int = 0) -> MollifiedKernel:
     """K^Q_eps(t, x) = int_0^{2T} Q(s) K_eps(t - s, x) ds on the same r grid,
     with t panels of accuracy ``level``.
@@ -1032,13 +1032,11 @@ def _support_quadrature(kernel: TruncatedKernel, eps: float, level: int
 
 def kernel_constants(d: int, eps: float,
                      kernel: Optional[TruncatedKernel] = None,
-                     rho: Optional[MollifierSpec] = None,
-                     Q: Optional[Callable] = None,
-                     T: float = 0.5,
                      level: int = 0,
                      full: Optional[bool] = None,
                      estimate_errors: bool = False) -> KernelConstants:
-    """Compute the renormalisation constants at scale eps.
+    """Compute the renormalisation constants at scale eps, for the bump
+    mollifier and the reference slow weight Q(s) = e^-s.
 
     ``full`` (default: d == 3) adds the correlation functions on the kernel
     support and the integrals C2 and Iij; otherwise only C1 and the origin
@@ -1051,12 +1049,10 @@ def kernel_constants(d: int, eps: float,
     times the plain call (about 5x in d = 3 at eps = 2^-6).
     """
     kernel = kernel or build_truncated_kernel(d)
-    rho = rho or MollifierSpec(d)
-    Q = Q or matrix_weight([1.0], [[-1.0]], 0, T)
     full = d == 3 if full is None else full
 
-    keps = mollify_kernel(kernel, eps, rho, level)
-    kq = kq_kernel(keps, Q, T, level)
+    keps = mollify_kernel(kernel, eps, level=level)
+    kq = kq_kernel(keps, _Q_REF, level=level)
     C1 = keps.squared_integral()
     t_out = r_out = np.zeros(1)
     if full:
@@ -1078,7 +1074,7 @@ def kernel_constants(d: int, eps: float,
     out = KernelConstants(d=d, eps=eps, C1=C1, Q1_0=Q1_0, Q2_0=Q2_0,
                           C2=C2, I=I)
     if estimate_errors:
-        fine = kernel_constants(d, eps, kernel, rho, Q, T, level + 1, full)
+        fine = kernel_constants(d, eps, kernel, level + 1, full)
         out.errors = {"C1": abs(C1 - fine.C1),
                       "Q1_0": abs(Q1_0 - fine.Q1_0),
                       "Q2_0": abs(Q2_0 - fine.Q2_0)}
@@ -1179,19 +1175,20 @@ def _trend(eps: Sequence[float], ratios: Sequence[float]) -> float:
     return float(np.polyfit(np.log(1.0 / e[pos]), np.log(r[pos]), 1)[0])
 
 
-def _shell_samples(eps_min: float, n_lam: int = 24,
-                   n_ang: int = 7) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic parabolic-shell sample set covering the kernel support."""
-    lam = np.exp(np.linspace(math.log(eps_min / 8.0), math.log(1.2), n_lam))
-    ang = np.linspace(0.02, 0.98, n_ang)
+def _shell_samples(eps_min: float) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic parabolic-shell sample set covering the kernel support:
+    24 radii by 7 angles."""
+    lam = np.exp(np.linspace(math.log(eps_min / 8.0), math.log(1.2), 24))
+    ang = np.linspace(0.02, 0.98, 7)
     L, A = np.meshgrid(lam, ang, indexing="ij")
     return (L ** 2 * A).ravel(), (L * np.sqrt(1.0 - A)).ravel()
 
 
 def verify_appendix_bounds(d: int, eps_list: Sequence[float],
-                           T: float = 0.5, theta: float = 0.25,
+                           theta: float = 0.25,
                            trend_tol: float = 0.1) -> list[BoundCheck]:
-    """Ratio tables for the kernel estimates behind the constants.
+    """Ratio tables for the kernel estimates behind the constants, for the
+    bump mollifier and the reference slow weight of :func:`kernel_constants`.
 
     Verified shapes: the pointwise growth |K_eps| <= A (|z|_s + eps)^-d;
     the square-integral rate (eps * int K_eps^2 bounded in d = 3, the
@@ -1211,8 +1208,7 @@ def verify_appendix_bounds(d: int, eps_list: Sequence[float],
     if len(set(float(e) for e in eps_list)) < 2:
         raise ValueError("a trend needs at least two distinct scales")
     kernel = build_truncated_kernel(d)
-    rho = MollifierSpec(d)
-    Q = matrix_weight([1.0], [[-1.0]], 0, T)
+    Q, T = _Q_REF, _T_REF
     eps_list = sorted((float(e) for e in eps_list), reverse=True)
     KQ0 = kq_exact(kernel, Q, T)
 
@@ -1224,7 +1220,7 @@ def verify_appendix_bounds(d: int, eps_list: Sequence[float],
     TS, XS = np.meshgrid(ts, xs, indexing="ij")
     kq_ref = KQ0(TS, XS)
     for eps in eps_list:
-        keps = mollify_kernel(kernel, eps, rho)
+        keps = mollify_kernel(kernel, eps)
         kq = kq_kernel(keps, Q, T)
         t, r = _shell_samples(eps)
         lam = np.sqrt(r ** 2 + np.abs(t))
@@ -1234,8 +1230,8 @@ def verify_appendix_bounds(d: int, eps_list: Sequence[float],
         kqsq_r.append(kq.squared_integral())
         # certify only differences resolvable above the grid error, estimated
         # pointwise from a level -1 rerun -- else eps^-theta amplifies noise
-        kq_coarse = kq_kernel(mollify_kernel(kernel, eps, rho, level=-1), Q,
-                              T, level=-1)
+        kq_coarse = kq_kernel(mollify_kernel(kernel, eps, level=-1), Q, T,
+                              level=-1)
         kq_vals = kq(TS, XS)
         noise = np.abs(kq_vals - kq_coarse(TS, XS)) + 1e-12
         diff = np.abs(kq_ref - kq_vals)

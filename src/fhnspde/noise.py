@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 from numpy.random import Philox
@@ -148,11 +148,11 @@ class NoiseField:
     lattice: Lattice
     values: np.ndarray
     seed: int
-    generator_id: str = GENERATOR_ID
+    generator_id: ClassVar[str] = GENERATOR_ID
 
     def checksum(self) -> str:
         return _checksum(hashlib.sha256(), [self.values], self.lattice,
-                         self.seed, self.generator_id)
+                         self.seed)
 
 
 @dataclass(frozen=True)
@@ -221,14 +221,13 @@ def sample_white_noise(lattice: Lattice, seed: int) -> NoiseField:
     return NoiseField(lattice=lattice, values=vals, seed=seed)
 
 
-def _checksum(sha, slices, lattice: Lattice, seed: int,
-              generator_id: str = GENERATOR_ID) -> str:
+def _checksum(sha, slices, lattice: Lattice, seed: int) -> str:
     """The noise checksum: sha256 over the values as little-endian float64
     in time order (``sha`` has hashed the slices before ``slices``), then
     over (shape, seed, generator)."""
     for xi in slices:
         sha.update(np.ascontiguousarray(xi, dtype="<f8"))
-    sha.update(json.dumps([lattice.shape, seed, generator_id]).encode())
+    sha.update(json.dumps([lattice.shape, seed, GENERATOR_ID]).encode())
     return sha.hexdigest()
 
 

@@ -41,7 +41,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .symbols import (
     ONE,
@@ -49,7 +49,6 @@ from .symbols import (
     Linear,
     Symbol,
     _symbol_product,
-    display_name,
     ext,
     homogeneity,
     integral,
@@ -135,30 +134,6 @@ class Combo(Linear):
         keys = set(self.terms) | set(other.terms)
         return all(sympy.expand(self.coeff(k) - other.coeff(k)) == 0
                    for k in keys)
-
-    def __iter__(self) -> Iterator[tuple[Symbol, sympy.Expr]]:
-        return iter(sorted(self.terms.items(),
-                           key=lambda t: t[0].sort_key()))
-
-    def text(self) -> str:
-        parts = []
-        for sym, c in self:
-            name = display_name(sym)
-            if c == 1:
-                parts.append(name)
-            elif c == -1:
-                parts.append(f"-{name}")
-            else:
-                cs = str(c)
-                if c.is_Add:
-                    cs = f"({cs})"
-                parts.append(f"{cs}*{name}")
-        if not parts:
-            return "0"
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"<Combo {self.text()}>"
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +511,7 @@ class CubicPolynomial:
     """
 
     terms: tuple
-    n_channels: int = 1
+    n_channels: int
 
     def __init__(self, F: object, n_channels: int = 1) -> None:
         if n_channels < 0:

@@ -211,8 +211,9 @@ def _random_field(lat: Lattice, seed: int, exponent: float) -> np.ndarray:
     return lat.irfft(lat.rfft(w) * sig * n ** (d / 2.0))
 
 
-def initial_data(d: int, n_space: int, seed: int, eta: float = -0.6,
-                 gamma: float = 1.5, n_v: int = 1,
+def initial_data(d: int, n_space: int, seed: int,
+                 eta: float = RunConfig.eta, gamma: float = RunConfig.gamma,
+                 n_v: int = 1,
                  u0: Optional[Callable] = None,
                  v0: Optional[Callable] = None
                  ) -> tuple[np.ndarray, np.ndarray]:

@@ -1,6 +1,8 @@
 """Command-line layer: grammar, exit codes, run directories."""
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import math
 from fractions import Fraction
@@ -19,6 +21,8 @@ from fhnspde.cli import (
     parse_symbol_expr,
 )
 from fhnspde.hopf import coproduct
+from fhnspde.renorm import CubicPolynomial
+from fhnspde.solver import QSpec, RunConfig, SystemSpec, epsilon_sweep
 from fhnspde.symbols import (
     ONE,
     XI,
@@ -435,6 +439,82 @@ def test_load_config_round_trip(config_file):
     assert config.n_space == 16 and config.eps == 0.25
     assert extra["renorm_on"] is True
     assert extra["sweep"]["eps_list"] == [0.25]
+
+
+def test_load_config_leaves_unset_keys_to_the_defaults(tmp_path):
+    # a key the file leaves out is not passed, so the dataclass field or
+    # epsilon_sweep parameter it would set keeps its own default
+    p = tmp_path / "min.cfg"
+    p.write_text("[grid]\n[system]\n[sweep]\neps_list = 2^-2\n")
+    spec, config, extra = load_config(str(p))
+    assert config == RunConfig(n_space=128, dt=1e-4, t_end=0.1, eps=0.25,
+                               seed=0)
+    assert spec == SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v"),
+                              Q=QSpec(A1=(1.0,), A2=((-1.0,),)))
+    assert extra == {"renorm_on": True, "sweep": {"eps_list": [0.25]}}
+
+
+FULL_CFG = """\
+[grid]
+n_space = 24
+dt = 2e-3
+t_end = 6e-3
+
+[system]
+dim = 3
+channels = 2
+formulation = remainder
+F = u - u^3 - v1 - v2
+A1 = 1.0 0.5
+A2 = -1.0 0.0; 0.0 -2.0
+eta = -0.5
+gamma = 1.25
+taper = 0.25
+cutoff = 50
+
+[noise]
+eps = 0.2
+seed = 7
+amplitude = 0.5
+
+[renorm]
+enabled = no
+
+[output]
+record_every = 3
+snapshots = 2e-3 4e-3
+
+[sweep]
+eps_list = 2^-2, 2^-3
+t_star = 4e-3
+"""
+
+
+def test_load_config_reads_every_documented_key(tmp_path):
+    p = tmp_path / "full.cfg"
+    p.write_text(FULL_CFG)
+    spec, config, extra = load_config(str(p))
+    assert config == RunConfig(
+        n_space=24, dt=2e-3, t_end=6e-3, eps=0.2, seed=7, cutoff=50.0,
+        eta=-0.5, gamma=1.25, noise_amplitude=0.5, record_every=3,
+        snapshot_times=(2e-3, 4e-3))
+    assert spec == SystemSpec(
+        d=3, F=CubicPolynomial("u - u^3 - v1 - v2", 2),
+        Q=QSpec(A1=(1.0, 0.5), A2=((-1.0, 0.0), (0.0, -2.0)), T=0.25),
+        formulation="remainder")
+    assert extra == {"renorm_on": False,
+                     "sweep": {"eps_list": [0.25, 0.125], "t_star": 4e-3}}
+    # every default the file can reach is overridden, so each value above
+    # came from the file
+    overridden = {f.name for obj in (config, spec, spec.Q)
+                  for f in dataclasses.fields(obj)
+                  if f.default is not dataclasses.MISSING
+                  and getattr(obj, f.name) != f.default}
+    assert overridden == {"cutoff", "eta", "gamma", "noise_amplitude",
+                          "record_every", "snapshot_times", "formulation",
+                          "T"}
+    assert extra["sweep"]["t_star"] != inspect.signature(
+        epsilon_sweep).parameters["t_star"].default
 
 
 def test_simulate_outputs(outdir, config_file, capsys):

@@ -1,6 +1,7 @@
 """Package-level invariants of the public API."""
 
 import ast
+import functools
 import importlib
 import importlib.util
 import os
@@ -231,8 +232,9 @@ def test_every_definition_is_reached_from_the_cli():
     # statement (they run at import) and every part of the attribute paths
     # perfbench's tracer wraps by name.  Matching by name over-approximates
     # the call graph, which is the safe side; it cannot see a member whose
-    # name is also an attribute of another class, such as a Lattice.times
-    # (RunResult.times) or a TruncatedKernel.remainder (_Member.remainder)
+    # name is also an attribute of another class, such as a Combo.text
+    # (CubicPolynomial.text and the hopf classes' text), nor a dunder, which
+    # goes with its class whether or not anything calls it
     src = Path(fhnspde.__file__).resolve().parent
     modules = {}
     for path in sorted(src.glob("*.py")):
@@ -278,6 +280,262 @@ def test_reachability_guard_sees_members():
     missing = _unreached({"example": (GUARD_EXAMPLE, vars(module))},
                          {"main"}, set())
     assert [m.split()[1] for m in missing] == ["Box.unused"]
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(ast.unparse(d).split("(")[0] == "dataclass"
+               for d in node.decorator_list)
+
+
+def _fields(node: ast.ClassDef) -> tuple[list[str], set[str]]:
+    """A dataclass's __init__ fields in order, and those with a default;
+    ClassVars are not fields."""
+    order, defaulted = [], set()
+    for stmt in node.body:
+        if not isinstance(stmt, ast.AnnAssign) \
+                or not isinstance(stmt.target, ast.Name) \
+                or "ClassVar" in ast.unparse(stmt.annotation):
+            continue
+        name, value = stmt.target.id, stmt.value
+        if isinstance(value, ast.Call) and ast.unparse(value.func) == "field":
+            keys = {k.arg: k.value for k in value.keywords}
+        else:
+            keys = {} if value is None else {"default": value}
+        if not (isinstance(keys.get("init"), ast.Constant)
+                and keys["init"].value is False):
+            order.append(name)
+        if keys.keys() & {"default", "default_factory"}:
+            defaulted.add(name)
+    return order, defaulted
+
+
+def _splat_keys(value, scope) -> list:
+    """The names a ``**value`` splat can set: the keys of a dict display,
+    those of every dict display in its function (or module) for a name,
+    and none, which stands for every name, when there is none to read."""
+    displays = [value] if isinstance(value, ast.Dict) else \
+        [n for n in ast.walk(scope) if isinstance(n, ast.Dict)] \
+        if isinstance(value, ast.Name) else []
+    return [k.value for d in displays for k in d.keys
+            if isinstance(k, ast.Constant)]
+
+
+def _unset_defaults(package: dict, callers) -> list[str]:
+    """Defaulted parameters and dataclass fields of the package that no
+    call sets, as "module:line name(param)" or "module:line Class.field".
+
+    ``package`` maps a module name to its source; ``callers`` are the
+    sources whose code counts, the package's among them.  As in
+    :func:`_unreached`, a call reaches a definition by name: a function or
+    method by its own, a class's ``__init__`` by ``__init__`` and by the
+    name of the class or of a subclass that inherits it, a dataclass's
+    generated one by the class's name, and a ``__call__`` by any call.  A
+    call sets a parameter by keyword or by position (a method's counted
+    after self or cls); a ``*`` splat sets its position and every later
+    one, a ``**`` splat the names of :func:`_splat_keys` (every name when
+    it finds none).  A field is also set by a keyword of a
+    ``replace`` call and by an assignment to an attribute of its name (or
+    a ``setattr`` of it).  A call of a function from inside itself that
+    passes one of its parameters on unchanged sets nothing.
+    """
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    # one tree per source text, so a package def is the same node object
+    # in the package's trees and in its callers'
+    parse = functools.lru_cache(maxsize=None)(ast.parse)
+    trees = {stem: parse(source) for stem, source in package.items()}
+    classes = [c for tree in trees.values() for c in ast.walk(tree)
+               if isinstance(c, ast.ClassDef)]
+    bases = {c.name: {ast.unparse(b) for b in c.bases} for c in classes}
+    own_init = {c.name for c in classes for m in c.body
+                if isinstance(m, functions) and m.name == "__init__"}
+    # (label, names reached by, positional params, all params, defaulted,
+    # is a dataclass, the def node)
+    defs = []
+    for stem, tree in trees.items():
+        methods = {id(m): c for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef) for m in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                order, defaulted = _fields(node)
+                defs.append((f"{stem}:{node.lineno} {node.name}.",
+                             set() if node.name in own_init else {node.name},
+                             order, set(order), defaulted, True, None))
+            if not isinstance(node, functions):
+                continue
+            a, cls = node.args, methods.get(id(node))
+            positional = [p.arg for p in a.posonlyargs + a.args]
+            if cls is not None and "staticmethod" not in {
+                    ast.unparse(d) for d in node.decorator_list}:
+                positional = positional[1:]
+            defaulted = {p.arg for p in (a.posonlyargs + a.args)[
+                len(a.posonlyargs + a.args) - len(a.defaults):]}
+            defaulted |= {p.arg for p, v in zip(a.kwonlyargs, a.kw_defaults)
+                          if v is not None}
+            names = {node.name}
+            if node.name == "__init__":
+                heirs, grown = {cls.name}, True
+                while grown:
+                    new = {c for c, bs in bases.items() if bs & heirs
+                           and c not in own_init} - heirs
+                    heirs |= new
+                    grown = bool(new)
+                names |= heirs
+            label = f"{stem}:{node.lineno} " + (
+                f"{cls.name}.{node.name}" if cls else node.name)
+            defs.append((label + "(", names, positional,
+                         set(positional) | {p.arg for p in a.kwonlyargs},
+                         defaulted, False, node))
+    calls, assigned = [], set()
+    for source in callers:
+        tree = parse(source)
+        inside = {id(n): f for f in ast.walk(tree)
+                  if isinstance(f, functions) for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, (ast.AugAssign,
+                                                   ast.AnnAssign)) else []
+            assigned |= {t.attr for t in targets
+                         if isinstance(t, ast.Attribute)}
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in ("setattr", "__setattr__") and len(node.args) > 1 \
+                    and isinstance(node.args[1], ast.Constant):
+                assigned.add(node.args[1].value)
+            caller = inside.get(id(node))
+            named = []      # (parameter name, value); "**" stands for any
+            for k in node.keywords:
+                keys = [k.arg] if k.arg else _splat_keys(k.value,
+                                                         caller or tree)
+                named += [(key, k.value) for key in keys or ["**"]]
+            calls.append((name, node.args, named, caller))
+    unset = []
+    for label, names, positional, params, defaulted, fields, fn in defs:
+        left = set(defaulted)
+        if fields:
+            left -= assigned
+        for name, args, named, caller in calls:
+            if name == "replace" and fields:
+                keys = {key for key, _ in named}
+                left -= params if "**" in keys else keys
+            if not (name in names or "__call__" in names):
+                continue
+
+            def passed_on(param, value):
+                # the function's own call, handing its parameter on
+                return fn is not None and caller is fn \
+                    and isinstance(value, ast.Name) and value.id == param
+
+            for i, arg in enumerate(args):
+                if isinstance(arg, ast.Starred):
+                    left -= set(positional[i:])
+                elif i < len(positional) \
+                        and not passed_on(positional[i], arg):
+                    left.discard(positional[i])
+            for key, value in named:
+                if key == "**":
+                    left -= params
+                elif not passed_on(key, value):
+                    left.discard(key)
+        unset += [label + (f"{p})" if label.endswith("(") else p)
+                  for p in sorted(left)]
+    return sorted(unset)
+
+
+def test_every_default_is_set_by_some_call():
+    # a default that no call in the package, its tests or its benchmark
+    # overrides is a constant written as a knob: it widens the API that
+    # every reader must check and restates a choice the code has made
+    root = Path(__file__).resolve().parents[1]
+    package = {p.stem: p.read_text()
+               for p in sorted((root / "src" / "fhnspde").glob("*.py"))}
+    callers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    unset = _unset_defaults(package, callers)
+    assert not unset, "no call sets " + ", ".join(unset)
+
+
+PARAM_EXAMPLE = '''
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
+
+
+def f(a, b=1, c=2, *, k=3, unset=4, own=5):
+    if a:
+        return f(a - 1, own=own)
+    return a + b + c + k + unset + own
+
+
+def splat(a, b=1, c=2, *, k=3, m=4):
+    return a + b + c + k + m
+
+
+def g(x=1):
+    return x
+
+
+def relay(**kw):
+    return g(**kw)
+
+
+class Box:
+    def __init__(self, size=1, unset=2):
+        self.size, self.unset = size, unset
+
+    def grow(self, by=1, unset=2):
+        return self.size + by + unset
+
+    @staticmethod
+    def make(n=1):
+        return Box(n)
+
+    def __call__(self, x, y=0):
+        return x + y
+
+
+class Crate(Box):
+    pass
+
+
+@dataclass
+class Spec:
+    d: int
+    kind: str = "bump"
+    width: float = 0.5
+    tag: str = ""
+    seen: list = field(default_factory=list)
+    unset: int = 0
+    fixed: ClassVar[float] = 0.25
+
+
+def main():
+    f(1, 2, 3, k=3)
+    splat(1, *[2])
+    splat(1, **{"k": 3})
+    for kw in ({"m": 1},):
+        splat(0, **kw)
+    relay(x=2)
+    Crate(2).grow(3)
+    Box.make(2)
+    Box()(1, 2)
+    s = replace(Spec(1, "gauss"), width=1.0)
+    s.tag = "x"
+    setattr(s, "seen", [])
+'''
+
+
+def test_parameter_guard_sees_every_way_to_set():
+    # the guard flags a default no call sets (a recursive call that hands
+    # it on does not set it) and accepts one set by keyword, by position
+    # (after self, and on a subclass), through splats of a list, a dict
+    # display, a dict display elsewhere in the function and an unread
+    # mapping, by replace and by attribute assignment or setattr
+    unset = _unset_defaults({"example": PARAM_EXAMPLE}, [PARAM_EXAMPLE])
+    assert sorted(u.split()[1] for u in unset) == [
+        "Box.__init__(unset)", "Box.grow(unset)", "Spec.unset",
+        "f(own)", "f(unset)"]
 
 
 def test_package_never_imports_test_code():
