@@ -72,7 +72,7 @@ class UsageError(ValueError):
     """Bad flags, bad grammar, or an inconsistent configuration."""
 
 
-def parse_symbol_expr(text: str, d: int = 3
+def parse_symbol_expr(text: str, d: int
                       ) -> tuple[Optional[Symbol], list[str]]:
     """Read grammar text to a canonical symbol (None = zero) plus notes;
     the grammar is :func:`symbols.from_text`'s."""
@@ -299,18 +299,20 @@ def cmd_coproduct(args) -> int:
 
 
 def cmd_renorm_eq(args) -> int:
-    F = parse_nonlinearity(args.F, args.channels)
+    # without --channels, parse_nonlinearity's own default applies
+    F = parse_nonlinearity(args.F) if args.channels is None \
+        else parse_nonlinearity(args.F, args.channels)
     eq = renormalized_nonlinearity(F, args.dim)
     rd = RunDir("renorm-eq")
     rd.manifest["config"] = {"dim": args.dim, "F": args.F,
-                             "channels": args.channels}
+                             "channels": F.n_channels}
     print(f"F(u, v) = {F.text()}")
     print(f"counterterms: c0 = {eq.c0}, c1 = {eq.c1}, "
           f"c2 = {tuple(str(c) for c in eq.c2)}")
     print(f"C(eps) = {eq.C_eps}")
-    print(f"renormalised drift: {eq.fhat_text()}")
+    print(f"renormalised drift: {eq.Fhat}")
     import sympy        # loaded by renormalized_nonlinearity
-    lin = sympy.expand(eq.Fhat).coeff(sympy.Symbol("u"), 1)
+    lin = eq.Fhat.coeff(sympy.Symbol("u"), 1)
     if lin != 0:
         print(f"collected linear term: [{lin}] u")
     if eq.obstruction:
@@ -326,7 +328,7 @@ def cmd_renorm_eq(args) -> int:
         "c2": [str(c) for c in eq.c2], "C_eps": str(eq.C_eps),
         "proportional": eq.proportional, "factorized": eq.factorized,
         "obstruction": [[str(c), to_text(s)] for c, s in eq.obstruction],
-        "Fhat": eq.fhat_text(),
+        "Fhat": str(eq.Fhat),
     }
     (rd.path / "renorm_eq.json").write_text(json.dumps(payload, indent=2))
     rd.manifest["constants"] = {"C_eps": str(eq.C_eps)}
@@ -530,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("renorm-eq", help="renormalised equation for a cubic")
     sp.add_argument("--dim", type=int, choices=(2, 3), default=3)
     sp.add_argument("--F", required=True)
-    sp.add_argument("--channels", type=_channel_count, default=1)
+    sp.add_argument("--channels", type=_channel_count)
     sp.set_defaults(func=cmd_renorm_eq)
 
     sp = sub.add_parser("constants", help="renormalisation constants vs eps")

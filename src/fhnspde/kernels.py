@@ -149,7 +149,7 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return xg, wg
 
 
-def panel_grid(edges: Sequence[float], order: int = 8) -> Grid1D:
+def panel_grid(edges: Sequence[float], order: int) -> Grid1D:
     """Composite Gauss-Legendre rule over consecutive panels.
 
     A stack of edge rows (..., n) gives one rule per row: nodes and weights
@@ -1006,8 +1006,8 @@ class KernelConstants:
     C1: float
     Q1_0: float
     Q2_0: float
-    C2: Optional[float] = None
-    I: dict = field(default_factory=dict)     # (i, j) -> int K Qi Qj
+    C2: Optional[float]
+    I: dict     # (i, j) -> int K Qi Qj
     errors: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
@@ -1156,7 +1156,7 @@ class BoundCheck:
     constant: float
     trend: float
     passed: bool
-    detail: str = ""
+    detail: str
 
 
 def _trend(eps: Sequence[float], ratios: Sequence[float]) -> float:
@@ -1185,8 +1185,8 @@ def _shell_samples(eps_min: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def verify_appendix_bounds(d: int, eps_list: Sequence[float],
-                           theta: float = 0.25,
-                           trend_tol: float = 0.1) -> list[BoundCheck]:
+                           theta: float, trend_tol: float
+                           ) -> list[BoundCheck]:
     """Ratio tables for the kernel estimates behind the constants, for the
     bump mollifier and the reference slow weight of :func:`kernel_constants`.
 

@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
-from numpy.random import Philox
 
 from .kernels import _F_BLOCK, MollifierSpec, panel_grid
 
@@ -176,6 +175,7 @@ def _raw_words(seed: int, start: int, count: int) -> np.ndarray:
     # Philox counts in blocks of four 64-bit words; align to the block
     # containing `start` so the word at global index m never depends on how
     # the request was chunked.
+    from numpy.random import Philox     # loaded by the first draw only
     bitgen = Philox(key=np.uint64(seed))
     block, offset = divmod(start, 4)
     if block:

@@ -150,18 +150,18 @@ def _leg_products(d: int, n_channels: int, k: int) -> list[Symbol]:
             for c in itertools.combinations_with_replacement(legs, k)]
 
 
-def pair_family(d: int, n_channels: int = 0) -> list[Symbol]:
+def pair_family(d: int, n_channels: int) -> list[Symbol]:
     """Leg pairs over {I(Xi)} and the decorated legs (3 members for n = 1)."""
     return _leg_products(d, n_channels, 2)
 
 
-def composite_family(d: int, n_channels: int = 0) -> list[Symbol]:
+def composite_family(d: int, n_channels: int) -> list[Symbol]:
     """Composites I(pair1)*pair2 over the pair family (9 members for n = 1)."""
     pairs = pair_family(d, n_channels)
     return [product([integral(p1), p2]) for p1 in pairs for p2 in pairs]
 
 
-def divergent_patterns(d: int, n_channels: int = 0) -> list[Symbol]:
+def divergent_patterns(d: int, n_channels: int) -> list[Symbol]:
     """Patterns whose chaos-0 contraction diverges as the mollifier is removed.
 
     The undecorated pair always does; the undecorated composite only in three
@@ -506,8 +506,7 @@ class CubicPolynomial:
     zero term).  ``F`` is text, read by :func:`_read_polynomial` without
     sympy, or a sympy expression.  Rational coefficients are exact
     ``Fraction``s; only a sympy expression with symbolic coefficients
-    leaves sympy ones.  ``expr``, ``vs`` and calling F are the only uses of
-    sympy.
+    leaves sympy ones.  ``expr`` and ``vs`` are the only uses of sympy.
     """
 
     terms: tuple
@@ -550,15 +549,10 @@ class CubicPolynomial:
     def beta1(self):
         return self.coefficient(2)
 
-    def gamma2(self, i: int = 1):
+    def gamma2(self, i: int):
         q = [0] * self.n_channels
         q[i - 1] = 1
         return self.coefficient(2, q)
-
-    def __call__(self, u, v=()):
-        subs = {sympy.Symbol("u"): u}
-        subs.update(dict(zip(self.vs, v)))
-        return self.expr.subs(subs)
 
     def text(self) -> str:
         """``str(self.expr)``, rendered from the table when it is rational."""
@@ -592,9 +586,9 @@ class CubicPolynomial:
 # Fixed-point expansion
 # ---------------------------------------------------------------------------
 
-def _substitute(F: CubicPolynomial, u: Combo, vs: Sequence[Combo], d: int,
-                cutoff: Homogeneity) -> Combo:
-    """``F(u, vs)`` on the symbol basis, restricted to homogeneities <= cutoff.
+def _substitute(F: CubicPolynomial, u: Combo, vs: Sequence[Combo], d: int
+                ) -> Combo:
+    """``F(u, vs)`` on the symbol basis, restricted to homogeneities <= 0.
 
     Partial products are pruned against the most negative homogeneity the
     remaining factors could still contribute, so the restriction is exact.
@@ -607,7 +601,7 @@ def _substitute(F: CubicPolynomial, u: Combo, vs: Sequence[Combo], d: int,
         mins = [min(homogeneity(s, d) for s in f.terms) for f in combos]
         term = Combo({ONE: coeff})
         for i, f in enumerate(combos):
-            room = cutoff
+            room = Homogeneity(0)
             for m in mins[i + 1:]:
                 room = room - m
             term = term * f
@@ -655,12 +649,12 @@ def fixed_point_expansion(F: CubicPolynomial, d: int) -> FixedPointExpansion:
     triples = _leg_products(d, n_channels, 3)
     pairs = _leg_products(d, n_channels, 2)
 
-    # every leg triple and pair has negative homogeneity, so cutoff 0 keeps
-    # all the coefficients read below
+    # every leg triple and pair has negative homogeneity, so the cutoff at 0
+    # keeps all the coefficients read below
     first_order = _substitute(
         F, Combo({rsi: 1, ONE: phi}),
         [Combo({leg(ch, d): 1, ONE: psi[ch - 1]})
-         for ch in range(1, n_channels + 1)], d, Homogeneity(0))
+         for ch in range(1, n_channels + 1)], d)
     a = {w: first_order.coeff(w) for w in triples}
     b = {p: first_order.coeff(p) for p in pairs}
 
@@ -718,12 +712,8 @@ class RenormalizedEquation:
     totals: dict[Symbol, sympy.Expr]
     Fhat: sympy.Expr
 
-    def fhat_text(self) -> str:
-        return str(sympy.expand(self.Fhat))
 
-
-def default_constants(d: int, n_channels: int = 1
-                      ) -> dict[Symbol, sympy.Expr]:
+def default_constants(d: int, n_channels: int) -> dict[Symbol, sympy.Expr]:
     """Constants for the divergent patterns only (C1; plus C2 when d = 3)."""
     return {pat: constant_symbol(pat)
             for pat in divergent_patterns(d, n_channels)}
@@ -758,7 +748,7 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
     # every extraction pattern has strictly negative homogeneity, so M - id
     # can only raise it: the sector at or below zero of (M - id)(G) is
     # computed exactly from the same sector of G
-    G = _substitute(F, fp.u_combo, fp.v_combos, d, Homogeneity(0))
+    G = _substitute(F, fp.u_combo, fp.v_combos, d)
     M = RenormMap(constants, d)
     delta = (M.apply(G) + G.scaled(-1)).expanded()
 

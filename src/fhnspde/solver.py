@@ -69,6 +69,10 @@ __all__ = [
 ]
 
 
+# the slow channels' initial fields draw from Philox keys seed + stride (i + 1)
+_SEED_STRIDE = 7919
+
+
 # ---------------------------------------------------------------------------
 # system description
 # ---------------------------------------------------------------------------
@@ -92,7 +96,7 @@ class QSpec:
     def n(self) -> int:
         return len(self.A1)
 
-    def weight(self, channel: int = 0) -> Callable:
+    def weight(self, channel: int) -> Callable:
         return matrix_weight(list(self.A1),
                              [list(r) for r in self.A2], channel, self.T)
 
@@ -174,11 +178,11 @@ class RunConfig:
             raise ValueError("slow-channel regularity gamma must exceed 1")
         if self.record_every < 1:
             raise ValueError("record_every must be at least 1")
-        # the Philox keys seed, seed + 1 and seed + 1 + 7919 i for the n_v
-        # slow channels i (see initial_data) must all fit in uint64
-        if not 0 <= self.seed < 2 ** 64 - 1 - 7919 * n_v:
-            raise ValueError(f"seed {self.seed} outside [0, 2^64 - 1 - 7919 "
-                             f"n_v) for n_v = {n_v}")
+        # the Philox keys seed, seed + 1 and the n_v slow channels' keys
+        # (see initial_data) must all fit in uint64
+        if not 0 <= self.seed < 2 ** 64 - 1 - _SEED_STRIDE * n_v:
+            raise ValueError(f"seed {self.seed} outside [0, 2^64 - 1 - "
+                             f"{_SEED_STRIDE} n_v) for n_v = {n_v}")
         if not all(0.0 <= t <= self.t_end for t in self.snapshot_times):
             raise ValueError(f"snapshot times {self.snapshot_times} outside "
                              f"[0, t_end = {self.t_end:g}]")
@@ -234,7 +238,8 @@ def initial_data(d: int, n_space: int, seed: int,
         v[:] = vals[:n_v] if n_v > 1 else vals
     else:
         for i in range(n_v):
-            v[i] = _random_field(lat, seed + 7919 * (i + 1), -d - 2 * gamma)
+            v[i] = _random_field(lat, seed + _SEED_STRIDE * (i + 1),
+                                 -d - 2 * gamma)
     return u, v
 
 

@@ -672,8 +672,8 @@ def _within(members: Iterable[Symbol], r: int, bound: Homogeneity,
     return walk(0, r, Homogeneity(0), ())
 
 
-def enumerate_symbols(d: int, cutoff: Homogeneity,
-                      n_channels: int = 0) -> SymbolTable:
+def enumerate_symbols(d: int, cutoff: Homogeneity, n_channels: int
+                      ) -> SymbolTable:
     """Generate the graded symbol set for dimension d up to ``cutoff``.
 
     The base set U is the smallest set containing the unit, the coordinate

@@ -216,7 +216,7 @@ def test_accept_05_divergence_rates_d3():
 
 def test_accept_06_kernel_stability_bound():
     checks = verify_appendix_bounds(3, [2.0 ** -3, 2.0 ** -4, 2.0 ** -5],
-                                    theta=0.25)
+                                    theta=0.25, trend_tol=0.1)
     worst = max(c.trend for c in checks)
     ok = len(checks) == 4 and all(c.passed for c in checks)
     _check("06 kernel estimate certificates",

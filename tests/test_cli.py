@@ -320,6 +320,36 @@ def test_renorm_eq_obstruction_reported(outdir, capsys):
     assert payload["obstruction"]
 
 
+@pytest.mark.parametrize("F, flags, n", [("u - u^3 - v", [], 1),
+                                         ("u - u^3 - v1 - v2",
+                                          ["--channels", "2"], 2)])
+def test_renorm_eq_records_its_channel_count(outdir, F, flags, n):
+    # --channels has no default of its own: without it parse_nonlinearity's
+    # one channel applies, and the manifest records the count F was read in
+    assert main(["renorm-eq", "--dim", "2", "--F", F] + flags) == 0
+    rd = _run_dir(outdir, "renorm-eq")
+    assert json.loads((rd / "manifest.json").read_text())["config"][
+        "channels"] == n
+
+
+def test_verify_bounds_flags_state_the_tolerances(outdir, monkeypatch):
+    # verify_appendix_bounds has no tolerances of its own: --theta 0.25 and
+    # --tol 0.1 reach it and the manifest
+    import fhnspde.cli
+    seen = {}
+
+    def checks(d, eps_list, theta, trend_tol):
+        seen.update(d=d, theta=theta, trend_tol=trend_tol)
+        return []
+
+    monkeypatch.setattr(fhnspde.cli, "verify_appendix_bounds", checks)
+    assert main(["verify-bounds", "--dim", "3"]) == 0
+    assert seen == {"d": 3, "theta": 0.25, "trend_tol": 0.1}
+    config = json.loads((_run_dir(outdir, "verify-bounds")
+                         / "manifest.json").read_text())["config"]
+    assert (config["theta"], config["trend_tol"]) == (0.25, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # pinned symbolic outputs: a refactor of the symbolic layers must keep them
 # ---------------------------------------------------------------------------

@@ -911,7 +911,8 @@ def test_d3_eps_c1_rate_quick():
 
 
 def test_verify_bounds_quick():
-    checks = verify_appendix_bounds(3, [2.0 ** -3, 2.0 ** -4, 2.0 ** -5])
+    checks = verify_appendix_bounds(3, [2.0 ** -3, 2.0 ** -4, 2.0 ** -5],
+                                    theta=0.25, trend_tol=0.1)
     assert len(checks) == 4
     for c in checks:
         assert isinstance(c, BoundCheck)
@@ -922,7 +923,8 @@ def test_verify_bounds_quick():
 @pytest.fixture(scope="module")
 def d2_checks():
     # `verify-bounds --dim 2` at its default scales, about 0.2 s
-    return verify_appendix_bounds(2, [2.0 ** -3, 2.0 ** -4, 2.0 ** -5])
+    return verify_appendix_bounds(2, [2.0 ** -3, 2.0 ** -4, 2.0 ** -5],
+                                  theta=0.25, trend_tol=0.1)
 
 
 def test_verify_bounds_d2_growth_rate_and_kq(d2_checks):

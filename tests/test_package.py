@@ -64,6 +64,18 @@ def test_cli_import_skips_scipy_signal_and_stats():
     assert out.split() == []
 
 
+def test_cli_import_skips_numpy_random():
+    # numpy.random costs 10-14 ms and 2 MB at start-up; noise._raw_words
+    # loads it with the first noise draw, so the commands that draw none
+    # (constants, verify-bounds, symbols, coproduct, renorm-eq) never do
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = "import sys, fhnspde.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_package_never_imports_scipy():
     # scipy is a test oracle only: no module of the package imports it, at
     # any depth (a deferred import inside a function counts)
@@ -234,7 +246,8 @@ def test_every_definition_is_reached_from_the_cli():
     # the call graph, which is the safe side; it cannot see a member whose
     # name is also an attribute of another class, such as a Combo.text
     # (CubicPolynomial.text and the hopf classes' text), nor a dunder, which
-    # goes with its class whether or not anything calls it
+    # goes with its class whether or not anything calls it: a __call__ that
+    # only tests call (CubicPolynomial had one) passes
     src = Path(fhnspde.__file__).resolve().parent
     modules = {}
     for path in sorted(src.glob("*.py")):
@@ -320,9 +333,11 @@ def _splat_keys(value, scope) -> list:
             if isinstance(k, ast.Constant)]
 
 
-def _unset_defaults(package: dict, callers) -> list[str]:
-    """Defaulted parameters and dataclass fields of the package that no
-    call sets, as "module:line name(param)" or "module:line Class.field".
+def _default_uses(package: dict, callers) -> dict:
+    """``{name: (a call sets it, something else sets it, a call leaves it
+    to its default)}`` for each defaulted parameter and dataclass field of
+    the package, named "module:line name(param)" or "module:line
+    Class.field".
 
     ``package`` maps a module name to its source; ``callers`` are the
     sources whose code counts, the package's among them.  As in
@@ -331,12 +346,14 @@ def _unset_defaults(package: dict, callers) -> list[str]:
     name of the class or of a subclass that inherits it, a dataclass's
     generated one by the class's name, and a ``__call__`` by any call.  A
     call sets a parameter by keyword or by position (a method's counted
-    after self or cls); a ``*`` splat sets its position and every later
-    one, a ``**`` splat the names of :func:`_splat_keys` (every name when
-    it finds none).  A field is also set by a keyword of a
-    ``replace`` call and by an assignment to an attribute of its name (or
-    a ``setattr`` of it).  A call of a function from inside itself that
-    passes one of its parameters on unchanged sets nothing.
+    after self or cls); a ``*`` splat may set its position and every later
+    one, a ``**`` splat the keys of a dict display for sure, and otherwise
+    may set the names of :func:`_splat_keys` (every name when it finds
+    none).  A call leaves a parameter to its default unless it sets it for
+    sure.  A field is also set by a keyword of a ``replace`` call and by an
+    assignment to an attribute of its name (or a ``setattr`` of it).  A
+    call of a function from inside itself that passes one of its
+    parameters on unchanged neither sets nor leaves it.
     """
     functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     # one tree per source text, so a package def is the same node object
@@ -405,21 +422,23 @@ def _unset_defaults(package: dict, callers) -> list[str]:
                     and isinstance(node.args[1], ast.Constant):
                 assigned.add(node.args[1].value)
             caller = inside.get(id(node))
-            named = []      # (parameter name, value); "**" stands for any
+            # (parameter name, value, set for sure); "**" stands for any
+            named = []
             for k in node.keywords:
                 keys = [k.arg] if k.arg else _splat_keys(k.value,
                                                          caller or tree)
-                named += [(key, k.value) for key in keys or ["**"]]
+                certain = k.arg is not None or isinstance(k.value, ast.Dict)
+                named += [(key, k.value, certain) for key in keys or ["**"]]
             calls.append((name, node.args, named, caller))
-    unset = []
+    uses = {}
     for label, names, positional, params, defaulted, fields, fn in defs:
-        left = set(defaulted)
+        called, other, left = set(), set(), set()
         if fields:
-            left -= assigned
+            other |= defaulted & assigned
         for name, args, named, caller in calls:
             if name == "replace" and fields:
-                keys = {key for key, _ in named}
-                left -= params if "**" in keys else keys
+                keys = {key for key, *_ in named}
+                other |= params if "**" in keys else keys
             if not (name in names or "__call__" in names):
                 continue
 
@@ -428,33 +447,69 @@ def _unset_defaults(package: dict, callers) -> list[str]:
                 return fn is not None and caller is fn \
                     and isinstance(value, ast.Name) and value.id == param
 
+            sure, maybe, handed = set(), set(), set()
             for i, arg in enumerate(args):
                 if isinstance(arg, ast.Starred):
-                    left -= set(positional[i:])
-                elif i < len(positional) \
-                        and not passed_on(positional[i], arg):
-                    left.discard(positional[i])
-            for key, value in named:
+                    maybe |= set(positional[i:])
+                    break
+                if i < len(positional):
+                    (handed if passed_on(positional[i], arg)
+                     else sure).add(positional[i])
+            for key, value, certain in named:
                 if key == "**":
-                    left -= params
-                elif not passed_on(key, value):
-                    left.discard(key)
-        unset += [label + (f"{p})" if label.endswith("(") else p)
-                  for p in sorted(left)]
-    return sorted(unset)
+                    maybe |= params
+                elif passed_on(key, value):
+                    handed.add(key)
+                else:
+                    (sure if certain else maybe).add(key)
+            called |= sure | maybe
+            left |= defaulted - sure - handed
+        for p in defaulted:
+            uses[label + (f"{p})" if label.endswith("(") else p)] = (
+                p in called, p in other, p in left)
+    return uses
+
+
+def _unset_defaults(package: dict, callers) -> list[str]:
+    """Defaulted parameters and dataclass fields that nothing sets."""
+    return sorted(name for name, (called, other, _)
+                  in _default_uses(package, callers).items()
+                  if not (called or other))
+
+
+def _overridden_defaults(package: dict, callers) -> list[str]:
+    """Defaulted parameters and dataclass fields that calls set and that no
+    call leaves to its default."""
+    return sorted(name for name, (called, _, left)
+                  in _default_uses(package, callers).items()
+                  if called and not left)
+
+
+def _package_and_callers() -> tuple[dict, list]:
+    """The package's sources by module name, and every source of the
+    package, its tests and its benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    package = {p.stem: p.read_text()
+               for p in sorted((root / "src" / "fhnspde").glob("*.py"))}
+    callers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((root / d).rglob("*.py"))]
+    return package, callers
 
 
 def test_every_default_is_set_by_some_call():
     # a default that no call in the package, its tests or its benchmark
     # overrides is a constant written as a knob: it widens the API that
     # every reader must check and restates a choice the code has made
-    root = Path(__file__).resolve().parents[1]
-    package = {p.stem: p.read_text()
-               for p in sorted((root / "src" / "fhnspde").glob("*.py"))}
-    callers = [p.read_text() for d in ("src", "tests", "perfbench")
-               for p in sorted((root / d).rglob("*.py"))]
-    unset = _unset_defaults(package, callers)
+    unset = _unset_defaults(*_package_and_callers())
     assert not unset, "no call sets " + ", ".join(unset)
+
+
+def test_every_default_is_used_by_some_call():
+    # a default that every call overrides is a value no run uses: the
+    # callers state the choice, and the default restates it where it can
+    # drift; the parameter is required instead
+    overridden = _overridden_defaults(*_package_and_callers())
+    assert not overridden, "every call sets " + ", ".join(overridden)
 
 
 PARAM_EXAMPLE = '''
@@ -536,6 +591,67 @@ def test_parameter_guard_sees_every_way_to_set():
     assert sorted(u.split()[1] for u in unset) == [
         "Box.__init__(unset)", "Box.grow(unset)", "Spec.unset",
         "f(own)", "f(unset)"]
+
+
+OVERRIDE_EXAMPLE = '''
+from dataclasses import dataclass
+
+
+def _given(**kw):
+    return kw
+
+
+def always(a, b=1, *, k=2):
+    return a + b + k
+
+
+def once(a, b=1):
+    return a + b
+
+
+def spread(a, b=1, c=2):
+    return a + b + c
+
+
+def given(a, n=1):
+    return a + n
+
+
+def walk(a, depth=0):
+    return walk(a - 1, depth) if a else depth
+
+
+@dataclass
+class Spec:
+    d: int
+    kind: str = "bump"
+    tag: str = ""
+
+
+def main(args):
+    always(1, 2, k=3)
+    always(0, b=1, **{"k": 4})
+    once(1, 2)
+    once(1)
+    spread(1, 2, 3)
+    spread(1, *args)
+    given(1, n=3)
+    given(1, **_given(n=2))
+    walk(3, depth=1)
+    Spec(1, "gauss", tag="x")
+    Spec(2, kind="bump")
+'''
+
+
+def test_override_guard_sees_every_default_left_in_force():
+    # the guard flags a default that every call sets (by position, keyword
+    # or a dict display's splat; a recursive call that hands it on does
+    # not use it) and accepts one that a call leaves out, by omission, by a
+    # * splat that may be short or by a ** splat of a mapping it cannot read
+    overridden = _overridden_defaults({"example": OVERRIDE_EXAMPLE},
+                                      [OVERRIDE_EXAMPLE])
+    assert sorted(o.split()[1] for o in overridden) == [
+        "Spec.kind", "always(b)", "always(k)", "walk(depth)"]
 
 
 def test_package_never_imports_test_code():

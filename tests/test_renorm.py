@@ -259,7 +259,7 @@ def test_cubic_polynomial_coefficients():
     assert F.beta1 == b1          # exact monomial, not sympy's loose coeff
     assert F.gamma2(1) == g2
     assert F.coefficient(0) == 7
-    assert F(1, (0,)) == g1 + b1 + 7
+    assert F.expr.subs({U: 1, V1: 0}) == g1 + b1 + 7
 
 
 def test_cubic_polynomial_validation():
