@@ -311,8 +311,7 @@ def cmd_renorm_eq(args) -> int:
           f"c2 = {tuple(str(c) for c in eq.c2)}")
     print(f"C(eps) = {eq.C_eps}")
     print(f"renormalised drift: {eq.Fhat}")
-    import sympy        # loaded by renormalized_nonlinearity
-    lin = eq.Fhat.coeff(sympy.Symbol("u"), 1)
+    lin = eq.Fhat.coeff("u", 1)
     if lin != 0:
         print(f"collected linear term: [{lin}] u")
     if eq.obstruction:

@@ -29,15 +29,19 @@ coefficients off ``F`` and on the fixed point itself; the derivation applies
 non-positive homogeneity, and factors them through counterterms
 ``F - c0 - c1*u - sum_i c2_i*v_i`` whenever that is exactly possible,
 reporting the obstruction terms when it is not.
+
+Its scalars are exact expanded polynomials in named symbols
+(:class:`Scalar`), printed as sympy prints them.  sympy is not imported:
+a sympy expression handed in (F, a constant, a ``Combo`` weight) is
+converted once, and a ``Scalar`` converts back through sympy's
+``_sympy_`` hook.
 """
 
 from __future__ import annotations
 
 import ast
-import importlib.util
 import itertools
 import math
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,6 +64,7 @@ from .symbols import (
 )
 
 __all__ = [
+    "Scalar",
     "UnsupportedSymbolError",
     "Combo",
     "pair_family",
@@ -77,63 +82,170 @@ __all__ = [
 ]
 
 
-def _lazy_module(name: str):
-    """The module ``name``, executed on its first attribute access.
-
-    Importing sympy costs about 0.4 s and 32 MB, which the numeric commands
-    never use; ``importlib.util.LazyLoader`` defers that to the first use,
-    and the module object bound here stays the same before and after.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-sympy = _lazy_module("sympy")
-
-
 class UnsupportedSymbolError(ValueError):
     """Raised when asked to extract a pattern outside the generator families."""
 
 
 # ---------------------------------------------------------------------------
-# Linear combinations of symbols with sympy scalars
+# Exact scalars and linear combinations of symbols over them
 # ---------------------------------------------------------------------------
 
-class Combo(Linear):
-    """Finite linear combination of symbols with commutative scalar weights."""
+class Scalar(Linear):
+    """Exact polynomial in named symbols, always expanded.
+
+    ``terms`` maps a monomial -- its ``(name, power)`` pairs sorted by name,
+    ``()`` for the constant -- to a non-zero ``Fraction``, or a float where
+    numeric constants enter.  Numbers combine with it; with a sympy operand
+    the result is sympy's, through :meth:`_sympy_`.
+    """
 
     __slots__ = ()
 
     @staticmethod
-    def _coerce(c: object) -> sympy.Expr:
-        return sympy.sympify(c)
+    def _coerce(c: object) -> Union[Fraction, float]:
+        return c if isinstance(c, float) else Fraction(c)
+
+    @staticmethod
+    def _pair_product(a: tuple, b: tuple) -> tuple:
+        powers = dict(a)
+        for name, k in b:
+            powers[name] = powers.get(name, 0) + k
+        return tuple(sorted(powers.items()))
+
+    @classmethod
+    def symbol(cls, name: str) -> "Scalar":
+        return cls({((name, 1),): 1})
+
+    @classmethod
+    def of(cls, x: object) -> "Scalar":
+        """``x`` as a Scalar: a Scalar, a number or a sympy expression."""
+        if isinstance(x, Scalar):
+            return x
+        if not hasattr(x, "free_symbols"):
+            return cls({(): x})
+        out = cls()
+        for term, c in x.expand().as_coefficients_dict().items():
+            powers = term.as_powers_dict().items()
+            if not (c.is_Rational or c.is_Float) or not all(
+                    b.is_Symbol and k.is_Integer and k > 0 or b == 1
+                    for b, k in powers):
+                raise ValueError(f"not polynomial in its symbols: {x}")
+            out.add(tuple(sorted((b.name, int(k)) for b, k in powers
+                                 if b != 1)),
+                    Fraction(int(c.p), int(c.q)) if c.is_Rational
+                    else float(c))
+        return out
+
+    @staticmethod
+    def _operand(x: object) -> Optional["Scalar"]:
+        # numbers combine; a sympy expression is left to its own operator
+        return x if isinstance(x, Scalar) else Scalar({(): x}) \
+            if isinstance(x, (int, float, Fraction)) else None
+
+    def __add__(self, other: object) -> "Scalar":
+        other = self._operand(other)
+        return NotImplemented if other is None \
+            else Linear.__add__(self, other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other: object) -> "Scalar":
+        other = self._operand(other)
+        return NotImplemented if other is None \
+            else Linear.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Scalar":
+        return self.scaled(-1)
+
+    def __sub__(self, other: object) -> "Scalar":
+        return self + -other
+
+    def __rsub__(self, other: object) -> "Scalar":
+        return -self + other
+
+    def __eq__(self, other: object) -> bool:
+        other = self._operand(other)
+        return NotImplemented if other is None else self.terms == other.terms
+
+    def __float__(self) -> float:
+        if set(self.terms) - {()}:
+            raise TypeError(f"{self} is not a number")
+        return float(self.terms.get((), 0))
+
+    def coeff(self, name: str, k: int) -> "Scalar":
+        """The cofactor of ``name**k``, as sympy's ``coeff``: the terms with
+        exactly that power of ``name``, divided by it."""
+        out = Scalar()
+        for mono, c in self.terms.items():
+            if dict(mono).get(name, 0) == k:
+                out.terms[tuple(p for p in mono if p[0] != name)] = c
+        return out
+
+    def zeroed(self, symbols: Sequence["Scalar"]) -> "Scalar":
+        """The value with every symbol of ``symbols`` set to zero."""
+        names = {x for s in symbols for mono in s.terms for x, _ in mono}
+        out = Scalar()
+        out.terms = {mono: c for mono, c in self.terms.items()
+                     if not any(x in names for x, _ in mono)}
+        return out
+
+    def __str__(self) -> str:
+        """``str()`` of the sympy expression, without sympy; a float
+        coefficient prints by ``repr`` (sympy pads a lone float to 15
+        digits)."""
+        # sympy's printer orders the symbols by name (v10 before v2) and the
+        # terms lexicographically in them, leading term first...
+        names = sorted({x for mono in self.terms for x, _ in mono})
+        terms = sorted(self.terms.items(), key=lambda t: [
+            -dict(t[0]).get(x, 0) for x in names])
+        # ...except that a positive constant leads one negative c*x^k
+        if len(terms) == 2 and terms[1][0] == () and terms[1][1] > 0 \
+                and terms[0][1] < 0 and len(terms[0][0]) == 1:
+            terms.reverse()
+        out = ""
+        for mono, c in terms:
+            factors = [x if k == 1 else f"{x}**{k}" for x, k in mono]
+            if isinstance(c, float):
+                factors.insert(0, repr(abs(c)))
+            elif abs(c.numerator) != 1 or not factors:
+                factors.insert(0, str(abs(c.numerator)))
+            body = "*".join(factors)
+            if isinstance(c, Fraction) and c.denominator != 1:
+                body += f"/{c.denominator}"
+            out += (" - " if c < 0 else " + ") + body
+        return "-" + out[3:] if out.startswith(" - ") else out[3:] or "0"
+
+    __repr__ = __str__
+
+    def _sympy_(self):
+        # symbol by symbol, so that names sympy would not parse (C[...])
+        # survive; sympy is loaded whenever it calls this
+        import sympy
+        return sympy.Add(*(sympy.Mul(c, *(sympy.Symbol(x) ** k
+                                          for x, k in mono))
+                           for mono, c in self.terms.items()))
+
+
+class Combo(Linear):
+    """Finite linear combination of symbols with :class:`Scalar` weights."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _coerce(c: object) -> Scalar:
+        return Scalar.of(c)
 
     _pair_product = staticmethod(_symbol_product)
 
-    def expanded(self) -> "Combo":
-        """Normal form: expanded coefficients, exact zeros dropped."""
-        out = Combo()
-        for sym, c in self.terms.items():
-            c = sympy.expand(c)
-            if c != 0:
-                out.terms[sym] = c
-        return out
-
-    def coeff(self, sym: Symbol) -> sympy.Expr:
-        return self.terms.get(sym, sympy.Integer(0))
+    def coeff(self, sym: Symbol) -> Scalar:
+        return self.terms.get(sym, Scalar())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Combo):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        return all(sympy.expand(self.coeff(k) - other.coeff(k)) == 0
-                   for k in keys)
+        return self.terms == other.terms
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +305,7 @@ def _decorated(legs: Counter) -> list[int]:
     return sorted(ch for ch in legs.elements() if ch)
 
 
-def constant_symbol(pattern: Symbol) -> sympy.Symbol:
+def constant_symbol(pattern: Symbol) -> Scalar:
     """Conventional scalar name for a pattern's constant.
 
     Pairs: C1 with one prime per decorated leg (C1, C1p, C1pp).  Composites:
@@ -205,12 +317,12 @@ def constant_symbol(pattern: Symbol) -> sympy.Symbol:
     if sig[0] == "pair":
         chans = _decorated(sig[1])
         if all(ch == 1 for ch in chans):
-            return sympy.Symbol("C1" + "p" * len(chans))
+            return Scalar.symbol("C1" + "p" * len(chans))
     else:
         inner, outer = _decorated(sig[1]), _decorated(sig[2])
         if all(ch == 1 for ch in inner + outer):
-            return sympy.Symbol("C2" + "p" * len(inner) + "q" * len(outer))
-    return sympy.Symbol(f"C[{to_text(pattern)}]")
+            return Scalar.symbol("C2" + "p" * len(inner) + "q" * len(outer))
+    return Scalar.symbol(f"C[{to_text(pattern)}]")
 
 
 # ---------------------------------------------------------------------------
@@ -292,9 +404,9 @@ class RenormMap:
 
     def __init__(self, constants: Mapping[Symbol, object], d: int) -> None:
         self.d = d
-        self.generators = [(_pattern_sig(pat), sympy.sympify(c))
-                           for pat, c in constants.items()
-                           if sympy.sympify(c) != 0]
+        scalars = {pat: Scalar.of(c) for pat, c in constants.items()}
+        self.generators = [(_pattern_sig(pat), c)
+                           for pat, c in scalars.items() if c != 0]
 
     def _derivation(self, combo: Combo) -> Combo:
         out = Combo()
@@ -309,9 +421,9 @@ class RenormMap:
         layer = combo
         k = 1
         while True:
-            layer = self._derivation(layer).scaled(sympy.Rational(1, k))
+            layer = self._derivation(layer).scaled(Fraction(1, k))
             if not layer.terms:
-                return total.expanded()
+                return total
             total = total + layer
             k += 1
 
@@ -361,26 +473,12 @@ def classify_chaos_zero(pattern: Symbol, d: int) -> ChaosZero:
 # Cubic nonlinearities
 # ---------------------------------------------------------------------------
 
-def v_symbols(n_channels: int) -> tuple[sympy.Symbol, ...]:
-    return tuple(sympy.Symbol(f"v{i}") for i in range(1, n_channels + 1))
-
-
 def _names(n_channels: int) -> tuple[str, ...]:
     return ("u",) + tuple(f"v{i}" for i in range(1, n_channels + 1))
 
 
-class _Table(Linear):
-    """A polynomial's coefficients by exponent tuple, as F is read."""
-
-    __slots__ = ()
-
-    @staticmethod
-    def _pair_product(a: tuple, b: tuple) -> tuple:
-        return tuple(x + y for x, y in zip(a, b))
-
-
-def _read_polynomial(text: str, n_channels: int) -> dict:
-    """The coefficient table ``{exponents: Fraction}`` of F given as text.
+def _read_polynomial(text: str, n_channels: int) -> Scalar:
+    """F given as text, as an exact polynomial.
 
     The grammar is Python's arithmetic, read through ``ast``: integer and
     decimal literals, taken exactly from their digits (0.1 is 1/10), the
@@ -396,9 +494,9 @@ def _read_polynomial(text: str, n_channels: int) -> dict:
     except SyntaxError as exc:
         raise ValueError(f"cannot parse nonlinearity {text!r}: {exc}") \
             from None
-    index = {name: i for i, name in enumerate(_names(n_channels))}
+    index = {name: name for name in _names(n_channels)}
     if n_channels == 1:
-        index["v"] = 1
+        index["v"] = "v1"
     # a function named on the variables is reported as not polynomial
     # below; any other unknown name, a function of constants too, is stray
     calls = {id(node.func): node for node in ast.walk(tree)
@@ -413,7 +511,6 @@ def _read_polynomial(text: str, n_channels: int) -> dict:
                  else f"u, v1..v{n_channels}")
         raise ValueError(
             f"unknown variables {sorted(stray)}; expected {names}")
-    zero = (0,) * (n_channels + 1)
 
     def not_polynomial(node) -> ValueError:
         return ValueError("not polynomial in (u, v): "
@@ -421,20 +518,18 @@ def _read_polynomial(text: str, n_channels: int) -> dict:
 
     def constant(node, owner) -> Fraction:
         p = ev(node).terms
-        if not set(p) <= {zero}:
+        if not set(p) <= {()}:
             raise not_polynomial(owner)
-        return p.get(zero, Fraction(0))
+        return p.get((), Fraction(0))
 
-    def ev(node) -> _Table:
+    def ev(node) -> Scalar:
         if isinstance(node, ast.Constant) and type(node.value) in (int,
                                                                    float):
             c = Fraction(node.value if type(node.value) is int else
                          ast.get_source_segment(src, node).replace("_", ""))
-            return _Table({zero: c})
+            return Scalar.of(c)
         if isinstance(node, ast.Name):
-            e = [0] * len(zero)
-            e[index[node.id]] = 1
-            return _Table({tuple(e): 1})
+            return Scalar.symbol(index[node.id])
         if isinstance(node, ast.UnaryOp) \
                 and isinstance(node.op, (ast.UAdd, ast.USub)):
             sign = 1 if isinstance(node.op, ast.UAdd) else -1
@@ -454,15 +549,15 @@ def _read_polynomial(text: str, n_channels: int) -> dict:
                 base, k = ev(node.left), constant(node.right, node)
                 if k.denominator != 1:
                     raise not_polynomial(node)
-                if set(base.terms) <= {zero}:
-                    return _Table({zero: base.terms.get(zero, Fraction(0))
-                                   ** int(k)})
+                if set(base.terms) <= {()}:
+                    return Scalar.of(base.terms.get((), Fraction(0))
+                                     ** int(k))
                 if k < 0:
                     raise not_polynomial(node)
                 if k > 3:      # the power alone has degree > 3
                     raise ValueError(
                         "nonlinearity must have total degree <= 3")
-                out = _Table({zero: 1})
+                out = Scalar.of(1)
                 for _ in range(int(k)):
                     out = out * base
                 return out
@@ -472,29 +567,29 @@ def _read_polynomial(text: str, n_channels: int) -> dict:
                          f"{ast.get_source_segment(src, node)!r}")
 
     try:
-        return ev(tree.body).terms
+        return ev(tree.body)
     except ZeroDivisionError as exc:
         raise ValueError(f"cannot parse nonlinearity {text!r}: {exc}") \
             from None
 
 
-def _sympy_table(expr: object, n_channels: int) -> dict:
-    """The coefficient table of F given as a sympy expression."""
-    expr = sympy.expand(sympy.sympify(expr))
-    gens = (sympy.Symbol("u"), *v_symbols(n_channels))
-    stray = {s for s in expr.free_symbols
-             if s.name.startswith(("u", "v")) and s not in gens
-             and (s.name == "u" or s.name[1:].isdigit())}
+def _table(p: Scalar, n_channels: int) -> dict:
+    """F's coefficients by exponent tuple over (u, v1..vn); the other
+    symbols of ``p`` belong to the coefficients."""
+    names = _names(n_channels)
+    stray = {x for mono in p.terms for x, _ in mono if x not in names
+             and x[0] in "uv" and x[1:].isdigit()}
     if stray:
         raise ValueError(
-            f"variables {sorted(map(str, stray))} outside the declared "
+            f"variables {sorted(stray)} outside the declared "
             f"{n_channels} slow channel(s)")
-    try:
-        poly = sympy.Poly(expr, *gens)
-    except sympy.PolynomialError as exc:
-        raise ValueError(f"not polynomial in (u, v): {exc}") from None
-    return {e: Fraction(int(c.p), int(c.q)) if c.is_Rational else c
-            for e, c in poly.terms()}
+    table = {}
+    for mono, c in p.terms.items():
+        powers = dict(mono)
+        e = tuple(powers.pop(x, 0) for x in names)
+        table.setdefault(e, Scalar()).add(tuple(powers.items()), c)
+    return {e: c.terms[()] if list(c.terms) == [()] else c
+            for e, c in table.items()}
 
 
 @dataclass(frozen=True, init=False)
@@ -503,22 +598,21 @@ class CubicPolynomial:
 
     ``terms``: its ``(exponents, coefficient)`` pairs over (u, v1..vn) in
     ``sympy.Poly``'s order, leading term first (the zero polynomial is one
-    zero term).  ``F`` is text, read by :func:`_read_polynomial` without
-    sympy, or a sympy expression.  Rational coefficients are exact
-    ``Fraction``s; only a sympy expression with symbolic coefficients
-    leaves sympy ones.  ``expr`` and ``vs`` are the only uses of sympy.
+    zero term).  ``F`` is text, read by :func:`_read_polynomial`, or a
+    :class:`Scalar` or sympy expression.  Coefficients are exact
+    ``Fraction``s, floats where F has them, and polynomials (``Scalar``)
+    where F has other symbols than u and v1..vn.
     """
 
     terms: tuple
     n_channels: int
 
-    def __init__(self, F: object, n_channels: int = 1) -> None:
+    def __init__(self, F: object, n_channels: int) -> None:
         if n_channels < 0:
             raise ValueError(
                 f"slow-channel count must be >= 0, got {n_channels}")
-        table = _read_polynomial(F, n_channels) if isinstance(F, str) \
-            else _sympy_table(F, n_channels)
-        table = {e: c for e, c in table.items() if c != 0}
+        table = _table(_read_polynomial(F, n_channels) if isinstance(F, str)
+                       else Scalar.of(F), n_channels)
         if any(sum(e) > 3 for e in table):
             raise ValueError("nonlinearity must have total degree <= 3")
         zero = ((0,) * (n_channels + 1), Fraction(0))
@@ -527,14 +621,17 @@ class CubicPolynomial:
         object.__setattr__(self, "n_channels", n_channels)
 
     @property
-    def expr(self) -> sympy.Expr:
-        gens = (sympy.Symbol("u"), *self.vs)
-        return sympy.Add(*(sympy.sympify(c) * sympy.Mul(
-            *(g ** k for g, k in zip(gens, e))) for e, c in self.terms))
+    def expr(self) -> Scalar:
+        names = _names(self.n_channels)
+        out = Scalar()
+        for e, c in self.terms:
+            out = out + Scalar({tuple(sorted(
+                (x, k) for x, k in zip(names, e) if k)): 1}) * c
+        return out
 
     @property
-    def vs(self) -> tuple[sympy.Symbol, ...]:
-        return v_symbols(self.n_channels)
+    def vs(self) -> tuple[Scalar, ...]:
+        return tuple(map(Scalar.symbol, _names(self.n_channels)[1:]))
 
     def coefficient(self, p: int, q: Sequence[int] = ()):
         """Coefficient of the exact monomial ``u^p * v1^q1 * ...``."""
@@ -555,31 +652,8 @@ class CubicPolynomial:
         return self.coefficient(2, q)
 
     def text(self) -> str:
-        """``str(self.expr)``, rendered from the table when it is rational."""
-        if not all(isinstance(c, Fraction) for _, c in self.terms):
-            return str(self.expr)
-        # sympy's printer orders the variables by name (v10 before v2) and
-        # the terms lexicographically in them, leading term first
-        names = _names(self.n_channels)
-        order = sorted(range(len(names)), key=names.__getitem__)
-        names = [names[i] for i in order]
-        terms = sorted(((tuple(e[i] for i in order), c)
-                        for e, c in self.terms if c), reverse=True)
-        # ...except that a positive constant leads one negative c*x^k
-        if len(terms) == 2 and not any(terms[1][0]) and terms[1][1] > 0 \
-                and terms[0][1] < 0 and sum(map(bool, terms[0][0])) == 1:
-            terms.reverse()
-        out = ""
-        for e, c in terms:
-            factors = [n if k == 1 else f"{n}**{k}"
-                       for n, k in zip(names, e) if k]
-            if abs(c.numerator) != 1 or not factors:
-                factors.insert(0, str(abs(c.numerator)))
-            body = "*".join(factors)
-            if c.denominator != 1:
-                body += f"/{c.denominator}"
-            out += (" - " if c < 0 else " + ") + body
-        return "-" + out[3:] if out.startswith(" - ") else out[3:] or "0"
+        """F as sympy prints it."""
+        return str(self.expr)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +682,7 @@ def _substitute(F: CubicPolynomial, u: Combo, vs: Sequence[Combo], d: int
             term.terms = {s: c for s, c in term.terms.items()
                           if homogeneity(s, d) <= room}
         out = out + term
-    return out.expanded()
+    return out
 
 
 @dataclass
@@ -619,18 +693,18 @@ class FixedPointExpansion:
     over the leg triples ``w_i`` and pairs ``p_j``; each slow channel mirrors
     the shape with its decorated leading leg, scalar offset ``psi``, and
     opaque hatted coefficients (the slow-kernel convolutions of the fast
-    ones).  Scalars are sympy expressions in the local function values.
+    ones).  Scalars are polynomials in the local function values.
     """
 
     d: int
     F: CubicPolynomial
     u_combo: Combo
     v_combos: tuple[Combo, ...]
-    a: dict[Symbol, sympy.Expr]
-    b: dict[Symbol, sympy.Expr]
-    phi: sympy.Symbol
-    psi: tuple[sympy.Symbol, ...]
-    hatted: tuple[sympy.Symbol, ...]
+    a: dict[Symbol, Scalar]
+    b: dict[Symbol, Scalar]
+    phi: Scalar
+    psi: tuple[Scalar, ...]
+    hatted: tuple[Scalar, ...]
 
 
 def fixed_point_expansion(F: CubicPolynomial, d: int) -> FixedPointExpansion:
@@ -644,8 +718,8 @@ def fixed_point_expansion(F: CubicPolynomial, d: int) -> FixedPointExpansion:
     """
     n_channels = F.n_channels
     rsi = leg(0, d)
-    phi = sympy.Symbol("phi")
-    psi = tuple(sympy.Symbol(f"psi{i}") for i in range(1, n_channels + 1))
+    phi = Scalar.symbol("phi")
+    psi = tuple(Scalar.symbol(f"psi{i}") for i in range(1, n_channels + 1))
     triples = _leg_products(d, n_channels, 3)
     pairs = _leg_products(d, n_channels, 2)
 
@@ -662,20 +736,20 @@ def fixed_point_expansion(F: CubicPolynomial, d: int) -> FixedPointExpansion:
     for w, c in [*a.items(), *b.items()]:
         u_combo.add(integral(w), c)     # adding 0 leaves no term
     for i in range(d + 1):
-        u_combo.add(x_power(i, d), sympy.Symbol(f"dphi{i}"))
+        u_combo.add(x_power(i, d), Scalar.symbol(f"dphi{i}"))
 
-    hatted: list[sympy.Symbol] = []
+    hatted: list[Scalar] = []
     v_combos = []
     for ch in range(1, n_channels + 1):
         tag = "" if n_channels == 1 else str(ch)
         vc = Combo({leg(ch, d): 1, ONE: psi[ch - 1]})
         for prefix, trees in (("ah", triples), ("bh", pairs)):
             for idx, w in enumerate(trees, start=1):
-                s = sympy.Symbol(f"{prefix}{tag}{idx}")
+                s = Scalar.symbol(f"{prefix}{tag}{idx}")
                 hatted.append(s)
                 vc.add(integral(w), s)
         for i in range(d + 1):
-            vc.add(x_power(i, d), sympy.Symbol(f"dpsi{tag}_{i}"))
+            vc.add(x_power(i, d), Scalar.symbol(f"dpsi{tag}_{i}"))
         v_combos.append(vc)
 
     return FixedPointExpansion(
@@ -701,19 +775,19 @@ class RenormalizedEquation:
 
     F: CubicPolynomial
     d: int
-    constants: dict[Symbol, sympy.Expr]
-    c0: sympy.Expr
-    c1: sympy.Expr
-    c2: tuple[sympy.Expr, ...]
-    C_eps: sympy.Expr
+    constants: dict[Symbol, Scalar]
+    c0: Scalar
+    c1: Scalar
+    c2: tuple[Scalar, ...]
+    C_eps: Scalar
     proportional: bool
     factorized: bool
-    obstruction: list[tuple[sympy.Expr, Symbol]]
-    totals: dict[Symbol, sympy.Expr]
-    Fhat: sympy.Expr
+    obstruction: list[tuple[Scalar, Symbol]]
+    totals: dict[Symbol, Scalar]
+    Fhat: Scalar
 
 
-def default_constants(d: int, n_channels: int) -> dict[Symbol, sympy.Expr]:
+def default_constants(d: int, n_channels: int) -> dict[Symbol, Scalar]:
     """Constants for the divergent patterns only (C1; plus C2 when d = 3)."""
     return {pat: constant_symbol(pat)
             for pat in divergent_patterns(d, n_channels)}
@@ -733,16 +807,16 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
     n = F.n_channels
     if constants is None:
         constants = default_constants(d, n)
-    constants = {pat: sympy.sympify(c) for pat, c in constants.items()}
+    constants = {pat: Scalar.of(c) for pat, c in constants.items()}
     # float constants round differently on the two sides of an identity:
     # float coefficients below 1e-12 of the largest constant count as zero
     tol = 1e-12 * max([abs(f) for c in constants.values()
-                       for f in c.atoms(sympy.Float)], default=0.0)
+                       for f in c.terms.values() if isinstance(f, float)],
+                      default=0.0)
 
-    def vanishes(x: sympy.Expr) -> bool:
-        x = sympy.expand(x)
-        return x.xreplace({f: 0 for f in x.atoms(sympy.Float)
-                           if abs(f) <= tol}) == 0
+    def vanishes(x: Scalar) -> bool:
+        return all(isinstance(f, float) and abs(f) <= tol
+                   for f in x.terms.values())
 
     fp = fixed_point_expansion(F, d)
     # every extraction pattern has strictly negative homogeneity, so M - id
@@ -750,7 +824,7 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
     # computed exactly from the same sector of G
     G = _substitute(F, fp.u_combo, fp.v_combos, d)
     M = RenormMap(constants, d)
-    delta = (M.apply(G) + G.scaled(-1)).expanded()
+    delta = M.apply(G) + G.scaled(-1)
 
     rsi = leg(0, d)
     targets = [ONE] + [leg(i, d) for i in range(n + 1)]
@@ -763,39 +837,36 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
                     f"unexpected non-positive symbol {to_text(sym)} "
                     f"in the renormalised expansion")
 
-    kill_hats = {h: 0 for h in fp.hatted}
-    pure = {t: sympy.expand(c.subs(kill_hats)) for t, c in totals.items()}
-    obstruction = []
-    for t, c in totals.items():
-        res = sympy.expand(c - pure[t])
-        if res != 0:
-            obstruction.append((res, t))
+    pure = {t: c.zeroed(fp.hatted) for t, c in totals.items()}
+    obstruction = [(c - pure[t], t) for t, c in totals.items()
+                   if c != pure[t]]
 
-    c1 = sympy.expand(-pure[rsi])
-    c2 = tuple(sympy.expand(-pure[leg(i, d)]) for i in range(1, n + 1))
-    zero_local = {fp.phi: 0, **{p: 0 for p in fp.psi}}
-    c0 = sympy.expand(-pure[ONE].subs(zero_local))
-    residual = sympy.expand(pure[ONE] + c0 + c1 * fp.phi
-                            + sum(ci * pi for ci, pi in zip(c2, fp.psi)))
+    c1 = -pure[rsi]
+    c2 = tuple(-pure[leg(i, d)] for i in range(1, n + 1))
+    c0 = -pure[ONE].zeroed((fp.phi, *fp.psi))
+    residual = pure[ONE] + c0 + c1 * fp.phi + sum(
+        ci * pi for ci, pi in zip(c2, fp.psi))
     if not vanishes(residual):
         # leftover local dependence that no constant-coefficient counterterm
         # reproduces; report it against the unit symbol
-        obstruction.append((sympy.expand(-residual), ONE))
+        obstruction.append((-residual, ONE))
     factorized = not obstruction
 
     pair0 = product([rsi, rsi])
-    C1 = constants.get(pair0, sympy.Integer(0))
+    C1 = constants.get(pair0, Scalar())
     comp0 = product([integral(pair0), pair0])
-    C2 = constants.get(comp0, sympy.Integer(0))
-    C_eps = sympy.expand(3 * C1 + 9 * F.gamma1 * C2)
+    C2 = constants.get(comp0, Scalar())
+    C_eps = 3 * C1 + 9 * F.gamma1 * C2
+    third = Fraction(1, 3)
     proportional = (
-        vanishes(c0 - F.beta1 * C_eps / 3) and vanishes(c1 - F.gamma1 * C_eps)
-        and all(vanishes(ci - F.gamma2(i + 1) * C_eps / 3)
+        vanishes(c0 - F.beta1 * C_eps * third)
+        and vanishes(c1 - F.gamma1 * C_eps)
+        and all(vanishes(ci - F.gamma2(i + 1) * C_eps * third)
                 for i, ci in enumerate(c2)))
 
-    Fhat = F.expr - c0 - c1 * sympy.Symbol("u") - sum(
+    Fhat = F.expr - c0 - c1 * Scalar.symbol("u") - sum(
         ci * vi for ci, vi in zip(c2, F.vs))
     return RenormalizedEquation(
         F=F, d=d, constants=dict(constants), c0=c0, c1=c1, c2=c2,
         C_eps=C_eps, proportional=proportional, factorized=factorized,
-        obstruction=obstruction, totals=totals, Fhat=sympy.expand(Fhat))
+        obstruction=obstruction, totals=totals, Fhat=Fhat)

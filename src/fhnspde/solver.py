@@ -155,7 +155,7 @@ class RunConfig:
     record_every: int = 10
     snapshot_times: tuple[float, ...] = ()
 
-    def validate(self, d: int, n_v: int = 1) -> None:
+    def validate(self, d: int, n_v: int) -> None:
         if d not in (2, 3):
             raise ValueError(f"spatial dimension d = {d} must be 2 or 3")
         # a nan passes every comparison below (and turns the cutoff guard
@@ -215,11 +215,8 @@ def _random_field(lat: Lattice, seed: int, exponent: float) -> np.ndarray:
     return lat.irfft(lat.rfft(w) * sig * n ** (d / 2.0))
 
 
-def initial_data(d: int, n_space: int, seed: int,
-                 eta: float = RunConfig.eta, gamma: float = RunConfig.gamma,
-                 n_v: int = 1,
-                 u0: Optional[Callable] = None,
-                 v0: Optional[Callable] = None
+def initial_data(d: int, n_space: int, seed: int, eta: float, gamma: float,
+                 n_v: int, u0: Optional[Callable], v0: Optional[Callable]
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Initial fields: prescribed-decay random Fourier series or explicit.
 

@@ -479,7 +479,7 @@ def test_load_config_leaves_unset_keys_to_the_defaults(tmp_path):
     spec, config, extra = load_config(str(p))
     assert config == RunConfig(n_space=128, dt=1e-4, t_end=0.1, eps=0.25,
                                seed=0)
-    assert spec == SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v"),
+    assert spec == SystemSpec(d=2, F=CubicPolynomial("u - u^3 - v", 1),
                               Q=QSpec(A1=(1.0,), A2=((-1.0,),)))
     assert extra == {"renorm_on": True, "sweep": {"eps_list": [0.25]}}
 

@@ -4,6 +4,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import json
 import os
 import pkgutil
 import re
@@ -15,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import fhnspde
+import fhnspde.cli
 
 
 def test_every_public_name_resolves():
@@ -103,16 +105,18 @@ def test_scipy_is_a_test_dependency_only():
         return {re.split(r"[<>=!~;\[ ]", r, maxsplit=1)[0].lower()
                 for r in reqs}
 
-    assert names(project["dependencies"]) == {"numpy", "sympy"}
-    assert "scipy" in names(project["optional-dependencies"]["test"])
+    # sympy, too, is a test oracle only
+    assert names(project["dependencies"]) == {"numpy"}
+    assert {"scipy", "sympy"} <= names(
+        project["optional-dependencies"]["test"])
 
 
-def test_numeric_commands_never_execute_sympy(tmp_path):
-    # only renorm-eq runs the symbolic layer; F is read into an exact table
-    # without sympy, which the numeric commands never load (about 0.4 s and
-    # 32 MB at start-up); constants in d = 3, a d = 3 run and a d = 2 sweep
-    # leave no scipy module behind either, nor numpy.ma, which np.unique
-    # imports when called without return_*
+def test_no_command_imports_sympy(tmp_path, monkeypatch):
+    # sympy is a test oracle only (about 0.25 s and 32 MB at start-up): with
+    # its import blocked, every command exits as it does here, where sympy
+    # is importable.  The numeric commands (constants in d = 3, a d = 3 run
+    # and a d = 2 sweep) leave no scipy module behind either, nor numpy.ma,
+    # which np.unique imports when called without return_*
     root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nn_space = 16\ndt = 1e-4\nt_end = 2e-4\n"
@@ -122,22 +126,38 @@ def test_numeric_commands_never_execute_sympy(tmp_path):
     d3, d2 = tmp_path / "d3.cfg", tmp_path / "d2.cfg"
     d3.write_text(cfg.read_text().format(dim=3))
     d2.write_text(cfg.read_text().format(dim=2))
+    numeric = [["constants", "--dim", "3", "--eps-list", "2^-4"],
+               ["simulate", "--config", str(d3)],
+               ["converge", "--config", str(d2)]]
+    # the renorm-eq cases are perfbench's symbolic_d3 ones
+    others = [["symbols", "--dim", "3", "--cutoff", "3/2", "--channels", "2"],
+              ["coproduct", "I(Xi)^2*I(I(Xi)^3)", "--dim", "3"],
+              ["verify-bounds", "--dim", "3"]] + [
+        ["renorm-eq", "--dim", dim, "--F", F] + channels
+        for dim, F, channels in (("2", "u - u^3 - v", []),
+                                 ("3", "u - u^3 - v", []),
+                                 ("3", "u - u^3 + u^2*v", []),
+                                 ("3", "3*u + v1 - u^3",
+                                  ["--channels", "2"]))]
+    result = tmp_path / "result.json"
     code = (
-        "import sys\n"
+        "import json, sys\n"
+        "sys.modules['sympy'] = None\n"
         "from fhnspde.cli import main\n"
-        "rcs = [main(['constants', '--dim', '3', '--eps-list', '2^-4']),\n"
-        f"       main(['simulate', '--config', {str(d3)!r}]),\n"
-        f"       main(['converge', '--config', {str(d2)!r}])]\n"
-        "print(rcs, 'sympy.core' in sys.modules,\n"
-        "      [m for m in sys.modules if m.startswith('scipy')],\n"
-        "      'numpy.ma' in sys.modules)\n"
-        "print(main(['renorm-eq', '--dim', '3', '--F', 'u - u^3 - v']))\n")
+        f"numeric, others = {numeric!r}, {others!r}\n"
+        "rcs = [main(argv) for argv in numeric]\n"
+        "left = [m for m in sys.modules\n"
+        "        if m.startswith('scipy') or m == 'numpy.ma']\n"
+        "rcs += [main(argv) for argv in others]\n"
+        f"open({str(result)!r}, 'w').write(json.dumps([rcs, left]))\n")
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
-               FHNSPDE_OUT=str(tmp_path / "out"))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    lines = out.splitlines()
-    assert "[0, 0, 0] False [] False" in lines and lines[-1] == "0", out
+               FHNSPDE_OUT=str(tmp_path / "blocked"))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   capture_output=True)
+    rcs, left = json.loads(result.read_text())
+    monkeypatch.setenv("FHNSPDE_OUT", str(tmp_path / "here"))
+    assert rcs == [fhnspde.cli.main(argv) for argv in numeric + others]
+    assert left == []
 
 
 def test_every_parameter_is_read():
@@ -192,9 +212,10 @@ def _unreached(modules, names, attrs) -> list[str]:
     its decorators, bases and the body statements other than its members.
     A member (method, property, classmethod or staticmethod) is reached
     when its class is and its name is an Attribute.attr in reached code.
-    A dunder, and an override of a method of a base class from outside
-    ``modules`` (a hook the base calls, as argparse calls ``error``), go
-    with their class.
+    A dunder, a sunder (a protocol hook an outside library calls, as sympy
+    calls ``_sympy_``), and an override of a method of a base class from
+    outside ``modules`` (a hook the base calls, as argparse calls
+    ``error``), go with their class.
     """
     names, attrs = set(names), set(attrs)
     own = {namespace["__name__"] for _, namespace in modules.values()}
@@ -211,7 +232,7 @@ def _unreached(modules, names, attrs) -> list[str]:
                 code = node.decorator_list + node.bases + node.keywords
                 for m in node.body:
                     if not isinstance(m, functions) or m.name in hooks \
-                            or m.name.startswith("__"):
+                            or m.name[0] == m.name[-1] == "_":
                         code.append(m)
                     else:
                         entries[stem, f"{node.name}.{m.name}"] = (
@@ -245,9 +266,10 @@ def test_every_definition_is_reached_from_the_cli():
     # perfbench's tracer wraps by name.  Matching by name over-approximates
     # the call graph, which is the safe side; it cannot see a member whose
     # name is also an attribute of another class, such as a Combo.text
-    # (CubicPolynomial.text and the hopf classes' text), nor a dunder, which
-    # goes with its class whether or not anything calls it: a __call__ that
-    # only tests call (CubicPolynomial had one) passes
+    # (CubicPolynomial.text and the hopf classes' text), nor a dunder or a
+    # sunder hook, which goes with its class whether or not anything calls
+    # it: a __call__ that only tests call (CubicPolynomial had one) passes,
+    # and so does Scalar._sympy_, which only sympy calls
     src = Path(fhnspde.__file__).resolve().parent
     modules = {}
     for path in sorted(src.glob("*.py")):
@@ -279,6 +301,12 @@ class Box:
     def unused(self):
         return 2
 
+    def _private(self):
+        return 3
+
+    def _sympy_(self):
+        return 4
+
 
 def main():
     return Box().used()
@@ -286,13 +314,14 @@ def main():
 
 
 def test_reachability_guard_sees_members():
-    # the guard flags a method nothing calls, accepts one reached only as
-    # obj.method, and accepts an override of an outside base class's hook
+    # the guard flags a method nothing calls, private or not, accepts one
+    # reached only as obj.method, an override of an outside base class's
+    # hook and a sunder hook that an outside library calls
     module = types.ModuleType("example")
     exec(compile(GUARD_EXAMPLE, "example", "exec"), vars(module))
     missing = _unreached({"example": (GUARD_EXAMPLE, vars(module))},
                          {"main"}, set())
-    assert [m.split()[1] for m in missing] == ["Box.unused"]
+    assert [m.split()[1] for m in missing] == ["Box._private", "Box.unused"]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

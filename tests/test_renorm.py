@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -12,6 +13,7 @@ from fhnspde.renorm import (
     Combo,
     CubicPolynomial,
     RenormMap,
+    Scalar,
     UnsupportedSymbolError,
     classify_chaos_zero,
     composite_family,
@@ -22,7 +24,6 @@ from fhnspde.renorm import (
     pair_family,
     renormalized_nonlinearity,
 )
-from fhnspde.renorm import v_symbols
 from fhnspde.solver import QSpec, SystemSpec
 from fhnspde.symbols import (
     ONE,
@@ -37,7 +38,7 @@ from reference import common_trees, generator_action
 CT = common_trees(3)
 C1, C1p, C1pp, C2 = sympy.symbols("C1 C1p C1pp C2")
 U = sympy.Symbol("u")
-V1, = v_symbols(1)
+V1 = sympy.Symbol("v1")
 
 
 def pat_pair():
@@ -50,6 +51,78 @@ def pat_comp():
 
 def combo(**named):
     return Combo({CT[k] if k in CT else ONE: v for k, v in named.items()})
+
+
+# ---------------------------------------------------------------------------
+# Exact scalars against sympy
+# ---------------------------------------------------------------------------
+
+# the names renorm-eq prints, a bracketed constant name among them
+PRINT_NAMES = ["C1", "C1p", "C1pp", "C2", "C2pq", "C[I(I(Xi)^2)*E1(I(Xi))^2]",
+               "ah1", "bh2", "phi", "psi1", "dphi0", "dpsi_0", "u", "v1", "v2",
+               "v10"]
+
+
+def _random_terms(rng):
+    """Random rational terms ``(coefficient, names with repeats)``; a third
+    of them are a constant and one term, the shape of sympy's ordering
+    exception."""
+    names = rng.sample(PRINT_NAMES, rng.randint(1, 4))
+    pair = rng.random() < 1 / 3
+    terms = [(Fraction(rng.randint(-12, 12), rng.choice([1, 1, 2, 3, 4])),
+              [name for name in rng.sample(names, rng.randint(1, len(names)))
+               for _ in range(rng.randint(1, 2))])
+             for _ in range(1 if pair else rng.randint(1, 4))]
+    return terms + [(Fraction(rng.randint(1, 9), rng.randint(1, 3)), [])] \
+        if pair else terms
+
+
+def test_scalar_prints_as_sympy():
+    rng = random.Random(31)
+    led = 0
+    for case in range(2000):
+        x, want = Scalar(), []
+        for c, names in _random_terms(rng):
+            term = Scalar.of(c)
+            for name in names:
+                term = term * Scalar.symbol(name)
+            x = x + term
+            want.append(sympy.Mul(sympy.Rational(c.numerator, c.denominator),
+                                  *map(sympy.Symbol, names)))
+        # a sum of monomials is expanded as built
+        want = sympy.Add(*want)
+        assert str(x) == str(want), (x, want)
+        # the conversion keeps every symbol by name
+        assert case % 10 or sympy.sympify(x) == want
+        led += str(x)[0].isdigit() and len(x.terms) == 2
+    assert led > 100
+    # a positive constant leads one negative single-base term, not a
+    # negative multi-symbol one
+    u, v1, C2 = map(Scalar.symbol, ("u", "v1", "C2"))
+    assert str(1 - u * Fraction(1, 2)) == "1 - u/2"
+    assert str(2 - u * u * 3) == "2 - 3*u**2"
+    assert str(2 - C2 * v1 * Fraction(9, 2)) == "-9*C2*v1/2 + 2"
+    assert str(Scalar()) == "0" and str(Scalar.of(-3)) == "-3"
+
+
+def test_scalar_algebra():
+    u, v1, phi = map(Scalar.symbol, ("u", "v1", "phi"))
+    x = (u + phi) * (u - v1 * 2) + Fraction(1, 3)
+    assert str(x) == "phi*u - 2*phi*v1 + u**2 - 2*u*v1 + 1/3"
+    assert x.coeff("u", 1) == phi - v1 * 2
+    assert str(x.coeff("u", 0)) == "-2*phi*v1 + 1/3"
+    assert x.zeroed((phi, v1)) == u * u + Fraction(1, 3)
+    assert float(x.zeroed((phi, u, v1))) == pytest.approx(1 / 3)
+    with pytest.raises(TypeError):
+        float(x)
+    assert x - x == 0 and 0.5 * u - u * 0.5 == 0
+    # a sympy operand hands the operation to sympy; sympy expressions
+    # convert term by term
+    assert isinstance(x - sympy.Symbol("u"), sympy.Expr)
+    assert Scalar.of(sympy.sympify("(u + phi)*(u - 2*v1) + 1/3")) == x
+    assert Scalar.of(sympy.Float(0.5) * U) == 0.5 * u
+    with pytest.raises(ValueError, match="not polynomial"):
+        Scalar.of(sympy.sin(U))
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +332,7 @@ def test_cubic_polynomial_coefficients():
     assert F.beta1 == b1          # exact monomial, not sympy's loose coeff
     assert F.gamma2(1) == g2
     assert F.coefficient(0) == 7
-    assert F.expr.subs({U: 1, V1: 0}) == g1 + b1 + 7
+    assert sympy.sympify(F.expr).subs({U: 1, V1: 0}) == g1 + b1 + 7
 
 
 def test_cubic_polynomial_validation():
@@ -374,7 +447,7 @@ def test_renormalized_beta_only_d2():
 def test_renormalized_numeric_constants():
     vals = {product([CT["RSI"], CT["RSI"]]): 4.0, pat_comp(): 0.5}
     R = renormalized_nonlinearity(CubicPolynomial("u - u^3 - v", 1), 3, vals)
-    assert R.c1 == pytest.approx(-3 * 4.0 + 9 * 0.5)
+    assert float(R.c1) == pytest.approx(-3 * 4.0 + 9 * 0.5)
 
 
 def test_default_constants():
@@ -395,7 +468,7 @@ def test_hand_written_counterterm_rules_match_derivation(d, n, seed):
     # coefficient is dropped with probability 1/2, so both sides of the
     # d = 3 rule occur
     rng = random.Random(1000 * d + 100 * n + seed)
-    gens = (U, *v_symbols(n))
+    gens = sympy.symbols(["u"] + [f"v{i}" for i in range(1, n + 1)])
     expr = 0
     for e in itertools.product(range(4), repeat=n + 1):
         if 0 < sum(e) <= 3:

@@ -29,7 +29,7 @@ from fhnspde.noise import (
     sample_white_noise,
 )
 from fhnspde import solver
-from fhnspde.renorm import CubicPolynomial, v_symbols
+from fhnspde.renorm import CubicPolynomial
 from fhnspde.solver import (
     QSpec,
     RunConfig,
@@ -145,21 +145,22 @@ def test_system_rejects_quadratic_slow_coupling_in_3d_with_renorm():
 
 def test_config_validation():
     good = RunConfig(n_space=32, dt=1e-3, t_end=0.01, eps=0.25, seed=0)
-    good.validate(2)
+    good.validate(2, 1)
     with pytest.raises(ValueError):
-        RunConfig(n_space=32, dt=1e-3, t_end=0.01, eps=0.05, seed=0).validate(2)
-    with pytest.raises(ValueError):
-        RunConfig(n_space=32, dt=1e-3, t_end=0.01, eps=0.25, seed=0,
-                  eta=-0.7).validate(2)
+        RunConfig(n_space=32, dt=1e-3, t_end=0.01, eps=0.05,
+                  seed=0).validate(2, 1)
     with pytest.raises(ValueError):
         RunConfig(n_space=32, dt=1e-3, t_end=0.01, eps=0.25, seed=0,
-                  gamma=0.9).validate(2)
+                  eta=-0.7).validate(2, 1)
+    with pytest.raises(ValueError):
+        RunConfig(n_space=32, dt=1e-3, t_end=0.01, eps=0.25, seed=0,
+                  gamma=0.9).validate(2, 1)
     with pytest.raises(ValueError):
         SystemSpec(d=2, F=_zero_F(), Q=_scalar_Q(), formulation="magic")
     # the Philox keys seed, seed + 1 and seed + 1 + 7919 i (one per slow
     # channel) must fit in uint64; snapshot times must lie in [0, t_end]
     top = 2 ** 64 - 2 - 7919   # the largest seed with one slow channel
-    replace(good, seed=top, snapshot_times=(0.0, 0.01)).validate(2)
+    replace(good, seed=top, snapshot_times=(0.0, 0.01)).validate(2, 1)
     for bad, n_v in (({"seed": -1}, 1), ({"seed": top + 1}, 1),
                      ({"seed": top}, 2),
                      ({"snapshot_times": (0.005, -0.1)}, 1),
@@ -179,11 +180,13 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 def test_initial_data_deterministic_and_shaped():
-    u1, v1 = initial_data(2, 32, 123, n_v=2)
-    u2, v2 = initial_data(2, 32, 123, n_v=2)
+    kw = dict(eta=RunConfig.eta, gamma=RunConfig.gamma, n_v=2, u0=None,
+              v0=None)
+    u1, v1 = initial_data(2, 32, 123, **kw)
+    u2, v2 = initial_data(2, 32, 123, **kw)
     assert np.array_equal(u1, u2) and np.array_equal(v1, v2)
     assert u1.shape == (32, 32) and v1.shape == (2, 32, 32)
-    u3, _ = initial_data(2, 32, 124, n_v=2)
+    u3, _ = initial_data(2, 32, 124, **kw)
     assert not np.array_equal(u1, u3)
 
 
@@ -195,7 +198,8 @@ def test_initial_data_calls_v0_once():
         calls.append(1)
         return np.stack([np.sin(2 * np.pi * x), np.cos(2 * np.pi * y)])
 
-    _, v = initial_data(2, 8, 1, n_v=2, v0=v0)
+    _, v = initial_data(2, 8, 1, eta=RunConfig.eta, gamma=RunConfig.gamma,
+                        n_v=2, u0=None, v0=v0)
     assert len(calls) == 1
     xs = np.arange(8) / 8
     assert np.array_equal(v, v0(*np.meshgrid(xs, xs, indexing="ij")))
@@ -213,7 +217,8 @@ def test_initial_data_spectrum_slope():
     acc = np.zeros_like(mag)
     n_seeds = 100
     for s in range(n_seeds):
-        u, _ = initial_data(d, N, 5000 + s, eta=eta, n_v=1)
+        u, _ = initial_data(d, N, 5000 + s, eta=eta, gamma=RunConfig.gamma,
+                            n_v=1, u0=None, v0=None)
         acc += np.abs(np.fft.rfftn(u)) ** 2 / N ** d
     acc /= n_seeds
     sel = (mag >= 2.0) & (mag <= 20.0)
@@ -261,7 +266,8 @@ def test_spatial_mean_conserved_without_forcing():
     cfg = RunConfig(n_space=32, dt=1e-3, t_end=0.05, eps=0.25, seed=11,
                     noise_amplitude=0.0, snapshot_times=(0.05,))
     res = run(cfg, spec)
-    u0, _ = initial_data(2, 32, 12)  # run uses seed + 1
+    u0, _ = initial_data(2, 32, 12, eta=cfg.eta, gamma=cfg.gamma, n_v=1,
+                         u0=None, v0=None)  # run uses seed + 1
     assert abs(np.mean(u0) - np.mean(res.snapshots[0.05]["u"])) < 1e-12
 
 
@@ -375,7 +381,8 @@ def test_run_matches_hand_stepped_full_field_reference():
     xi = sample_white_noise(lat, cfg.seed)
     xi_eps = mollify_noise(xi, cfg.eps)
     st = Stepper(spec, 16, cfg.dt)
-    u, v = initial_data(2, 16, cfg.seed + 1)
+    u, v = initial_data(2, 16, cfg.seed + 1, eta=cfg.eta, gamma=cfg.gamma,
+                        n_v=1, u0=None, v0=None)
     u_hat = np.fft.rfftn(u)
     chi_hat = np.zeros_like(u_hat)
     for i in range(steps):
@@ -482,7 +489,8 @@ def _cubic_cases(draw):
                   if draw(st.booleans())}
     # dyadic coefficients are exact in both evaluations
     expr = sum((sympy.Rational(c, 8) * sympy.prod(
-        [g ** k for g, k in zip((U_SYM, *v_symbols(n)), e)])
+        [g ** k for g, k in zip(sympy.symbols(
+            ["u"] + [f"v{i}" for i in range(1, n + 1)]), e)])
         for e, c in coeffs.items()), sympy.Integer(0))
     floats = st.floats(-5.0, 5.0, allow_nan=False)
     renorm = draw(st.one_of(st.none(), st.builds(
@@ -506,11 +514,13 @@ def test_nonlinearity_matches_lambdified_cubic(case):
     st_ = Stepper(SystemSpec(d=2, F=F, Q=Q, renorm=renorm), 8, 1e-3)
     got = st_.nonlinearity(u, v)
     assert got.shape == u.shape
-    f = sympy.lambdify((U_SYM, *F.vs), F.expr, "numpy")
+    vs = [sympy.sympify(v) for v in F.vs]
+    expr = sympy.sympify(F.expr)
+    f = sympy.lambdify((U_SYM, *vs), expr, "numpy")
     want = f(u, *v) + 0.0 * u
     # size of the terms: |c| |u|^p |v|^q summed over the monomials
     size = np.zeros_like(u)
-    for (p, *q), c in sympy.Poly(F.expr, U_SYM, *F.vs).terms():
+    for (p, *q), c in sympy.Poly(expr, U_SYM, *vs).terms():
         size += abs(float(c)) * np.abs(u) ** p * np.prod(
             [np.abs(vi) ** k for vi, k in zip(v, q)], axis=0)
     if renorm is not None:
