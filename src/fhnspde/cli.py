@@ -291,9 +291,9 @@ def cmd_coproduct(args) -> int:
     rd.manifest["config"] = {"dim": args.dim, "expr": args.expr}
     print(f"input: {display_name(sym)}  ({to_text(sym)})")
     print(f"homogeneity: {homogeneity(sym, args.dim)}")
-    print(f"coproduct: {ts}")
-    (rd.path / "coproduct.txt").write_text(
-        f"{to_text(sym)}\n{ts}\n")
+    text = ts.text()
+    print(f"coproduct: {text}")
+    (rd.path / "coproduct.txt").write_text(f"{to_text(sym)}\n{text}\n")
     rd.write_manifest()
     return 0
 
@@ -494,6 +494,7 @@ def cmd_converge(args) -> int:
           f"{contraction['max_ratio']:.4f} vs bound "
           f"{1.1 * max(1.0, contraction['q_l1']):.4f}")
     rd.manifest["config"] = rep.manifest
+    rd.manifest["constants"] = rep.manifest["constants"]
     rd.manifest["contraction"] = contraction
     rd.manifest["noise_checksum"] = rep.noise_checksum
     rd.write_manifest()

@@ -94,16 +94,12 @@ class Scalar(Linear):
     """Exact polynomial in named symbols, always expanded.
 
     ``terms`` maps a monomial -- its ``(name, power)`` pairs sorted by name,
-    ``()`` for the constant -- to a non-zero ``Fraction``, or a float where
-    numeric constants enter.  Numbers combine with it; with a sympy operand
-    the result is sympy's, through :meth:`_sympy_`.
+    ``()`` for the constant -- to a non-zero ``Fraction``; a float is read
+    exactly (0.1 is 3602879701896397/2**55).  Numbers combine with it; with
+    a sympy operand the result is sympy's, through :meth:`_sympy_`.
     """
 
     __slots__ = ()
-
-    @staticmethod
-    def _coerce(c: object) -> Union[Fraction, float]:
-        return c if isinstance(c, float) else Fraction(c)
 
     @staticmethod
     def _pair_product(a: tuple, b: tuple) -> tuple:
@@ -133,7 +129,7 @@ class Scalar(Linear):
             out.add(tuple(sorted((b.name, int(k)) for b, k in powers
                                  if b != 1)),
                     Fraction(int(c.p), int(c.q)) if c.is_Rational
-                    else float(c))
+                    else Fraction(float(c)))
         return out
 
     @staticmethod
@@ -192,9 +188,7 @@ class Scalar(Linear):
         return out
 
     def __str__(self) -> str:
-        """``str()`` of the sympy expression, without sympy; a float
-        coefficient prints by ``repr`` (sympy pads a lone float to 15
-        digits)."""
+        """``str()`` of the sympy expression, without sympy."""
         # sympy's printer orders the symbols by name (v10 before v2) and the
         # terms lexicographically in them, leading term first...
         names = sorted({x for mono in self.terms for x, _ in mono})
@@ -207,12 +201,10 @@ class Scalar(Linear):
         out = ""
         for mono, c in terms:
             factors = [x if k == 1 else f"{x}**{k}" for x, k in mono]
-            if isinstance(c, float):
-                factors.insert(0, repr(abs(c)))
-            elif abs(c.numerator) != 1 or not factors:
+            if abs(c.numerator) != 1 or not factors:
                 factors.insert(0, str(abs(c.numerator)))
             body = "*".join(factors)
-            if isinstance(c, Fraction) and c.denominator != 1:
+            if c.denominator != 1:
                 body += f"/{c.denominator}"
             out += (" - " if c < 0 else " + ") + body
         return "-" + out[3:] if out.startswith(" - ") else out[3:] or "0"
@@ -600,8 +592,8 @@ class CubicPolynomial:
     ``sympy.Poly``'s order, leading term first (the zero polynomial is one
     zero term).  ``F`` is text, read by :func:`_read_polynomial`, or a
     :class:`Scalar` or sympy expression.  Coefficients are exact
-    ``Fraction``s, floats where F has them, and polynomials (``Scalar``)
-    where F has other symbols than u and v1..vn.
+    ``Fraction``s, and polynomials (``Scalar``) where F has other symbols
+    than u and v1..vn.
     """
 
     terms: tuple
@@ -696,8 +688,6 @@ class FixedPointExpansion:
     ones).  Scalars are polynomials in the local function values.
     """
 
-    d: int
-    F: CubicPolynomial
     u_combo: Combo
     v_combos: tuple[Combo, ...]
     a: dict[Symbol, Scalar]
@@ -753,7 +743,7 @@ def fixed_point_expansion(F: CubicPolynomial, d: int) -> FixedPointExpansion:
         v_combos.append(vc)
 
     return FixedPointExpansion(
-        d=d, F=F, u_combo=u_combo, v_combos=tuple(v_combos), a=a, b=b,
+        u_combo=u_combo, v_combos=tuple(v_combos), a=a, b=b,
         phi=phi, psi=psi, hatted=tuple(hatted))
 
 
@@ -773,9 +763,6 @@ class RenormalizedEquation:
     empty exactly when the factorisation is complete.
     """
 
-    F: CubicPolynomial
-    d: int
-    constants: dict[Symbol, Scalar]
     c0: Scalar
     c1: Scalar
     c2: tuple[Scalar, ...]
@@ -783,7 +770,6 @@ class RenormalizedEquation:
     proportional: bool
     factorized: bool
     obstruction: list[tuple[Scalar, Symbol]]
-    totals: dict[Symbol, Scalar]
     Fhat: Scalar
 
 
@@ -808,16 +794,6 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
     if constants is None:
         constants = default_constants(d, n)
     constants = {pat: Scalar.of(c) for pat, c in constants.items()}
-    # float constants round differently on the two sides of an identity:
-    # float coefficients below 1e-12 of the largest constant count as zero
-    tol = 1e-12 * max([abs(f) for c in constants.values()
-                       for f in c.terms.values() if isinstance(f, float)],
-                      default=0.0)
-
-    def vanishes(x: Scalar) -> bool:
-        return all(isinstance(f, float) and abs(f) <= tol
-                   for f in x.terms.values())
-
     fp = fixed_point_expansion(F, d)
     # every extraction pattern has strictly negative homogeneity, so M - id
     # can only raise it: the sector at or below zero of (M - id)(G) is
@@ -846,7 +822,7 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
     c0 = -pure[ONE].zeroed((fp.phi, *fp.psi))
     residual = pure[ONE] + c0 + c1 * fp.phi + sum(
         ci * pi for ci, pi in zip(c2, fp.psi))
-    if not vanishes(residual):
+    if residual != 0:
         # leftover local dependence that no constant-coefficient counterterm
         # reproduces; report it against the unit symbol
         obstruction.append((-residual, ONE))
@@ -859,14 +835,12 @@ def renormalized_nonlinearity(F: CubicPolynomial, d: int,
     C_eps = 3 * C1 + 9 * F.gamma1 * C2
     third = Fraction(1, 3)
     proportional = (
-        vanishes(c0 - F.beta1 * C_eps * third)
-        and vanishes(c1 - F.gamma1 * C_eps)
-        and all(vanishes(ci - F.gamma2(i + 1) * C_eps * third)
+        c0 == F.beta1 * C_eps * third and c1 == F.gamma1 * C_eps
+        and all(ci == F.gamma2(i + 1) * C_eps * third
                 for i, ci in enumerate(c2)))
 
     Fhat = F.expr - c0 - c1 * Scalar.symbol("u") - sum(
         ci * vi for ci, vi in zip(c2, F.vs))
     return RenormalizedEquation(
-        F=F, d=d, constants=dict(constants), c0=c0, c1=c1, c2=c2,
-        C_eps=C_eps, proportional=proportional, factorized=factorized,
-        obstruction=obstruction, totals=totals, Fhat=Fhat)
+        c0=c0, c1=c1, c2=c2, C_eps=C_eps, proportional=proportional,
+        factorized=factorized, obstruction=obstruction, Fhat=Fhat)

@@ -325,9 +325,10 @@ def leg_channel(sym: Symbol) -> Optional[int]:
 
 class Linear:
     """Finite linear combination: ``terms`` maps basis elements to non-zero
-    coefficients.  Subclasses give ``_coerce`` (how a coefficient is read)
-    and a static ``_pair_product`` (None for zero; symbols multiply through
-    the one cached ``_symbol_product``); sums, scaling and products follow."""
+    coefficients.  Subclasses may override ``_coerce`` (how a coefficient is
+    read, ``Fraction`` here) and give a static ``_pair_product`` (None for
+    zero; symbols multiply through the one cached ``_symbol_product``);
+    sums, scaling and products follow."""
 
     __slots__ = ("terms",)
     _coerce = Fraction
@@ -341,8 +342,7 @@ class Linear:
         self._accumulate(key, self._coerce(c))
 
     def _accumulate(self, key, c) -> None:
-        # c is read already; the accumulation is structural: a coefficient
-        # that cancels only after simplification stays until normalised
+        # c is read already: exact, so a sum that cancels drops the term
         if key in self.terms:
             c = self.terms[key] + c
         if c == 0:

@@ -289,12 +289,12 @@ def test_coproduct_zero_prints_without_run_dir(outdir, capsys):
 
 
 def test_coproduct_writes_expansion(outdir, capsys):
-    assert main(["coproduct", "I(Xi)^2", "--dim", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "coproduct:" in out and "(x)" in out
+    # the display form, not the TensorSum's repr
+    assert main(["coproduct", "I(Xi)^3", "--dim", "3"]) == 0
+    assert "coproduct: RSW (x) 1" in capsys.readouterr().out.splitlines()
     rd = _run_dir(outdir, "coproduct")
     text = (rd / "coproduct.txt").read_text()
-    assert "(x)" in text
+    assert text.splitlines()[1] == "RSW (x) 1"
 
 
 def test_renorm_eq_standard_fhn(outdir, capsys):
@@ -586,8 +586,10 @@ def test_converge_outputs(outdir, config_file, capsys):
 
 def test_converge_honours_renorm_switch(tmp_path, monkeypatch, capsys):
     # [renorm] enabled = no sweeps the unrenormalised dynamics only, with
-    # the same rows as the run with both modes; booleans ignore case
-    rows = {}
+    # the same rows as the run with both modes; booleans ignore case.  The
+    # manifest's constants are the sweep's counterterms per scale, none
+    # without renormalisation
+    rows, constants = {}, {}
     for flag in ("yes", "no", "Off"):
         p = tmp_path / f"{flag}.cfg"
         p.write_text(CFG.replace("enabled = yes", f"enabled = {flag}"))
@@ -596,12 +598,19 @@ def test_converge_honours_renorm_switch(tmp_path, monkeypatch, capsys):
         rd = _run_dir(tmp_path / flag, "converge")
         with (rd / "converge.csv").open() as fh:
             rows[flag] = list(csv.DictReader(fh))
+        manifest = json.loads((rd / "manifest.json").read_text())
+        constants[flag] = manifest["constants"]
+        assert constants[flag] == manifest["config"]["constants"]
     capsys.readouterr()
     assert {r["mode"] for r in rows["yes"]} == {"renormalised",
                                                 "unrenormalised"}
     assert rows["no"] == [r for r in rows["yes"]
                           if r["mode"] == "unrenormalised"]
     assert rows["Off"] == rows["no"]
+    assert sorted(map(float, constants["yes"])) == [0.125, 0.25]
+    for c in constants["yes"].values():
+        assert set(c) == {"C0", "C1", "C2", "C_eps"} and c["C_eps"] > 0
+    assert constants["no"] == constants["Off"] == {}
 
 
 def test_renorm_switch_rejects_non_boolean(outdir, tmp_path, capsys):

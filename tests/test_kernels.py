@@ -935,12 +935,31 @@ def test_verify_bounds_d2_growth_rate_and_kq(d2_checks):
         assert c.passed, f"{c.name}: trend {c.trend:+.3f}"
 
 
-@pytest.mark.xfail(strict=True, reason="d = 2 stability trend +0.1111 "
-                   "against the tolerance 0.1 at eps = 2^-3..2^-5")
 def test_verify_bounds_d2_stability(d2_checks):
     stab = d2_checks[3]
     assert stab.name.startswith("sup |K^Q - K^Q_eps|")
     assert stab.passed, f"{stab.name}: trend {stab.trend:+.4f}"
+
+
+def test_verify_bounds_d2_five_scales():
+    # the default scales and two finer ones, where a grid error the
+    # estimate misses would grow with eps^-theta
+    checks = verify_appendix_bounds(2, [2.0 ** -k for k in range(3, 8)],
+                                    theta=0.25, trend_tol=0.1)
+    for c in checks:
+        assert len(c.ratios) == 5
+        assert c.passed, f"{c.name}: trend {c.trend:+.4f}"
+
+
+def test_verify_bounds_d2_stability_fails_on_a_coarse_estimate(monkeypatch):
+    # negative control: the estimate built on level -1's grids (the gap
+    # level 0 - level -1) misses the level-0 error, and the check fails
+    resolution = kernels._resolution
+    monkeypatch.setattr(kernels, "_resolution",
+                        lambda level: resolution(-1 if level == 1 else level))
+    stab = verify_appendix_bounds(2, [2.0 ** -3, 2.0 ** -4, 2.0 ** -5],
+                                  theta=0.25, trend_tol=0.1)[3]
+    assert not stab.passed, f"{stab.name}: trend {stab.trend:+.4f}"
 
 
 def test_kq_vanishes_for_zero_slow_coupling():

@@ -727,3 +727,15 @@ def test_only_lattice_calls_numpy_fft():
                     and node.func.value.attr == "fft":
                 found.append(f"{path.name}:{node.lineno} {node.func.attr}")
     assert not found, found
+
+
+def test_readme_python_example_prints_what_it_says(capsys):
+    # the README's Python API block runs as written, and its counterterm
+    # line prints what the comment beside it promises
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+    [promised] = re.findall(r"^print\(eq\.c0.*#\s*(.*)$", block, re.M)
+    exec(compile(block, str(readme), "exec"), {})
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == promised == "0 -3*C1 + 9*C2 3*C1 - 9*C2"
+    assert len(out) == 2 and float(out[1]) > 0

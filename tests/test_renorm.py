@@ -450,6 +450,17 @@ def test_renormalized_numeric_constants():
     assert float(R.c1) == pytest.approx(-3 * 4.0 + 9 * 0.5)
 
 
+def test_renormalized_float_constants_are_exact():
+    # a float constant is read exactly, so the counterterm identities are
+    # exact equalities: no tolerance decides factorized or proportional
+    vals = {product([CT["RSI"], CT["RSI"]]): 0.1, pat_comp(): 0.2}
+    eq = renormalized_nonlinearity(CubicPolynomial("u - u^3 - v", 1), 3, vals)
+    for s in (eq.c0, eq.c1, *eq.c2, eq.C_eps, eq.Fhat):
+        assert all(type(c) is Fraction for c in s.terms.values()), s
+    assert eq.c1 == -3 * Fraction(0.1) + 9 * Fraction(0.2)
+    assert eq.factorized and eq.proportional
+
+
 def test_default_constants():
     cs = default_constants(3, 1)
     assert cs == {CT["RSV"]: C1, pat_comp(): C2}
