@@ -5,7 +5,8 @@ torus; `Lattice` holds the package's only spatial FFT pair, its wavenumbers,
 heat step and dealias mask.  Every random number is a pure function of
 (seed, global cell index) through a counter-based generator, so members,
 slices and re-runs are bit-for-bit reproducible regardless of traversal or
-chunking; `NoiseStream` draws the slices one at a time, holding a window.
+chunking; `NoiseStream` draws the slices on every usable core, holding a
+window, and hashes them in time order.
 
 Mollification has one path, `_FIRMollifier`, in two factors mirroring the
 separable mollifier: a FIR over the time slices of the spatial transforms,
@@ -22,6 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, ClassVar, Optional, Union
@@ -150,8 +153,8 @@ class NoiseField:
     generator_id: ClassVar[str] = GENERATOR_ID
 
     def checksum(self) -> str:
-        return _checksum(hashlib.sha256(), [self.values], self.lattice,
-                         self.seed)
+        return _checksum(hashlib.sha256(np.ascontiguousarray(
+            self.values, dtype="<f8")), self.lattice, self.seed)
 
 
 @dataclass(frozen=True)
@@ -221,14 +224,18 @@ def sample_white_noise(lattice: Lattice, seed: int) -> NoiseField:
     return NoiseField(lattice=lattice, values=vals, seed=seed)
 
 
-def _checksum(sha, slices, lattice: Lattice, seed: int) -> str:
-    """The noise checksum: sha256 over the values as little-endian float64
-    in time order (``sha`` has hashed the slices before ``slices``), then
-    over (shape, seed, generator)."""
-    for xi in slices:
-        sha.update(np.ascontiguousarray(xi, dtype="<f8"))
+def _checksum(sha, lattice: Lattice, seed: int) -> str:
+    """The noise checksum: ``sha`` has hashed the values as little-endian
+    float64 in time order; (shape, seed, generator) follow."""
     sha.update(json.dumps([lattice.shape, seed, GENERATOR_ID]).encode())
     return sha.hexdigest()
+
+
+def _cores() -> int:
+    """The number of cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 class NoiseStream:
@@ -236,7 +243,8 @@ class NoiseStream:
     slice.  ``window(lo, hi)`` is the spatial rfftn of slices lo .. hi - 1,
     contiguous and in time order, for windows that only move forward and
     span at most ``width`` slices.  The buffer holds width + width // 8
-    slices, so held slices move once every width // 8 steps."""
+    slices, so held slices move once every width // 8 steps.  The slices
+    are drawn on every usable core, and hashed in time order."""
 
     def __init__(self, lattice: Lattice, seed: int, width: int):
         self.lattice, self.seed = lattice, seed
@@ -258,20 +266,67 @@ class NoiseStream:
                     b = min(a + shift, n)
                     self._hat[a:b] = self._hat[a + shift:b + shift]
                 self._first = lo
-            xi = _white_slice(self.lattice, self.seed, self._end)
-            self._sha.update(np.ascontiguousarray(xi, dtype="<f8"))
-            self.lattice.rfft(xi.reshape(self.lattice.shape[1:]),
-                              out=self._hat[self._end - self._first])
-            self._end += 1
+            top = min(hi, self._first + len(self._hat))
+            self._draw(self._sha, range(self._end, top),
+                       self._hat[self._end - self._first:])
+            self._end = top
         return self._hat[lo - self._first:hi - self._first]
 
     def checksum(self) -> str:
         """Equals ``sample_white_noise(...).checksum()``: the slices no
         window reached are drawn for it."""
-        return _checksum(self._sha.copy(), (
-            _white_slice(self.lattice, self.seed, i)
-            for i in range(self._end, self.lattice.n_time)),
-            self.lattice, self.seed)
+        sha = self._sha.copy()
+        self._draw(sha, range(self._end, self.lattice.n_time))
+        return _checksum(sha, self.lattice, self.seed)
+
+    def _draw(self, sha, slices: range, hat=None) -> None:
+        """Feed ``sha`` the raw ``slices`` in time order, writing the
+        spatial rfftn of the j-th to ``hat[j]`` if given.  The j-th is drawn
+        by thread j mod n, one per usable core (thread 0 the caller); a
+        helper draws its next slice once the caller has taken its last, and
+        its error is raised here.  Every helper is joined before return."""
+        n, held, stop = min(_cores(), len(slices)), {}, False
+        room = [threading.Semaphore(1) for _ in range(n)]
+        ready = [threading.Semaphore(0) for _ in range(n)]
+
+        def draw(j):
+            xi = _white_slice(self.lattice, self.seed, slices[j])
+            if hat is not None:
+                self.lattice.rfft(xi.reshape(self.lattice.shape[1:]),
+                                  out=hat[j])
+            return xi
+
+        def helper(t):
+            for j in range(t, len(slices), n):
+                room[t].acquire()
+                if stop:
+                    return
+                try:
+                    held[j] = draw(j)
+                except BaseException as exc:     # the caller raises it
+                    held[j] = exc
+                ready[t].release()
+
+        helpers = [threading.Thread(target=helper, args=(t,))
+                   for t in range(1, n)]
+        try:
+            for h in helpers:
+                h.start()
+            for j in range(len(slices)):
+                if j % n:
+                    ready[j % n].acquire()
+                    xi = held.pop(j)
+                    if isinstance(xi, BaseException):
+                        raise xi
+                    room[j % n].release()
+                else:
+                    xi = draw(j)
+                sha.update(np.ascontiguousarray(xi, dtype="<f8"))
+        finally:
+            stop = True
+            for r, h in zip(room[1:], helpers):     # wake a waiting helper
+                r.release()
+                h.join()
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ sizes are chosen so systematic discretisation bias stays below one SE.
 
 import json
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -175,6 +177,76 @@ def test_noise_stream_windows_and_checksum(d, n):
         # behind the held slices, wider than the buffer, past the lattice
         with pytest.raises(ValueError, match="window"):
             stream.window(lo, hi)
+
+
+@pytest.fixture
+def short_switch():
+    """Threads switch as often as the interpreter allows."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 4)])
+def test_noise_stream_is_the_same_on_any_core_count(d, n, cores,
+                                                    monkeypatch, short_switch):
+    # the engine's block-sized windows, drawn by the caller alone or with two
+    # helpers, hold the same transforms bit for bit across buffer shifts;
+    # the checksum is the same read before any window and after some
+    monkeypatch.setattr(noise, "_cores", lambda: cores)
+    lat = Lattice(d=d, n_space=n, n_time=60, t_end=0.6)
+    xi = sample_white_noise(lat, 9)
+    ref = np.stack([np.fft.rfftn(x) for x in xi.values])
+    assert NoiseStream(lat, 9, 21).checksum() == xi.checksum()
+    stream = NoiseStream(lat, 9, 21)
+    for start in range(0, 40, 8):
+        lo, hi = max(0, start - 6), start + 14
+        assert np.array_equal(stream.window(lo, hi), ref[lo:hi]), start
+    assert stream._first > 0                          # the buffer shifted
+    assert stream.checksum() == xi.checksum()
+
+
+@pytest.mark.parametrize("bad", [3, 4])
+def test_noise_stream_error_reaches_the_caller(bad, monkeypatch):
+    # slice j goes to thread j mod 2, so a helper draws slice 3 and the
+    # caller slice 4 (the error says which): either error is raised by
+    # window, in bounded time, and no helper is left running
+    monkeypatch.setattr(noise, "_cores", lambda: 2)
+    white = noise._white_slice
+
+    def failing(lattice, seed, i):
+        if i == bad:
+            raise ArithmeticError(threading.current_thread() is caller)
+        return white(lattice, seed, i)
+
+    monkeypatch.setattr(noise, "_white_slice", failing)
+    stream = NoiseStream(Lattice(d=2, n_space=8, n_time=20, t_end=0.2), 1, 12)
+    before, caught = threading.active_count(), []
+
+    def call():
+        try:
+            stream.window(0, 10)
+        except ArithmeticError as exc:
+            caught.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive()
+    assert [str(e) for e in caught] == [str(bad == 4)]
+    assert threading.active_count() == before
+
+
+def test_noise_stream_leaves_no_thread(monkeypatch):
+    monkeypatch.setattr(noise, "_cores", lambda: 3)
+    before = threading.active_count()
+    stream = NoiseStream(Lattice(d=3, n_space=4, n_time=30, t_end=0.3), 2, 12)
+    stream.window(0, 12)
+    assert threading.active_count() == before
+    stream.checksum()
+    assert threading.active_count() == before
 
 
 def test_white_noise_pairing_isometry():

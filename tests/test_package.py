@@ -116,7 +116,9 @@ def test_no_command_imports_sympy(tmp_path, monkeypatch):
     # its import blocked, every command exits as it does here, where sympy
     # is importable.  The numeric commands (constants in d = 3, a d = 3 run
     # and a d = 2 sweep) leave no scipy module behind either, nor numpy.ma,
-    # which np.unique imports when called without return_*
+    # which np.unique imports when called without return_*.  The commands
+    # that draw no noise (constants and the others) start no thread, and no
+    # command loads concurrent.futures
     root = Path(__file__).resolve().parents[1]
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[grid]\nn_space = 16\ndt = 1e-4\nt_end = 2e-4\n"
@@ -141,23 +143,31 @@ def test_no_command_imports_sympy(tmp_path, monkeypatch):
                                   ["--channels", "2"]))]
     result = tmp_path / "result.json"
     code = (
-        "import json, sys\n"
+        "import json, sys, threading\n"
         "sys.modules['sympy'] = None\n"
         "from fhnspde.cli import main\n"
+        "started, start = [], threading.Thread.start\n"
+        "threading.Thread.start = lambda t: started.append(1) or start(t)\n"
         f"numeric, others = {numeric!r}, {others!r}\n"
-        "rcs = [main(argv) for argv in numeric]\n"
+        "rcs = [main(argv) for argv in numeric[:1]]\n"
+        "quiet = [len(started), threading.active_count()]\n"
+        "rcs += [main(argv) for argv in numeric[1:]]\n"
         "left = [m for m in sys.modules\n"
         "        if m.startswith('scipy') or m == 'numpy.ma']\n"
+        "started.clear()\n"
         "rcs += [main(argv) for argv in others]\n"
-        f"open({str(result)!r}, 'w').write(json.dumps([rcs, left]))\n")
+        "quiet += [len(started), threading.active_count(),\n"
+        "          'concurrent.futures' in sys.modules]\n"
+        f"open({str(result)!r}, 'w').write(json.dumps([rcs, left, quiet]))\n")
     env = dict(os.environ, PYTHONPATH=str(root / "src"),
                FHNSPDE_OUT=str(tmp_path / "blocked"))
     subprocess.run([sys.executable, "-c", code], env=env, check=True,
                    capture_output=True)
-    rcs, left = json.loads(result.read_text())
+    rcs, left, quiet = json.loads(result.read_text())
     monkeypatch.setenv("FHNSPDE_OUT", str(tmp_path / "here"))
     assert rcs == [fhnspde.cli.main(argv) for argv in numeric + others]
     assert left == []
+    assert quiet == [0, 1, 0, 1, False]
 
 
 def test_every_parameter_is_read():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from fhnspde import kernels
+from fhnspde import kernels, noise
 from fhnspde.kernels import (
     CounterTerms,
     MollifierSpec,
@@ -368,6 +369,28 @@ def test_run_is_bitwise_deterministic():
     assert np.array_equal(a.norms["l2_u"], b.norms["l2_u"])
     assert a.manifest["noise_checksum"] == b.manifest["noise_checksum"]
 
+
+def test_results_do_not_depend_on_the_core_count(monkeypatch):
+    # the noise drawn by the caller alone or with two helpers gives the same
+    # d = 3 run and d = 2 sweep, and no helper outlives either
+    before, runs, sweeps = threading.active_count(), [], []
+    F = CubicPolynomial("u - u^3 - v", 1)
+    d3 = SystemSpec(d=3, F=F, Q=_scalar_Q())
+    d2 = SystemSpec(d=2, F=F, Q=_scalar_Q())
+    cfg = RunConfig(n_space=8, dt=1e-3, t_end=0.02, eps=0.25, seed=5)
+    for cores in (1, 3):
+        monkeypatch.setattr(noise, "_cores", lambda c=cores: c)
+        res = run(cfg, d3)
+        assert threading.active_count() == before
+        runs.append((res.norms, res.manifest["noise_checksum"]))
+        rep = epsilon_sweep(d2, replace(cfg, n_space=16), [2 ** -2],
+                            t_star=0.01)
+        assert threading.active_count() == before
+        sweeps.append((rep.D, rep.noise_checksum))
+    (a, check_a), (b, check_b) = runs
+    assert check_a == check_b and a.keys() == b.keys()
+    assert all(np.array_equal(a[k], b[k]) for k in a)
+    assert sweeps[0] == sweeps[1]
 
 def test_run_matches_hand_stepped_full_field_reference():
     # the full-field mollifier and the bare Stepper methods, stepped by hand
