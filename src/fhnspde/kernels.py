@@ -308,6 +308,26 @@ class _Spline:
         out += self.c[-1][at]
         return out
 
+    def row_sums(self, xq, a, row, n_rows: int) -> np.ndarray:
+        """For each row i < ``n_rows``, the sum of a * self(xq) over the
+        points whose ``row`` is i (``a``, ``row`` broadcast to ``xq``),
+        shape (n_rows, columns): sums of a (xq - x_j)^p per row, interval j
+        and power p, by one bincount, times the coefficients in one matmul."""
+        k, n = self.c.shape[0], self.x.size
+        xq = np.clip(xq, self.x[0], self.x[-1])
+        j = np.clip(np.searchsorted(self.x, xq, side="right") - 1, 0, n - 2)
+        h = xq - self.x[j]
+        terms = np.empty((k,) + h.shape)              # a h^0, a h^1, ...
+        terms[0] = a
+        for p in range(1, k):
+            np.multiply(terms[p - 1], h, out=terms[p])
+        at = (row * (n - 1) + j) * k \
+            + np.arange(k - 1, -1, -1).reshape((k,) + (1,) * h.ndim)
+        S = np.bincount(at.ravel(), terms.ravel(),
+                        minlength=n_rows * (n - 1) * k)
+        return S.reshape(n_rows, k * (n - 1)) \
+            @ self.c.transpose(1, 0, 2).reshape(k * (n - 1), -1)
+
 
 # ---------------------------------------------------------------------------
 # Mollifiers
@@ -579,8 +599,9 @@ def build_truncated_kernel(d: int, tol: float = 1e-6) -> TruncatedKernel:
 # ---------------------------------------------------------------------------
 
 # Block budget, in float entries, of the temporaries of one block: the
-# (rho, s, theta, column) spline samples of a radial_basis block over rho,
-# and the (row, s, rho) operator of a correlate block over the rows of A.
+# (rho, s, interval, power) sums of a d = 2 radial_basis block over rho,
+# the (row, s, rho) operator of a correlate block over the rows of A, and
+# in noise the basis rows of a radial transform and the words of a run.
 _F_BLOCK = 2 ** 15
 _N_THETA = 24
 
@@ -607,9 +628,12 @@ def _radial_basis(d: int, f_nodes: np.ndarray, s_grid: Grid1D,
         int f(|x-y|) g(|y|) dy
             = (2 pi / rho) int s g(s) [F(s + rho) - F(|s - rho|)] ds,
     F(R) = int_0^R u f(u) du; at rho = 0 it degenerates to
-    4 pi int s^2 f g.  d = 2 uses Gauss-Legendre in the polar angle.  G is
-    built over blocks of rho whose spline samples hold about ``_F_BLOCK``
-    entries.
+    4 pi int s^2 f g.  d = 2 uses Gauss-Legendre in the polar angle: the
+    weighted cardinal splines at the angle nodes of each (rho, s) cell are
+    one :meth:`_Spline.row_sums`, power sums of the nodes per spline
+    interval times the spline coefficients.  G is built over blocks of rho
+    whose power sums and weighted node powers (d = 2) or spline samples
+    (d = 3) hold about ``_F_BLOCK`` entries.
     """
     if d not in (2, 3):
         raise ValueError("spatial dimension must be 2 or 3")
@@ -625,7 +649,8 @@ def _radial_basis(d: int, f_nodes: np.ndarray, s_grid: Grid1D,
     xt, wt = _leggauss(n_theta)
     cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
     G = np.empty((nf, s.size, rho.size))
-    step = max(1, _F_BLOCK // (nf * s.size * (n_theta if d == 2 else 1)))
+    step = max(1, _F_BLOCK // (s.size * (4 * max(nf, n_theta) if d == 2
+                                         else nf)))
     for lo in range(0, rho.size, step):
         r = rho[lo:lo + step, None]
         if d == 2:
@@ -635,8 +660,9 @@ def _radial_basis(d: int, f_nodes: np.ndarray, s_grid: Grid1D,
             # the full circle: twice the half-circle rule, as the integrand
             # is even in theta
             wth = np.where(dist <= top, math.pi * wt, 0.0)
-            block = (wth[..., None, :]
-                     @ value(np.minimum(dist, top)))[..., 0, :]
+            cells = np.arange(r.size * s.size).reshape(r.size, s.size, 1)
+            block = value.row_sums(dist, wth, cells, cells.size) \
+                .reshape(r.size, s.size, nf)
         else:
             pos = r > 0
             rp = np.where(pos, r, 1.0)
@@ -892,13 +918,11 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = _T_REF,
     structure at scales >= eps^2 near u = 0 (mollification floors the heat
     peak width), so the per-row u grids are graded toward 0.
 
-    One linear operator on the coefficients c of K_eps's t spline: on its
-    interval j, K_eps(u, .) = sum_k c[k, j] (u - x_j)^(3-k), so row i is
-    sum_{j,k} S[i, j, k] c[k, j] with S[i, j, k] the sum of a (u - x_j)^(3-k)
-    over the row's u nodes in interval j, a = weight * Q(t_i - u).  The u
-    nodes lie inside K_eps's t support, clamped to the spline's nodes as
-    :class:`_Spline` clamps.  The panels of every row form one stacked
-    :func:`panel_grid` call; rows that meet no support stay exactly zero.
+    Row i is the sum of a K_eps(u, .) over its u nodes, a = weight *
+    Q(t_i - u): one :meth:`_Spline.row_sums` of K_eps's t spline over the
+    u nodes of every row, which lie inside K_eps's t support.  The panels
+    of every row form one stacked :func:`panel_grid` call; rows that meet
+    no support stay exactly zero.
     """
     t_lo, t_top = keps.t_support
     t_hi = t_top + 2.0 * T
@@ -920,21 +944,8 @@ def kq_kernel(keps: MollifiedKernel, Q: Callable, T: float = _T_REF,
     row = np.repeat(np.arange(live.size), (n_edges - 1) * res.order)
     u, a = g.nodes.ravel(), g.weights.ravel()
     a *= np.asarray(Q(t_grid.nodes[live][row] - u), dtype=float)
-    spline = keps._t_spline
-    x, n = spline.x, spline.x.size
-    u = np.clip(u, x[0], x[-1])
-    j = np.clip(np.searchsorted(x, u, side="right") - 1, 0, n - 2)
-    h = u - x[j]
-    terms = np.empty((4, u.size))             # a h^0, a h^1, a h^2, a h^3
-    terms[0] = a
-    for k in range(1, 4):
-        np.multiply(terms[k - 1], h, out=terms[k])
-    at = (row * (n - 1) + j) * 4 + np.arange(3, -1, -1)[:, None]
-    S = np.bincount(at.ravel(), terms.ravel(),
-                    minlength=live.size * (n - 1) * 4)
     vals = np.zeros((t_grid.nodes.size, keps.r_grid.nodes.size))
-    vals[live] = S.reshape(live.size, 4 * (n - 1)) \
-        @ spline.c.transpose(1, 0, 2).reshape(4 * (n - 1), -1)
+    vals[live] = keps._t_spline.row_sums(u, a, row, live.size)
     return MollifiedKernel(d=keps.d, t_grid=t_grid, r_grid=keps.r_grid,
                            vals=vals, t_support=(t_lo, t_hi),
                            r_support=keps.r_support)
@@ -956,11 +967,11 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
     :func:`_radial_basis` from A's r grid to ``rho_out`` is built once, or
     passed in by a caller that already holds it.  The rows of A that meet
     some B's t support go in blocks of about ``_F_BLOCK`` operator
-    entries: the block's rows, scaled by A's t weights, times G give its
-    operator M of shape (b Ns, Nrho); each B's slices at every t1 - t of
-    the block (zero outside its t support) form P of shape (Nt, b Ns), and
-    one matmul P @ M adds the block to that B's output, over the output
-    times t with some lag in B's t support only.
+    entries, and at least 8 rows: the block's rows, scaled by A's t
+    weights, times G give its operator M of shape (b Ns, Nrho); each B's
+    slices at every t1 - t of the block (zero outside its t support) form
+    P of shape (Nt, b Ns), and one matmul P @ M adds the block to that B's
+    output, over the output times t with some lag in B's t support only.
     """
     t_out = np.atleast_1d(np.asarray(t_out, dtype=float))
     rho_out = _radii(rho_out)
@@ -972,7 +983,7 @@ def correlate(A: MollifiedKernel, Bs: Sequence[MollifiedKernel],
     if G is None:
         G = _radial_basis(A.d, A.r_grid.nodes, r_grid, rho_out)
     G = G.reshape(G.shape[0], -1)
-    rows = max(1, _F_BLOCK // G.shape[1])
+    rows = max(8, _F_BLOCK // G.shape[1])
     outs = [np.zeros((t_out.size, rho_out.size)) for _ in Bs]
     for start in range(0, A.t_grid.nodes.size, rows):
         lags = A.t_grid.nodes[start:start + rows] - t_out[:, None]

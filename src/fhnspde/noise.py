@@ -207,20 +207,29 @@ def counter_gaussians(seed: int, start: int, count: int) -> np.ndarray:
     return r
 
 
-def _white_slice(lattice: Lattice, seed: int, i: int) -> np.ndarray:
-    """Time slice i of the white noise, flattened."""
+def _run_length(lattice: Lattice) -> int:
+    """Slices per run of the noise draw: about ``_F_BLOCK`` raw Philox
+    words, two per value, and at least one slice."""
+    return max(1, _F_BLOCK // (2 * lattice.n_space ** lattice.d))
+
+
+def _white_run(lattice: Lattice, seed: int, i: int, count: int
+               ) -> np.ndarray:
+    """Time slices i .. i + count - 1 of the white noise, by one draw: the
+    same values as one draw per slice."""
     size = lattice.n_space ** lattice.d
-    xi = counter_gaussians(seed, i * size, size)
+    xi = counter_gaussians(seed, i * size, count * size)
     xi *= 1.0 / math.sqrt(lattice.cell_volume)
-    return xi
+    return xi.reshape((count,) + lattice.shape[1:])
 
 
 def sample_white_noise(lattice: Lattice, seed: int) -> NoiseField:
     """Cellwise iid N(0, 1/(dt dx^d)), keyed on the global cell index and
-    drawn one time slice at a time into one array."""
-    vals = np.empty(lattice.shape)
-    for i, row in enumerate(vals.reshape(lattice.n_time, -1)):
-        row[:] = _white_slice(lattice, seed, i)
+    drawn in runs of time slices into one array."""
+    vals, per = np.empty(lattice.shape), _run_length(lattice)
+    for i in range(0, lattice.n_time, per):
+        vals[i:i + per] = _white_run(lattice, seed, i,
+                                     min(per, lattice.n_time - i))
     return NoiseField(lattice=lattice, values=vals, seed=seed)
 
 
@@ -281,23 +290,27 @@ class NoiseStream:
 
     def _draw(self, sha, slices: range, hat=None) -> None:
         """Feed ``sha`` the raw ``slices`` in time order, writing the
-        spatial rfftn of the j-th to ``hat[j]`` if given.  The j-th is drawn
-        by thread j mod n, one per usable core (thread 0 the caller); a
-        helper draws its next slice once the caller has taken its last, and
-        its error is raised here.  Every helper is joined before return."""
-        n, held, stop = min(_cores(), len(slices)), {}, False
+        spatial rfftn of the j-th to ``hat[j]`` if given.  The slices go in
+        runs of :func:`_run_length` consecutive slices, each one draw, one
+        stacked rfft and one hash update.  Run j is drawn by thread j mod n,
+        one per usable core (thread 0 the caller); a helper draws its next
+        run once the caller has taken its last, and its error is raised
+        here.  Every helper is joined before return."""
+        per = _run_length(self.lattice)
+        n_runs = -(-len(slices) // per)
+        n, held, stop = min(_cores(), n_runs), {}, False
         room = [threading.Semaphore(1) for _ in range(n)]
         ready = [threading.Semaphore(0) for _ in range(n)]
 
         def draw(j):
-            xi = _white_slice(self.lattice, self.seed, slices[j])
+            run = slices[j * per:(j + 1) * per]
+            xi = _white_run(self.lattice, self.seed, run.start, len(run))
             if hat is not None:
-                self.lattice.rfft(xi.reshape(self.lattice.shape[1:]),
-                                  out=hat[j])
+                self.lattice.rfft(xi, out=hat[j * per:j * per + len(run)])
             return xi
 
         def helper(t):
-            for j in range(t, len(slices), n):
+            for j in range(t, n_runs, n):
                 room[t].acquire()
                 if stop:
                     return
@@ -312,7 +325,7 @@ class NoiseStream:
         try:
             for h in helpers:
                 h.start()
-            for j in range(len(slices)):
+            for j in range(n_runs):
                 if j % n:
                     ready[j % n].acquire()
                     xi = held.pop(j)

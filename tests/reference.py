@@ -9,6 +9,8 @@ from the module named above each section:
   ``Gamma_g = (id x g) D`` (hopf);
 * one generator ``L_tau`` of the renormalisation group (renorm);
 * the free heat kernel's int (G * rho_eps)^2 (kernels);
+* the d = 2 radial operator by the cardinal splines evaluated at every
+  angle node (kernels), which the package builds from power sums;
 * chi = K_eps * xi by lag-summed Fourier multiplication, its exact lattice
   covariance and the Wick powers it centres (noise) -- the K-based
   stochastic convolution acceptance 7 certifies; the engine's chi is the
@@ -28,10 +30,15 @@ import numpy as np
 
 from fhnspde.hopf import JSymbol, PlusElem, _tensor, coproduct
 from fhnspde.kernels import (
+    _F_BLOCK,
+    _N_THETA,
+    Grid1D,
     MollifiedKernel,
     MollifierSpec,
+    _leggauss,
     _mollify,
     _resolution,
+    _Spline,
     heat_kernel,
     panel_grid,
 )
@@ -202,6 +209,37 @@ def g_eps_squared(d: int, eps: float, rho: Optional[MollifierSpec] = None,
     r_hi = 6.0 * math.sqrt(t_window) + rho.x_radius * eps
     return _mollify(lambda t, r: heat_kernel(t, r, d), d, eps, rho,
                     _resolution(0), t_window, r_hi).squared_integral()
+
+
+def radial_basis_d2(f_nodes: np.ndarray, s_grid: Grid1D, rho: np.ndarray,
+                    n_theta: int = _N_THETA) -> np.ndarray:
+    """``kernels._radial_basis(2, ...)`` with the cardinal splines evaluated
+    at every (rho, s, theta) point, then contracted over theta; blocks of
+    rho whose spline samples hold about ``_F_BLOCK`` entries."""
+    s, nf = s_grid.nodes, f_nodes.size
+    top = float(f_nodes[-1])
+    u = np.concatenate([[0.0], f_nodes])
+    eye = np.eye(nf)
+    # f is held flat from its first node down to 0
+    value = _Spline.not_a_knot(u, np.concatenate([eye[:1], eye]))
+    ws = s_grid.weights * s
+    xt, wt = _leggauss(n_theta)
+    cos_theta = np.cos(0.5 * math.pi * (xt + 1.0))
+    G = np.empty((nf, s.size, rho.size))
+    step = max(1, _F_BLOCK // (nf * s.size * n_theta))
+    for lo in range(0, rho.size, step):
+        r = rho[lo:lo + step, None]
+        dist = np.sqrt(np.maximum(
+            r[..., None] ** 2 + s[:, None] ** 2
+            - 2.0 * r[..., None] * s[:, None] * cos_theta, 0.0))
+        # the full circle: twice the half-circle rule, as the integrand
+        # is even in theta
+        wth = np.where(dist <= top, math.pi * wt, 0.0)
+        block = (wth[..., None, :]
+                 @ value(np.minimum(dist, top)))[..., 0, :]
+        block *= ws[:, None]
+        G[..., lo:lo + step] = block.transpose(2, 1, 0)
+    return G
 
 
 # ---------------------------------------------------------------------------

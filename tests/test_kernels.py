@@ -40,7 +40,7 @@ from fhnspde.kernels import (
     sphere_area,
     verify_appendix_bounds,
 )
-from reference import g_eps_squared
+from reference import g_eps_squared, radial_basis_d2
 
 OU = matrix_weight([1.0], [[-1.0]], 0, 0.5)     # the default slow weight
 
@@ -577,14 +577,29 @@ def test_correlate_matches_per_row_reference(d):
     t_out = np.array([-0.9, -0.3, 0.0, 0.01, 0.2, 0.7, 1.3])
     rho = np.r_[0.0, np.linspace(0.01, 1.2, 59)]
     # A spans more than one block of rows
-    block = kernels._F_BLOCK // (rho.size * keps.r_grid.nodes.size
-                                 * (kernels._N_THETA if d == 2 else 1))
-    assert keps.t_grid.nodes.size > max(block, 1)
+    block = kernels._F_BLOCK // (rho.size * keps.r_grid.nodes.size)
+    assert keps.t_grid.nodes.size > max(block, 8)
     got = correlate(keps, (keps, kq), t_out, rho)
     for g, want in zip(got, _correlate_per_row(keps, (keps, kq), t_out, rho)):
         assert np.any(want)
         np.testing.assert_allclose(g, want, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("nf, ns, nrho", [(48, 24, 48), (24, 32, 201),
+                                          (72, 40, 30)])
+def test_radial_basis_d2_matches_cardinal_spline_samples(nf, ns, nrho):
+    # the power-sum operator equals the cardinal splines summed at every
+    # angle node to 1e-14 of its largest entry, over several blocks of rho,
+    # with radii beyond f's last node
+    f_nodes = panel_grid(np.linspace(0.0, 1.2, nf // 8 + 1), 8).nodes
+    s_grid = panel_grid(np.linspace(0.0, 0.4, ns // 8 + 1), 8)
+    rho = np.linspace(0.0, 1.5, nrho)
+    assert nrho > kernels._F_BLOCK // (4 * max(nf, kernels._N_THETA) * ns)
+    want = radial_basis_d2(f_nodes, s_grid, rho)
+    np.testing.assert_allclose(kernels._radial_basis(2, f_nodes, s_grid, rho),
+                               want, rtol=1e-14,
+                               atol=1e-14 * np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -1195,7 +1210,7 @@ PINNED_DIGESTS = {
                  "d991433b4fe189b8153a6615f1c090a5",
 }
 PINNED_CONSTANTS = {
-    2: {"C1": 1.6826516067203716, "Q1_0": 0.023973198961026253,
+    2: {"C1": 1.6826516067203712, "Q1_0": 0.023973198961026253,
         "Q2_0": 0.024977868131988427, "C2": 0.027299377860069234,
         "I00": 0.013649688930034617, "I01": 0.00010343521203966308,
         "I11": 2.0275770236318328e-05, "I02": 0.0002588188881360319,

@@ -188,40 +188,75 @@ def short_switch():
     sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("cores", [1, 3])
-@pytest.mark.parametrize("d, n", [(2, 8), (3, 4)])
-def test_noise_stream_is_the_same_on_any_core_count(d, n, cores,
-                                                    monkeypatch, short_switch):
-    # the engine's block-sized windows, drawn by the caller alone or with two
-    # helpers, hold the same transforms bit for bit across buffer shifts;
-    # the checksum is the same read before any window and after some
-    monkeypatch.setattr(noise, "_cores", lambda: cores)
-    lat = Lattice(d=d, n_space=n, n_time=60, t_end=0.6)
-    xi = sample_white_noise(lat, 9)
+def _assert_stream_draws(lat, xi):
+    """The engine's block-sized windows hold the transforms of ``xi``'s
+    slices bit for bit across three buffer shifts, and the checksum is the
+    same read before any window and after some."""
     ref = np.stack([np.fft.rfftn(x) for x in xi.values])
     assert NoiseStream(lat, 9, 21).checksum() == xi.checksum()
     stream = NoiseStream(lat, 9, 21)
     for start in range(0, 40, 8):
         lo, hi = max(0, start - 6), start + 14
         assert np.array_equal(stream.window(lo, hi), ref[lo:hi]), start
-    assert stream._first > 0                          # the buffer shifted
+    assert (stream._first, stream._end) == (26, 46)
     assert stream.checksum() == xi.checksum()
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("d, n", [(2, 8), (3, 4)])
+def test_noise_stream_is_the_same_on_any_core_count(d, n, cores,
+                                                    monkeypatch, short_switch):
+    # drawn by the caller alone or with two helpers
+    monkeypatch.setattr(noise, "_cores", lambda: cores)
+    lat = Lattice(d=d, n_space=n, n_time=60, t_end=0.6)
+    _assert_stream_draws(lat, sample_white_noise(lat, 9))
+
+
+@pytest.mark.parametrize("cores", [1, 3])
+@pytest.mark.parametrize("d, n, per", [(2, 8, 1), (2, 8, 3), (3, 4, 7),
+                                       (2, 64, None)])
+def test_noise_stream_runs_are_the_same_bytes(d, n, per, cores, monkeypatch,
+                                              short_switch):
+    # runs of one slice, of several, or of the lattice's own length (4
+    # slices at 64^2), drawn by the caller alone or with two helpers: the
+    # windows draw 14 and 8 slices, no multiple of a run, so last runs are
+    # partial; the windows from 10 .. 30 on draw to the buffer's end, shift
+    # it and draw on, cutting a run; the checksum draws the 14 slices no
+    # window reached
+    monkeypatch.setattr(noise, "_cores", lambda: cores)
+    lat = Lattice(d=d, n_space=n, n_time=60, t_end=0.6)
+    xi = sample_white_noise(lat, 9)
+    if per is None:
+        assert noise._run_length(lat) == 4
+    else:
+        monkeypatch.setattr(noise, "_run_length", lambda lattice: per)
+    _assert_stream_draws(lat, xi)
+
+
+@pytest.mark.parametrize("d, n, per", [(2, 8, 256), (2, 16, 64),
+                                       (2, 64, 4), (3, 16, 4), (3, 32, 1)])
+def test_noise_runs_hold_about_a_block_of_words(d, n, per):
+    # two raw words per value, _F_BLOCK words a run, at least one slice
+    lat = Lattice(d=d, n_space=n, n_time=3, t_end=0.3)
+    assert noise._run_length(lat) == per
 
 
 @pytest.mark.parametrize("bad", [3, 4])
 def test_noise_stream_error_reaches_the_caller(bad, monkeypatch):
-    # slice j goes to thread j mod 2, so a helper draws slice 3 and the
-    # caller slice 4 (the error says which): either error is raised by
-    # window, in bounded time, and no helper is left running
+    # in runs of two slices, run j (slices 2 j, 2 j + 1) goes to thread
+    # j mod 2, so a helper draws slice 3 and the caller slice 4 (the error
+    # says which): either error is raised by window, in bounded time, and no
+    # helper is left running
     monkeypatch.setattr(noise, "_cores", lambda: 2)
-    white = noise._white_slice
+    monkeypatch.setattr(noise, "_run_length", lambda lattice: 2)
+    white = noise._white_run
 
-    def failing(lattice, seed, i):
-        if i == bad:
+    def failing(lattice, seed, i, count):
+        if i <= bad < i + count:
             raise ArithmeticError(threading.current_thread() is caller)
-        return white(lattice, seed, i)
+        return white(lattice, seed, i, count)
 
-    monkeypatch.setattr(noise, "_white_slice", failing)
+    monkeypatch.setattr(noise, "_white_run", failing)
     stream = NoiseStream(Lattice(d=2, n_space=8, n_time=20, t_end=0.2), 1, 12)
     before, caught = threading.active_count(), []
 
@@ -241,6 +276,7 @@ def test_noise_stream_error_reaches_the_caller(bad, monkeypatch):
 
 def test_noise_stream_leaves_no_thread(monkeypatch):
     monkeypatch.setattr(noise, "_cores", lambda: 3)
+    monkeypatch.setattr(noise, "_run_length", lambda lattice: 2)
     before = threading.active_count()
     stream = NoiseStream(Lattice(d=3, n_space=4, n_time=30, t_end=0.3), 2, 12)
     stream.window(0, 12)
